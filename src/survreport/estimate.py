@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import optimize, stats
@@ -77,18 +78,15 @@ class FitResult:
 
 
 def _fixed_covariate_matrix(dataset: Dataset) -> np.ndarray:
-    p = dataset.n_covariates
-    z = np.empty((dataset.n, p))
-    for i, s in enumerate(dataset.subjects):
+    if dataset.n_covariates == 0:
+        return np.empty((dataset.n, 0))
+    for s in dataset.subjects:
         if s.covariates is None:
-            if p == 0:
-                continue
             raise ModelSpecError(
                 f"subject {s.subject_id} has no time-fixed covariates; "
                 "use the time-varying model for covariate paths"
             )
-        z[i] = s.covariates
-    return z
+    return np.array([s.covariates for s in dataset.subjects], dtype=float)
 
 
 def interval_covariates(dataset: Dataset) -> np.ndarray:
@@ -99,43 +97,50 @@ def interval_covariates(dataset: Dataset) -> np.ndarray:
     first measurement fall back to that earliest value.
     """
     taus = dataset.grid.taus
-    J, p = dataset.grid.J, dataset.n_covariates
-    lefts = (0.0,) + taus[:-1]
-    z = np.empty((dataset.n, J, p))
-    for i, s in enumerate(dataset.subjects):
-        if s.covariates is not None:
-            z[i] = np.asarray(s.covariates)[None, :]
-            continue
-        if not s.covariate_path:
+    J = dataset.grid.J
+    paths = []
+    for s in dataset.subjects:
+        # a time-fixed vector is a path measured once, at entry
+        path = ((0.0, s.covariates),) if s.covariates is not None else s.covariate_path
+        if not path:
             raise ModelSpecError(f"subject {s.subject_id} has no covariates")
-        times = [t for t, _ in s.covariate_path]
-        vecs = [v for _, v in s.covariate_path]
-        for k, left in enumerate(lefts):
-            idx = 0
-            for m, t in enumerate(times):
-                if t <= left:
-                    idx = m
-                else:
-                    break
-            z[i, k] = vecs[idx]
-    return z
+        paths.append(path)
+    n = len(paths)
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=n)
+    points = list(chain.from_iterable(paths))
+    times = np.fromiter((t for t, _ in points), dtype=float, count=len(points))
+    values = np.array([v for _, v in points], dtype=float).reshape(len(points), dataset.n_covariates)
+    rows = np.repeat(np.arange(n), lengths)
+    unordered = (rows[1:] == rows[:-1]) & (times[1:] <= times[:-1])
+    if unordered.any():
+        sid = dataset.subjects[rows[1:][np.argmax(unordered)]].subject_id
+        raise ValueError(f"subject {sid}: covariate path times not strictly increasing")
+    # a measurement at time t is in effect from the first interval whose
+    # left end is at or after t; counting them per interval gives LOCF
+    first = np.searchsorted(np.array((0.0,) + taus[:-1]), times, side="left")
+    seen = np.bincount(rows * (J + 1) + first, minlength=n * (J + 1)).reshape(n, J + 1)
+    seen = np.cumsum(seen[:, :J], axis=1)
+    starts = np.cumsum(lengths) - lengths
+    return values[starts[:, None] + np.maximum(seen - 1, 0)]
 
 
 def _life_table_gamma(dataset: Dataset) -> np.ndarray:
     """Naive starting values treating self-reports as perfect."""
-    J = dataset.grid.J
-    grid = dataset.grid
-    events = np.zeros(J)
-    at_risk = np.zeros(J)
-    for s in dataset.subjects:
-        idx = [grid.interval_index(t) for t in s.times]
-        pos = [m for m, r in zip(idx, s.results) if r == 1]
-        event_j = min(pos) if pos else None
-        last = event_j if event_j is not None else max(idx)
-        for j in range(1, last + 1):
-            at_risk[j - 1] += 1
-        if event_j is not None:
-            events[event_j - 1] += 1
+    reports = dataset.reports
+    J = reports.shape[1]
+    observed = reports >= 0
+    empty = ~observed.any(axis=1)
+    if empty.any():
+        sid = dataset.subjects[int(np.argmax(empty))].subject_id
+        raise ValueError(f"subject {sid} has no visits")
+    positive = reports == 1
+    has_event = positive.any(axis=1)
+    event = positive.argmax(axis=1)
+    last_visit = J - 1 - observed[:, ::-1].argmax(axis=1)
+    # a subject is at risk on intervals 1..(first positive, else last visit)
+    last = np.where(has_event, event, last_visit)
+    at_risk = np.cumsum(np.bincount(last, minlength=J)[::-1])[::-1].astype(float)
+    events = np.bincount(event[has_event], minlength=J).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         haz = np.where(at_risk > 0, events / np.maximum(at_risk, 1), 0.0)
     haz = np.clip(haz, 5e-4, 0.95)
@@ -149,9 +154,9 @@ def _collapse_rows(c: np.ndarray, z: np.ndarray | None):
     else:
         key = np.hstack([c, z])
     _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    order = np.sort(idx)
-    lookup = {tuple(key[i]): w for i, w in zip(idx, counts)}
-    weights = np.array([lookup[tuple(key[i])] for i in order], dtype=float)
+    first_seen = np.argsort(idx)
+    order = idx[first_seen]
+    weights = counts[first_seen].astype(float)
     c2 = c[order]
     z2 = z[order] if z is not None else None
     return c2, z2, weights
@@ -233,9 +238,7 @@ def fit(
     )
     # L-BFGS-B often stalls on its function-change test slightly above the
     # gradient tolerance; a few Newton steps finish the job
-    x_hat, iterations, converged = _newton_polish(
-        negloglik_and_grad, res.x, J, grad_tol, int(res.nit)
-    )
+    x_hat, polish_steps, converged = _newton_polish(negloglik_and_grad, res.x, J, grad_tol)
     gamma_hat = x_hat[:J]
     beta_hat = x_hat[J:]
     lambdas_hat = np.exp(gamma_hat)
@@ -243,6 +246,16 @@ def fit(
     loglik_hat = -negloglik_and_grad(x_hat)[0]
     if res.status == 1:  # hit maxiter before polishing
         converged = False
+        message = f"L-BFGS-B stopped at the iteration limit: {res.message}"
+    elif converged and not polish_steps:
+        message = f"L-BFGS-B converged: {res.message}"
+    elif converged:
+        message = f"Newton polish converged after {polish_steps} step(s) (L-BFGS-B: {res.message})"
+    else:
+        message = (
+            f"not converged: Newton polish stopped after {polish_steps} step(s) with the "
+            f"projected gradient above {grad_tol:g} (L-BFGS-B: {res.message})"
+        )
 
     frozen = tuple(int(j + 1) for j in np.flatnonzero(gamma_hat <= GAMMA_LOWER + 1e-6))
 
@@ -280,8 +293,8 @@ def fit(
         survival_se=survival_se,
         loglik=loglik_hat,
         converged=converged,
-        iterations=int(res.nit),
-        message=str(res.message),
+        iterations=int(res.nit) + polish_steps,
+        message=message,
         frozen_intervals=frozen,
         cov_working=cov_working,
         cov_transformed=cov_transformed,
@@ -321,14 +334,18 @@ def _projected_gradient(grad, x, J):
     return proj
 
 
-def _newton_polish(negloglik_and_grad, x, J, grad_tol, iterations, max_steps=10):
-    """Drive the projected gradient below tolerance with damped Newton steps."""
+def _newton_polish(negloglik_and_grad, x, J, grad_tol, max_steps=10):
+    """Drive the projected gradient below tolerance with damped Newton steps.
+
+    Returns ``(x, steps taken, converged)``.
+    """
     f, g = negloglik_and_grad(x)
+    steps = 0
     for _ in range(max_steps):
         proj = _projected_gradient(g, x, J)
         gmax = float(np.max(np.abs(proj))) if proj.size else 0.0
         if gmax <= grad_tol:
-            return x, iterations, True
+            return x, steps, True
         free = proj != 0.0
         hessian = _numeric_hessian(negloglik_and_grad, x)
         # near-zero-mass intervals contribute no curvature (and a matching
@@ -352,13 +369,13 @@ def _newton_polish(negloglik_and_grad, x, J, grad_tol, iterations, max_steps=10)
             if f_new <= f + 1e-12 * max(1.0, abs(f)) or gmax_new < gmax:
                 x, f, g = x_new, f_new, g_new
                 accepted = True
-                iterations += 1
+                steps += 1
                 break
             t *= 0.5
         if not accepted:
             break
     proj = _projected_gradient(g, x, J)
-    return x, iterations, bool(np.max(np.abs(proj)) <= grad_tol) if proj.size else True
+    return x, steps, bool(np.max(np.abs(proj)) <= grad_tol) if proj.size else True
 
 
 def _covariances(negloglik_and_grad, x_hat, J, p, lambdas, survival, frozen):

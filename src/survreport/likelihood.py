@@ -84,21 +84,18 @@ def build_c_matrix(dataset: Dataset, error_model: ErrorModel) -> np.ndarray:
     the event time falls in interval j; column J+1 corresponds to the
     event never occurring.
     """
-    grid = dataset.grid
-    J = grid.J
-    c = np.empty((dataset.n, J + 1))
+    reports = dataset.reports
+    n, J = reports.shape
     phi1, phi0 = error_model.phi1, error_model.phi0
-    for i, subj in enumerate(dataset.subjects):
-        m = np.array([grid.interval_index(t) for t in subj.times])
-        r = np.asarray(subj.results)
-        a = np.where(r == 1, phi1, 1.0 - phi1)        # visit after the event
-        b = np.where(r == 1, 1.0 - phi0, phi0)        # visit before the event
-        # visits are sorted, so for column j the first searchsorted(m, j)
-        # visits precede the event interval and the rest follow it
-        prefix_b = np.concatenate(([1.0], np.cumprod(b)))
-        suffix_a = np.concatenate((np.cumprod(a[::-1])[::-1], [1.0]))
-        split = np.searchsorted(m, np.arange(1, J + 2), side="left")
-        c[i] = prefix_b[split] * suffix_a[split]
+    # per-cell report probability, indexed by report + 1 (a missed visit
+    # contributes a factor of 1)
+    after = np.array([1.0, 1.0 - phi1, phi1])[reports + 1]    # visit after the event
+    before = np.array([1.0, phi0, 1.0 - phi0])[reports + 1]   # visit before the event
+    # for column j the visits at tau_1..tau_{j-1} precede the event
+    # interval and the rest follow it
+    c = np.ones((n, J + 1))
+    np.cumprod(before, axis=1, out=c[:, 1:])
+    c[:, :J] *= np.cumprod(after[:, ::-1], axis=1)[:, ::-1]
     return c
 
 

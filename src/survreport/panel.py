@@ -13,6 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
+from itertools import chain
+
+import numpy as np
 
 
 ADAPTIVE = "adaptive"
@@ -111,6 +115,8 @@ class StudyGrid:
     def __post_init__(self):
         if len(self.taus) < 1:
             raise ValueError("study grid needs at least one visit time")
+        if not all(map(math.isfinite, self.taus)):
+            raise ValueError(f"grid times must be finite, got {self.taus!r}")
         if self.taus[0] <= 0.0:
             raise ValueError("grid times must be strictly positive")
         if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
@@ -160,6 +166,42 @@ class Dataset:
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
+    @property
+    def reports(self) -> np.ndarray:
+        """Read-only (N, J) int8 report matrix: column k holds the report
+        at tau_{k+1}, -1 a missed visit.  Built once per dataset."""
+        cached = self.__dict__.get("_reports_cache")
+        if cached is None:
+            cached = _report_matrix(self.subjects, self.grid)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_reports_cache", cached)
+        return cached
+
+
+def _report_matrix(subjects, grid: StudyGrid) -> np.ndarray:
+    n, J = len(subjects), grid.J
+    counts = np.fromiter((len(s.times) for s in subjects), dtype=np.intp, count=n)
+    total = int(counts.sum())
+    times = np.fromiter(chain.from_iterable(s.times for s in subjects), dtype=float, count=total)
+    results = np.fromiter(
+        chain.from_iterable(s.results for s in subjects), dtype=np.int8, count=total
+    )
+    taus = np.asarray(grid.taus, dtype=float)
+    cols = np.searchsorted(taus, times)
+    off = taus[np.minimum(cols, J - 1)] != times
+    if off.any():
+        raise KeyError(f"visit time {float(times[np.argmax(off)])!r} is not a grid point")
+    rows = np.repeat(np.arange(n), counts)
+    # each cell takes one visit: a repeated or out-of-order time would
+    # silently overwrite (or reorder) a subject's reports
+    unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+    if unordered.any():
+        sid = subjects[rows[1:][np.argmax(unordered)]].subject_id
+        raise ValueError(f"subject {sid}: visit times not strictly increasing")
+    reports = np.full((n, J), -1, dtype=np.int8)
+    reports[rows, cols] = results
+    return reports
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -174,10 +216,15 @@ class Violation:
 
 
 def round_to_granularity(time: float, granularity: float) -> float:
-    """Round ``time`` to the nearest multiple of ``granularity``."""
+    """Round ``time`` to the nearest multiple of ``granularity``.
+
+    The multiple is snapped to the decimal places of ``granularity`` so
+    that, e.g., 3 * 0.1 reads 0.3 rather than 0.30000000000000004.
+    """
     if granularity <= 0.0:
         raise ValueError(f"rounding granularity must be positive, got {granularity!r}")
-    return round(time / granularity) * granularity
+    decimals = max(0, -Decimal(repr(granularity)).as_tuple().exponent)
+    return round(round(time / granularity) * granularity, decimals)
 
 
 def apply_rounding(subject: SubjectPanel, granularity: float) -> SubjectPanel:
@@ -216,10 +263,9 @@ def build_grid(subjects, rounding: float | None = None) -> StudyGrid:
     subjects = list(subjects)
     if not subjects or all(s.n_visits == 0 for s in subjects):
         raise ValueError("cannot build a grid from subjects with no visits")
-    times: set[float] = set()
-    for s in subjects:
-        for t in s.times:
-            times.add(round_to_granularity(t, rounding) if rounding is not None else t)
+    times = set(chain.from_iterable(s.times for s in subjects))
+    if rounding is not None:
+        times = {round_to_granularity(t, rounding) for t in times}
     return StudyGrid(taus=tuple(sorted(times)))
 
 
@@ -291,11 +337,14 @@ class LoadedPanel:
 
 def _parse_float(token: str, line_no: int, column: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise PanelFormatError(
             f"line {line_no}: column {column!r} has non-numeric value {token!r}"
         ) from None
+    if not math.isfinite(value):
+        raise PanelFormatError(f"line {line_no}: column {column!r} has non-finite value {token!r}")
+    return value
 
 
 def read_panel_csv(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import compress
 
 import numpy as np
 from scipy import stats
@@ -167,29 +168,25 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     keep = rng.random((n, config.n_visits)) >= config.missing_prob
     pos_draw = rng.random((n, config.n_visits))
 
+    p_pos = np.where(x[:, None] <= schedule[None, :], em.phi1, 1.0 - em.phi0)
+    positive = keep & (pos_draw < p_pos)
+    # collection stops at the first positive among the kept visits
+    first_positive = np.where(positive.any(axis=1), positive.argmax(axis=1), config.n_visits)
+    kept = keep & (np.arange(config.n_visits)[None, :] <= first_positive[:, None])
+
+    times_all = schedule.tolist()
+    kept_rows = kept.tolist()
+    result_rows = positive.astype(int).tolist()
+    z_rows = z.tolist() if z is not None else None
     subjects = []
     names = tuple(f"z{k + 1}" for k in range(beta.size)) if z is not None else ()
-    for i in range(n):
-        times: list[float] = []
-        results: list[int] = []
-        for k in range(config.n_visits):
-            if not keep[i, k]:
-                continue
-            t = schedule[k]
-            p_pos = em.phi1 if x[i] <= t else 1.0 - em.phi0
-            r = 1 if pos_draw[i, k] < p_pos else 0
-            times.append(float(t))
-            results.append(r)
-            if r == 1:
-                break
-        if not times:
-            continue  # all visits missing: no observable data
+    for i in np.flatnonzero(kept.any(axis=1)).tolist():  # all visits missing: no data
         subjects.append(
             SubjectPanel(
                 subject_id=f"s{replicate_index}_{i}",
-                times=tuple(times),
-                results=tuple(results),
-                covariates=tuple(z[i]) if z is not None else None,
+                times=tuple(compress(times_all, kept_rows[i])),
+                results=tuple(compress(result_rows[i], kept_rows[i])),
+                covariates=tuple(z_rows[i]) if z is not None else None,
             )
         )
     return build_dataset(subjects, covariate_names=names, schedule=ADAPTIVE)

@@ -88,6 +88,25 @@ class TestFitCommand:
         assert blob["coefficients"] == []
         assert not (tmp_path / "one_coefficients.csv").exists()
 
+    def test_round_snaps_times_in_outputs(self, tmp_path):
+        config = benchmark_config(0.75, 0.9, 0.5, n_replicates=1, seed=2)
+        ds = generate_dataset(type(config)(**{**config.__dict__, "n_subjects": 200}), 0)
+        panel = tmp_path / "jittered.csv"
+        with open(panel, "w", encoding="utf-8") as fh:
+            fh.write("subject_id,time,result,z1\n")
+            for s in ds.subjects:
+                for k, (t, r) in enumerate(zip(s.times, s.results)):
+                    # visits at 0.1, 0.2, ... recorded up to 0.004 early or late
+                    fh.write(f"{s.subject_id},{t / 10 + (0.004 if k % 2 else -0.004)},{r},{s.covariates[0]}\n")
+        code = main(
+            ["fit", str(panel), "--phi1", "0.75", "--phi0", "0.9", "--round", "0.1",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == EXIT_OK
+        expected = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        assert json.loads((tmp_path / "r.json").read_text())["taus"] == expected
+        assert [r["tau"] for r in read_rows(tmp_path / "r_survival.csv")] == [str(t) for t in expected]
+
     def test_missing_phi0_is_usage_error(self, tmp_path):
         panel = write_panel(tmp_path)
         with pytest.raises(SystemExit) as exc:

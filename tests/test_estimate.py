@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from survreport.estimate import (
     MODEL_COV_FIXED,
@@ -93,6 +94,30 @@ class TestFitBasics:
         res = fit(ds, ErrorModel(0.8, 0.9))
         assert abs(res.beta[0]) < 1e-6
 
+    def test_iterations_and_message_count_polish_steps(self, monkeypatch):
+        runs = []
+        minimize = optimize.minimize
+
+        def recording_minimize(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "minimize", recording_minimize)
+        polished = fit(self.ds, self.em)
+        assert polished.converged
+        assert polished.message.startswith("Newton polish converged after 1 step(s)")
+        assert polished.iterations == runs[0].nit + 1
+        direct = fit(self.ds, self.em, grad_tol=1e-2)
+        assert direct.message.startswith("L-BFGS-B converged")
+        assert direct.iterations == runs[1].nit
+
+    def test_zero_visit_subject_fails_life_table_start(self):
+        ds = build_dataset(
+            [SubjectPanel("a", (1.0, 2.0), (0, 1)), SubjectPanel("b", (), ())],
+        )
+        with pytest.raises(ValueError, match="subject b has no visits"):
+            fit(ds, self.em, check_valid=False)
+
     def test_bad_model_name(self):
         with pytest.raises(ValueError):
             fit(self.ds, self.em, "cox")
@@ -175,6 +200,12 @@ class TestTimeVarying:
         # to the earliest value; interval 2 starts at tau_1 = 1 -> 5.0;
         # interval 3 starts at tau_2 = 2 -> 7.0
         assert z[0, :, 0].tolist() == [5.0, 5.0, 7.0]
+
+    def test_unordered_path_rejected(self):
+        s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((2.0, (1.0,)), (1.0, (3.0,))))
+        ds = build_dataset([s], covariate_names=("x",))
+        with pytest.raises(ValueError, match="subject a"):
+            interval_covariates(ds)
 
     def test_constant_path_matches_fixed_fit(self):
         _, ds = simulated(seed=4, n=200)

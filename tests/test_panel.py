@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from survreport.panel import (
@@ -13,6 +16,7 @@ from survreport.panel import (
     build_dataset,
     build_grid,
     read_panel_csv,
+    round_to_granularity,
     validate,
 )
 
@@ -76,8 +80,24 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid([subj("a", [1.0], [0])], rounding=0.0)
 
+    def test_in_memory_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_dataset([subj("a", [1.0, math.nan], [0, 0])])
+
+    @pytest.mark.parametrize("taus", [(1.0, math.inf), (math.nan,), (1.0, math.nan, 2.0)])
+    def test_non_finite_grid_rejected(self, taus):
+        with pytest.raises(ValueError, match="finite"):
+            StudyGrid(taus)
+
 
 class TestRounding:
+    @pytest.mark.parametrize(
+        "time, granularity, expected",
+        [(0.3, 0.1, 0.3), (0.71, 0.1, 0.7), (2.04, 0.25, 2.0), (1.13, 0.05, 1.15), (7.6, 1.0, 8.0)],
+    )
+    def test_snaps_to_granularity_decimals(self, time, granularity, expected):
+        assert round_to_granularity(time, granularity) == expected
+
     def test_collision_keeps_later_record(self):
         s = apply_rounding(subj("a", [1.9, 2.1], [1, 0]), 1.0)
         assert s.times == (2.0,)
@@ -125,6 +145,25 @@ class TestValidate:
             covariate_names=("x",),
         )
         assert any(v.rule == "covariate length mismatch" for v in validate(ds))
+
+    def test_report_matrix(self):
+        ds = Dataset((subj("a", [1.0, 3.0], [0, 1]), subj("b", [2.0], [0])), self.grid())
+        assert ds.reports.dtype == np.int8
+        assert ds.reports.tolist() == [[0, -1, 1], [-1, 0, -1]]
+        assert ds.reports is ds.reports
+        with pytest.raises(ValueError):
+            ds.reports[0, 0] = 1
+
+    def test_report_matrix_off_grid_time(self):
+        ds = Dataset((subj("a", [2.5], [0]),), self.grid())
+        with pytest.raises(KeyError, match="2.5"):
+            ds.reports
+
+    @pytest.mark.parametrize("times", [[2.0, 2.0], [3.0, 1.0]])
+    def test_report_matrix_rejects_repeated_or_unordered_visits(self, times):
+        ds = Dataset((subj("a", [1.0], [0]), subj("b", times, [0, 0])), self.grid())
+        with pytest.raises(ValueError, match="subject b"):
+            ds.reports
 
     def test_interval_index_unique(self):
         grid = self.grid()
@@ -200,6 +239,19 @@ class TestReadPanelCsv(object):
     def test_bad_field_count(self, tmp_path):
         path = self.write(tmp_path, "subject_id,time,result\nA,1\n")
         with pytest.raises(PanelFormatError, match="line 2"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("subject_id,time,result\nA,1,0\nA,nan,0\n", "line 3: column 'time'"),
+            ("subject_id,time,result,x\nA,1,0,1.0\nA,2,0,inf\n", "line 3: column 'x'"),
+            ("subject_id,time,result,x\nA,-Infinity,0,1.0\n", "line 2: column 'time'"),
+        ],
+    )
+    def test_non_finite_value_names_line_and_column(self, tmp_path, text, where):
+        path = self.write(tmp_path, text)
+        with pytest.raises(PanelFormatError, match=where + " has non-finite value"):
             read_panel_csv(path)
 
     def test_bad_header(self, tmp_path):
