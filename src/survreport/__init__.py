@@ -19,11 +19,8 @@ from .panel import (
 )
 from .likelihood import (
     build_c_matrix,
-    loglik_cov,
-    loglik_entry_misclass,
-    loglik_onesample,
-    loglik_timevarying,
     loglik_and_gradient,
+    loglik_hessian,
     survival_from_increments,
     to_d_matrix,
     transform_matrix,

@@ -77,6 +77,14 @@ class FitResult:
         return self.cov_working is not None
 
 
+def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray) -> None:
+    """Reject a covariate value that is nan or infinite, naming its subject."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        sid = dataset.subjects[rows[np.argmax(bad)]].subject_id
+        raise ModelSpecError(f"subject {sid} has a non-finite covariate value")
+
+
 def _fixed_covariate_matrix(dataset: Dataset) -> np.ndarray:
     if dataset.n_covariates == 0:
         return np.empty((dataset.n, 0))
@@ -86,7 +94,9 @@ def _fixed_covariate_matrix(dataset: Dataset) -> np.ndarray:
                 f"subject {s.subject_id} has no time-fixed covariates; "
                 "use the time-varying model for covariate paths"
             )
-    return np.array([s.covariates for s in dataset.subjects], dtype=float)
+    z = np.array([s.covariates for s in dataset.subjects], dtype=float)
+    _require_finite(dataset, z, np.arange(dataset.n))
+    return z
 
 
 def interval_covariates(dataset: Dataset) -> np.ndarray:
@@ -111,6 +121,7 @@ def interval_covariates(dataset: Dataset) -> np.ndarray:
     times = np.fromiter((t for t, _ in points), dtype=float, count=len(points))
     values = np.array([v for _, v in points], dtype=float).reshape(len(points), dataset.n_covariates)
     rows = np.repeat(np.arange(n), lengths)
+    _require_finite(dataset, values, rows)
     unordered = (rows[1:] == rows[:-1]) & (times[1:] <= times[:-1])
     if unordered.any():
         sid = dataset.subjects[rows[1:][np.argmax(unordered)]].subject_id
@@ -197,6 +208,13 @@ def fit(
     eta = error_model.eta
 
     c = lik.build_c_matrix(dataset, error_model)
+    impossible = ~c.any(axis=1)
+    if impossible.any():
+        sid = dataset.subjects[int(np.argmax(impossible))].subject_id
+        raise ModelSpecError(
+            f"subject {sid}: report pattern is impossible under "
+            f"phi1={error_model.phi1:g}, phi0={error_model.phi0:g}"
+        )
     z = None
     z_int = None
     weights = None
@@ -227,6 +245,10 @@ def fit(
         grad = np.concatenate([g_lambda * lambdas, g_beta])
         return -ll, -grad
 
+    def hessian(x):  # of the negative log-likelihood, in the working parameters
+        beta = x[J:] if p else None
+        return -lik.loglik_hessian(c, np.exp(x[:J]), beta, z=z, z_intervals=z_int, eta=eta, weights=weights)
+
     bounds = [(GAMMA_LOWER, GAMMA_UPPER)] * J + [(None, None)] * p
     res = optimize.minimize(
         negloglik_and_grad,
@@ -238,7 +260,7 @@ def fit(
     )
     # L-BFGS-B often stalls on its function-change test slightly above the
     # gradient tolerance; a few Newton steps finish the job
-    x_hat, polish_steps, converged = _newton_polish(negloglik_and_grad, res.x, J, grad_tol)
+    x_hat, polish_steps, converged = _newton_polish(negloglik_and_grad, hessian, res.x, J, grad_tol)
     gamma_hat = x_hat[:J]
     beta_hat = x_hat[J:]
     lambdas_hat = np.exp(gamma_hat)
@@ -265,7 +287,7 @@ def fit(
     survival_se = np.full(J + 1, np.nan)
     if compute_covariance:
         cov_working, cov_transformed = _covariances(
-            negloglik_and_grad, x_hat, J, p, lambdas_hat, survival, frozen
+            hessian(x_hat), J, p, lambdas_hat, survival, frozen
         )
         if cov_working is not None:
             beta_se = np.sqrt(np.maximum(np.diag(cov_working)[J:], 0.0))
@@ -306,23 +328,6 @@ def fit(
     )
 
 
-def _numeric_hessian(negloglik_and_grad, x):
-    """Hessian of the negative log-likelihood by central differences of
-    the analytic gradient."""
-    k = x.size
-    hessian = np.empty((k, k))
-    for i in range(k):
-        h = 1e-5 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        _, gp = negloglik_and_grad(xp)
-        _, gm = negloglik_and_grad(xm)
-        hessian[i] = (gp - gm) / (2.0 * h)
-    return 0.5 * (hessian + hessian.T)
-
-
 def _projected_gradient(grad, x, J):
     """Zero components that push against an active gamma bound."""
     proj = grad.copy()
@@ -334,7 +339,7 @@ def _projected_gradient(grad, x, J):
     return proj
 
 
-def _newton_polish(negloglik_and_grad, x, J, grad_tol, max_steps=10):
+def _newton_polish(negloglik_and_grad, hessian, x, J, grad_tol, max_steps=10):
     """Drive the projected gradient below tolerance with damped Newton steps.
 
     Returns ``(x, steps taken, converged)``.
@@ -347,17 +352,16 @@ def _newton_polish(negloglik_and_grad, x, J, grad_tol, max_steps=10):
         if gmax <= grad_tol:
             return x, steps, True
         free = proj != 0.0
-        hessian = _numeric_hessian(negloglik_and_grad, x)
+        h = hessian(x)
         # near-zero-mass intervals contribute no curvature (and a matching
         # near-zero gradient); drop them so the Newton system stays regular
-        diag = np.diag(hessian)
-        free[:J] &= diag[:J] > 1e-6
+        free[:J] &= np.diag(h)[:J] > 1e-6
         if not np.any(free):
             break
         try:
-            step = np.linalg.solve(hessian[np.ix_(free, free)], -g[free])
+            step = np.linalg.solve(h[np.ix_(free, free)], -g[free])
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(hessian[np.ix_(free, free)], -g[free], rcond=None)
+            step, *_ = np.linalg.lstsq(h[np.ix_(free, free)], -g[free], rcond=None)
         accepted = False
         t = 1.0
         for _ in range(25):
@@ -366,7 +370,8 @@ def _newton_polish(negloglik_and_grad, x, J, grad_tol, max_steps=10):
             x_new[:J] = np.clip(x_new[:J], GAMMA_LOWER, GAMMA_UPPER)
             f_new, g_new = negloglik_and_grad(x_new)
             gmax_new = float(np.max(np.abs(_projected_gradient(g_new, x_new, J))))
-            if f_new <= f + 1e-12 * max(1.0, abs(f)) or gmax_new < gmax:
+            # an infeasible point reports f = inf with a zero gradient
+            if np.isfinite(f_new) and (f_new <= f + 1e-12 * max(1.0, abs(f)) or gmax_new < gmax):
                 x, f, g = x_new, f_new, g_new
                 accepted = True
                 steps += 1
@@ -378,15 +383,16 @@ def _newton_polish(negloglik_and_grad, x, J, grad_tol, max_steps=10):
     return x, steps, bool(np.max(np.abs(proj)) <= grad_tol) if proj.size else True
 
 
-def _covariances(negloglik_and_grad, x_hat, J, p, lambdas, survival, frozen):
-    """Observed-information covariance from the numeric Hessian, plus the
-    delta-method covariance of (beta, S)."""
-    k = x_hat.size
-    hessian = _numeric_hessian(negloglik_and_grad, x_hat)
+def _covariances(hessian, J, p, lambdas, survival, frozen):
+    """Inverse observed information of (gamma, beta) from ``hessian``, the
+    closed-form Hessian of the negative log-likelihood at the estimate, and
+    the delta-method covariance of (beta, S_2..S_{J+1}).  Frozen and
+    no-curvature intervals get zero rows; ``(None, None)`` if the rest is
+    singular or gives a negative variance."""
+    k = hessian.shape[0]
 
     free = np.ones(k, dtype=bool)
-    for j in frozen:
-        free[j - 1] = False
+    free[[j - 1 for j in frozen]] = False
     free[:J] &= np.diag(hessian)[:J] > 1e-6  # no-curvature intervals carry no mass
     idx = np.flatnonzero(free)
     sub = hessian[np.ix_(idx, idx)]

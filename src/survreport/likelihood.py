@@ -14,7 +14,9 @@ weighted by 1 - eta.
 
 Values are evaluated in the survival-difference (theta) form, whose terms
 are all non-negative; the equivalent coefficient transform D = C @ T_r is
-exposed for callers who want the compact linear form.
+exposed for callers who want the compact linear form.  One kernel,
+``loglik_and_gradient``, serves every model variant, and
+``loglik_hessian`` gives its exact second derivatives.
 """
 
 from __future__ import annotations
@@ -125,68 +127,51 @@ def _row_mixture(c, subject_survival, eta):
     return row
 
 
-def _sum_log_rows(rows: np.ndarray, weights) -> float:
+def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
+    """Front half shared by the value, the gradient and the Hessian.
+
+    Returns ``(lp, mask, rows, q, tail, scale)``: exp of the clamped linear
+    predictor ((N, J) with ``z_intervals``, else (N,)) and its not-clamped
+    mask, the per-subject likelihoods, q_ij = D_ij S_j^(i), the tail sums
+    T_ik = sum_{j>k} q_ij, and the (weighted) eta / rows.
+    """
+    if z is not None and z_intervals is not None:
+        raise ValueError("pass either z or z_intervals, not both")
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+    if np.any(lambdas < 0):
+        raise ValueError("hazard increments must be non-negative")
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    if z_intervals is not None:
+        lp, mask = _clamped_exp_lp(z_intervals, beta)  # (N, J)
+        cum = np.cumsum(lambdas[None, :] * lp, axis=1)
+        ss = np.exp(-np.concatenate((np.zeros((n, 1)), cum), axis=1))
+    else:
+        if beta.size:
+            lp, mask = _clamped_exp_lp(z, beta)  # (N,)
+        else:
+            lp = np.ones(n)
+            mask = np.ones(n, dtype=bool)
+        h = np.concatenate(([0.0], np.cumsum(lambdas)))
+        ss = np.exp(-np.outer(lp, h))
+
+    rows = _row_mixture(c, ss, eta)
     bad = np.flatnonzero(rows <= 0.0)
     if bad.size:
         raise NonPositiveLikelihoodError(int(bad[0]))
-    logs = np.log(rows)
+    q = to_d_matrix(c) * ss  # (N, J+1); sum_j q_ij == rows pre-mixture
+    scale = eta / rows
     if weights is not None:
-        logs = logs * np.asarray(weights, dtype=float)
-    # compensated summation keeps the total stable for very large N
-    return math.fsum(logs.tolist())
+        scale = scale * np.asarray(weights, dtype=float)
+    tail = np.cumsum(q[:, :0:-1], axis=1)[:, ::-1]  # T_ik = sum_{j>k} q_ij
+    return lp, mask, rows, q, tail, scale
 
 
-def loglik_onesample(c: np.ndarray, s: np.ndarray, weights=None) -> float:
-    """One-sample log-likelihood sum_i log(sum_j C_ij theta_j)."""
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    # materialized (not a stride-0 view) so the row reduction uses the same
-    # summation order as the covariate variants, keeping beta = 0 an exact
-    # reduction of those likelihoods
-    rows = _row_mixture(c, np.broadcast_to(s, (c.shape[0], s.size)).copy(), 1.0)
-    return _sum_log_rows(rows, weights)
-
-
-def loglik_cov(c: np.ndarray, s: np.ndarray, beta, z, weights=None) -> float:
-    """Proportional-hazards log-likelihood with time-fixed covariates."""
-    return loglik_entry_misclass(c, s, beta, z, eta=1.0, weights=weights)
-
-
-def loglik_entry_misclass(c, s, beta, z, eta: float, weights=None) -> float:
-    """Covariate log-likelihood with baseline misclassification weight eta."""
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    e, _ = _clamped_exp_lp(z, beta)
-    subject_survival = s[None, :] ** e[:, None]
-    rows = _row_mixture(c, subject_survival, eta)
-    return _sum_log_rows(rows, weights)
-
-
-def loglik_timevarying(c, lambdas, beta, z_intervals, eta: float = 1.0, weights=None) -> float:
-    """Log-likelihood with piecewise-constant covariates per grid interval.
-
-    ``z_intervals`` has shape (N, J, P): the covariate vector in effect on
-    interval k (between tau_{k-1} and tau_k) for each subject.
-    """
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    c = np.asarray(c, dtype=float)
+def _as_params(lambdas, beta):
     lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0):
-        raise ValueError("hazard increments must be non-negative")
-    w, _ = _clamped_exp_lp(z_intervals, beta)  # (N, J)
-    cum = np.cumsum(lambdas[None, :] * w, axis=1)
-    subject_survival = np.exp(-np.concatenate((np.zeros((c.shape[0], 1)), cum), axis=1))
-    rows = _row_mixture(c, subject_survival, eta)
-    return _sum_log_rows(rows, weights)
-
-
-def _reverse_cumsum_tail(q: np.ndarray) -> np.ndarray:
-    """R[:, k] = sum_{j > k} q[:, j] for k = 0..J-1 (0-based columns)."""
-    rev = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
-    return rev[:, 1:]
+    beta = np.asarray(beta, dtype=float) if beta is not None else np.zeros(0)
+    return lambdas, beta
 
 
 def loglik_and_gradient(
@@ -205,56 +190,68 @@ def loglik_and_gradient(
     one-sample model, and ``eta < 1`` for baseline misclassification.
     Returns ``(loglik, grad_lambda, grad_beta)``.
     """
-    if z is not None and z_intervals is not None:
-        raise ValueError("pass either z or z_intervals, not both")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    c = np.asarray(c, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0):
-        raise ValueError("hazard increments must be non-negative")
-    n, jp1 = c.shape
-    J = jp1 - 1
-    beta = np.asarray(beta, dtype=float) if beta is not None else np.zeros(0)
-    p = beta.size
-
-    if z_intervals is not None:
-        w, mask = _clamped_exp_lp(z_intervals, beta)  # (N, J)
-        incr = lambdas[None, :] * w
-        cum = np.cumsum(incr, axis=1)
-        ss = np.exp(-np.concatenate((np.zeros((n, 1)), cum), axis=1))
-    else:
-        if p:
-            e, mask = _clamped_exp_lp(z, beta)  # (N,)
-        else:
-            e = np.ones(n)
-            mask = np.ones(n, dtype=bool)
-        h = np.concatenate(([0.0], np.cumsum(lambdas)))
-        ss = np.exp(-np.outer(e, h))
-
-    rows = _row_mixture(c, ss, eta)
-    ll = _sum_log_rows(rows, weights)
-
-    d = to_d_matrix(c)
-    q = d * ss  # (N, J+1); sum_j q_ij == rows pre-mixture
-    scale = eta / rows
+    lambdas, beta = _as_params(lambdas, beta)
+    lp, mask, rows, q, tail, scale = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    logs = np.log(rows)
     if weights is not None:
-        scale = scale * np.asarray(weights, dtype=float)
-    tail = _reverse_cumsum_tail(q)  # (N, J)
+        logs = logs * np.asarray(weights, dtype=float)
+    # compensated summation keeps the total stable for very large N
+    ll = math.fsum(logs.tolist())
 
+    grad_beta = np.zeros(0)
     if z_intervals is not None:
-        grad_lambda = -(scale[:, None] * w * tail).sum(axis=0)
-        if p:
+        grad_lambda = -(scale[:, None] * lp * tail).sum(axis=0)
+        if beta.size:
             # d w_ik / d beta_p = w_ik z_ikp (zero where clamped)
-            effect = scale[:, None] * incr * mask * tail  # (N, J)
+            effect = scale[:, None] * (lambdas * lp) * mask * tail  # (N, J)
             grad_beta = -np.einsum("ik,ikp->p", effect, np.asarray(z_intervals, dtype=float))
-        else:
-            grad_beta = np.zeros(0)
     else:
-        grad_lambda = -((scale * e)[:, None] * tail).sum(axis=0)
-        if p:
-            hdot = q @ h  # sum_j q_ij H_j
-            grad_beta = -np.asarray(z, dtype=float).T @ (scale * e * mask * hdot)
-        else:
-            grad_beta = np.zeros(0)
+        grad_lambda = -((scale * lp)[:, None] * tail).sum(axis=0)
+        if beta.size:
+            hdot = q @ np.concatenate(([0.0], np.cumsum(lambdas)))  # sum_j q_ij H_j
+            grad_beta = -np.asarray(z, dtype=float).T @ (scale * lp * mask * hdot)
     return ll, grad_lambda, grad_beta
+
+
+def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
+    """Hessian of the log-likelihood w.r.t. the working parameters
+    (gamma = log lambda, beta), gamma first.
+
+    Takes the arguments of ``loglik_and_gradient``.  With u_ik = lambda_k
+    w_ik the hazard increment of interval k and A_ij = sum_{k<j} u_ik,
+    S_j^(i) = exp(-A_ij), so each row's likelihood L_i has second
+    derivative eta * sum_j q_ij (dA_ij dA_ij' - d2A_ij), and
+    d2 log L_i = d2 L_i / L_i - dL_i dL_i' / L_i^2.  Clamped linear
+    predictors get no beta-curvature, as in the gradient.  Time-fixed and
+    one-sample models are the J-broadcast of the time-varying form.
+    """
+    lambdas, beta = _as_params(lambdas, beta)
+    p = beta.size
+    lp, mask, rows, q, tail, scale = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    n, J = tail.shape
+    if z_intervals is None:
+        lp, mask = lp[:, None], mask[:, None]
+        zk = np.broadcast_to(np.asarray(z, dtype=float)[:, None, :], (n, J, p)) if p else None
+    else:
+        zk = np.asarray(z_intervals, dtype=float)
+    u = lambdas * lp  # (N, J)
+    su = scale[:, None] * u
+    # g_i = sum_j q_ij dA_ij, so that d log L_i = -(eta / L_i) g_i
+    g = u * tail
+    hess = np.zeros((J + p, J + p))
+    # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)]; exact on and above
+    # the diagonal, mirrored below
+    hess[:J, :J] = su.T @ g - np.diag((su * tail).sum(axis=0))
+    if p:
+        umz = (u * mask)[:, :, None] * zk
+        v = np.cumsum(umz, axis=1)  # v[:, k] = dA_i,k+1 / d beta
+        qv = q[:, 1:, None] * v
+        r = np.cumsum(qv[:, ::-1], axis=1)[:, ::-1]  # r[:, a] = sum_{j > a} q_ij V_ij
+        smt = (scale[:, None] * tail)[:, :, None] * umz
+        hess[:J, J:] = np.einsum("ia,iap->ap", su, r) - smt.sum(axis=0)
+        hess[J:, J:] = (scale[:, None, None] * qv).reshape(-1, p).T @ v.reshape(-1, p) - (
+            smt.reshape(-1, p).T @ zk.reshape(-1, p)
+        )
+        g = np.concatenate((g, r[:, 0]), axis=1)
+    hess -= (g * (scale * eta / rows)[:, None]).T @ g
+    return np.triu(hess) + np.triu(hess, 1).T

@@ -18,15 +18,7 @@ import numpy as np
 import pytest
 
 from survreport.estimate import MODEL_ONESAMPLE, fit
-from survreport.likelihood import (
-    build_c_matrix,
-    loglik_and_gradient,
-    loglik_cov,
-    loglik_entry_misclass,
-    loglik_onesample,
-    loglik_timevarying,
-    survival_from_increments,
-)
+from survreport.likelihood import build_c_matrix, loglik_and_gradient
 from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
 from survreport.simulate import (
     DEFAULT_SEED,
@@ -300,14 +292,16 @@ class TestCriterion8ReductionIdentities:
         )
         c = build_c_matrix(ds, ErrorModel(0.8, 0.9))
         lambdas = rng.uniform(0.2, 0.8, 2)
-        s = survival_from_increments(lambdas)
         beta = np.array([0.6])
         z = np.array([[1.0], [0.5], [0.0], [1.5]])
 
-        eta_gap = loglik_entry_misclass(c, s, beta, z, eta=1.0) - loglik_cov(c, s, beta, z)
-        beta_gap = loglik_cov(c, s, np.zeros(1), z) - loglik_onesample(c, s)
+        def loglik(beta, **kw):
+            return loglik_and_gradient(c, lambdas, beta, **kw)[0]
+
+        eta_gap = loglik(beta, z=z, eta=1.0) - loglik(beta, z=z)
+        beta_gap = loglik(np.zeros(1), z=z) - loglik(None)
         z_int = np.repeat(z[:, None, :], 2, axis=1)
-        tv_gap = abs(loglik_timevarying(c, lambdas, beta, z_int) - loglik_cov(c, s, beta, z))
+        tv_gap = abs(loglik(beta, z_intervals=z_int) - loglik(beta, z=z))
         ok = eta_gap == 0.0 and beta_gap == 0.0 and tv_gap <= 1e-10
         report(
             8,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from survreport.estimate import (
     MODEL_COV_TIMEVARYING,
     MODEL_ONESAMPLE,
     ModelSpecError,
+    _newton_polish,
     fit,
     fit_to_dict,
     fit_to_json,
@@ -18,7 +20,7 @@ from survreport.estimate import (
     survival_curve,
     wald_test,
 )
-from survreport.panel import ErrorModel, SubjectPanel, build_dataset
+from survreport.panel import PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
 from survreport.simulate import benchmark_config, generate_dataset
 
 from oracles import npmle_grid_search, npmle_self_consistency, turnbull_intervals
@@ -111,6 +113,18 @@ class TestFitBasics:
         assert direct.message.startswith("L-BFGS-B converged")
         assert direct.iterations == runs[1].nit
 
+    def test_polish_rejects_infeasible_step(self):
+        # -log-likelihood (x - 1)^2, infeasible (f = inf, zero gradient, as
+        # fit reports it) beyond x = 0.75: the full Newton step lands there
+        def negloglik_and_grad(x):
+            if x[0] > 0.75:
+                return np.inf, np.zeros(1)
+            return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
+
+        x, steps, _ = _newton_polish(negloglik_and_grad, lambda x: np.array([[2.0]]), np.zeros(1), 0, 1e-5)
+        assert steps >= 1
+        assert np.isfinite(negloglik_and_grad(x)[0])
+
     def test_zero_visit_subject_fails_life_table_start(self):
         ds = build_dataset(
             [SubjectPanel("a", (1.0, 2.0), (0, 1)), SubjectPanel("b", (), ())],
@@ -129,6 +143,47 @@ class TestFitBasics:
         assert res_adj.converged
         # ignoring contamination attenuates the estimate
         assert res_naive.beta[0] < res_adj.beta[0]
+
+
+class TestInputGuards:
+    """Inputs that cannot give a fit fail with an error naming the subject."""
+
+    @staticmethod
+    def cohort(bad_covariate=None, path=False):
+        rng = np.random.default_rng(5)
+        subjects = []
+        for i in range(30):
+            x = float(rng.normal()) if i != 7 or bad_covariate is None else bad_covariate
+            results = (0, int(rng.random() < 0.3))
+            if path:
+                cov = {"covariate_path": ((0.0, (1.0,)), (1.0, (x,)))}
+            else:
+                cov = {"covariates": (x,)}
+            subjects.append(SubjectPanel(f"s{i}", (1.0, 2.0), results, **cov))
+        return build_dataset(subjects, covariate_names=("x",))
+
+    def test_impossible_report_pattern_names_subject(self):
+        ds = build_dataset(
+            [SubjectPanel("a", (1.0, 2.0), (0, 1)), SubjectPanel("b", (1.0, 2.0), (1, 0))],
+            schedule=PREDETERMINED,
+        )
+        with pytest.raises(ModelSpecError, match="subject b: report pattern is impossible"):
+            fit(ds, ErrorModel(1.0, 1.0), MODEL_ONESAMPLE)
+        # the same pattern is possible once reports can be wrong
+        assert fit(ds, ErrorModel(0.9, 1.0), MODEL_ONESAMPLE).converged
+
+    @pytest.mark.parametrize("model", [MODEL_COV_FIXED, MODEL_COV_TIMEVARYING])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_names_subject(self, model, value):
+        ds = self.cohort(bad_covariate=value, path=model == MODEL_COV_TIMEVARYING)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelSpecError, match="subject s7 has a non-finite covariate"):
+                fit(ds, ErrorModel(0.8, 0.9), model)
+
+    def test_finite_cohort_fits(self):
+        assert fit(self.cohort(), ErrorModel(0.8, 0.9)).has_covariance
+        assert fit(self.cohort(path=True), ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING).has_covariance
 
 
 class TestPerfectTestReduction:

@@ -7,10 +7,7 @@ from survreport.likelihood import (
     NonPositiveLikelihoodError,
     build_c_matrix,
     loglik_and_gradient,
-    loglik_cov,
-    loglik_entry_misclass,
-    loglik_onesample,
-    loglik_timevarying,
+    loglik_hessian,
     report_probability,
     survival_from_increments,
     to_d_matrix,
@@ -37,6 +34,16 @@ def make_dataset(patterns, taus=None, covs=None, schedule=PREDETERMINED):
     if taus is not None:
         assert ds.grid.taus == tuple(float(t) for t in taus)
     return ds
+
+
+def loglik(c, lambdas, beta=None, **kw):
+    """Value of the single kernel."""
+    return loglik_and_gradient(c, lambdas, beta, **kw)[0]
+
+
+def increments_of_survival(s):
+    """Hazard increments lambda with survival_from_increments(lambda) == s."""
+    return -np.diff(np.log(s))
 
 
 def random_theta(rng, jp1):
@@ -209,10 +216,11 @@ class TestLoglikVariants:
         self.c = build_c_matrix(self.ds, self.em)
         self.theta = random_theta(self.rng, 4)
         self.s = survival_of_theta(self.theta)
+        self.lambdas = increments_of_survival(self.s)
 
     def test_onesample_matches_direct_sum(self):
         want = float(np.sum(np.log(self.c @ self.theta)))
-        got = loglik_onesample(self.c, self.s)
+        got = loglik(self.c, self.lambdas)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_cov_matches_rederived_mixture(self):
@@ -224,7 +232,7 @@ class TestLoglikVariants:
             s_i = self.s**e[i]
             theta_i = s_i - np.concatenate((s_i[1:], [0.0]))
             want += np.log(float(self.c[i] @ theta_i))
-        got = loglik_cov(self.c, self.s, beta, z)
+        got = loglik(self.c, self.lambdas, beta, z=z)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_entry_misclass_mixes_prevalent_term(self):
@@ -237,7 +245,7 @@ class TestLoglikVariants:
             s_i = self.s**e[i]
             theta_i = s_i - np.concatenate((s_i[1:], [0.0]))
             want += np.log(eta * float(self.c[i] @ theta_i) + (1 - eta) * self.c[i, 0])
-        got = loglik_entry_misclass(self.c, self.s, beta, z, eta=eta)
+        got = loglik(self.c, self.lambdas, beta, z=z, eta=eta)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_entry_misclass_matches_pattern_oracle(self):
@@ -245,7 +253,7 @@ class TestLoglikVariants:
         grid = self.ds.grid
         beta = np.zeros(1)
         z = np.zeros((4, 1))
-        got = loglik_entry_misclass(self.c, self.s, beta, z, eta=eta)
+        got = loglik(self.c, self.lambdas, beta, z=z, eta=eta)
         want = 0.0
         for i, subj in enumerate(self.ds.subjects):
             idx = [grid.interval_index(t) for t in subj.times]
@@ -260,7 +268,7 @@ class TestLoglikVariants:
         lambdas = np.array([0.2, 0.5, 0.3])
         beta = np.array([0.4])
         z_int = self.rng.normal(size=(4, 3, 1))
-        got = loglik_timevarying(self.c, lambdas, beta, z_int)
+        got = loglik(self.c, lambdas, beta, z_intervals=z_int)
         want = 0.0
         for i in range(4):
             cum = 0.0
@@ -276,15 +284,19 @@ class TestLoglikVariants:
     def test_impossible_pattern_raises_with_row(self):
         ds = make_dataset([((1.0, 2.0), (0, 1)), ((1.0, 2.0), (1, 0))])
         c = build_c_matrix(ds, ErrorModel(1.0, 1.0))
+        lambdas = increments_of_survival(np.array([1.0, 0.6, 0.3]))
         with pytest.raises(NonPositiveLikelihoodError) as err:
-            loglik_onesample(c, np.array([1.0, 0.6, 0.3]))
+            loglik(c, lambdas)
+        assert err.value.row == 1
+        with pytest.raises(NonPositiveLikelihoodError) as err:
+            loglik_hessian(c, lambdas, None)
         assert err.value.row == 1
 
     def test_weights_equal_replication(self):
         c2 = np.vstack([self.c, self.c[:2]])
         w = np.array([2.0, 2.0, 1.0, 1.0])
-        assert loglik_onesample(self.c, self.s, weights=w) == pytest.approx(
-            loglik_onesample(c2, self.s), abs=1e-12
+        assert loglik(self.c, self.lambdas, weights=w) == pytest.approx(
+            loglik(c2, self.lambdas), abs=1e-12
         )
 
 
@@ -295,30 +307,29 @@ class TestReductions:
             covs=[(1.0,), (0.5,), (0.0,)],
         )
         self.c = build_c_matrix(self.ds, ErrorModel(0.8, 0.9))
-        self.s = np.array([1.0, 0.7, 0.4])
+        self.lambdas = increments_of_survival(np.array([1.0, 0.7, 0.4]))
         self.z = np.array([[1.0], [0.5], [0.0]])
 
     def test_eta_one_equals_cov(self):
         beta = np.array([0.6])
-        assert loglik_entry_misclass(self.c, self.s, beta, self.z, eta=1.0) == loglik_cov(
-            self.c, self.s, beta, self.z
+        assert loglik(self.c, self.lambdas, beta, z=self.z, eta=1.0) == loglik(
+            self.c, self.lambdas, beta, z=self.z
         )
 
     def test_beta_zero_equals_onesample(self):
-        got = loglik_cov(self.c, self.s, np.zeros(1), self.z)
-        assert got == loglik_onesample(self.c, self.s)
+        got = loglik(self.c, self.lambdas, np.zeros(1), z=self.z)
+        assert got == loglik(self.c, self.lambdas)
 
     def test_constant_path_equals_fixed(self):
-        lambdas = -np.diff(np.log(self.s))
         beta = np.array([0.6])
         z_int = np.repeat(self.z[:, None, :], 2, axis=1)
-        got = loglik_timevarying(self.c, lambdas, beta, z_int)
-        want = loglik_cov(self.c, self.s, beta, self.z)
+        got = loglik(self.c, self.lambdas, beta, z_intervals=z_int)
+        want = loglik(self.c, self.lambdas, beta, z=self.z)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
-            loglik_entry_misclass(self.c, self.s, np.zeros(1), self.z, eta=0.0)
+            loglik(self.c, self.lambdas, np.zeros(1), z=self.z, eta=0.0)
 
 
 class TestGradient:

@@ -1,7 +1,9 @@
-"""Property tests of the report-matrix code over small random panels.
+"""Property tests of the report-matrix code and the likelihood kernel
+over small random panels.
 
 Each property compares the library's array code with a per-subject
-computation written here or in ``oracles.py``.
+computation written here or in ``oracles.py``, or the kernel's analytic
+derivatives with central differences.
 """
 
 import bisect
@@ -9,13 +11,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from survreport.estimate import _life_table_gamma, interval_covariates
-from survreport.likelihood import NonPositiveLikelihoodError, build_c_matrix, loglik_and_gradient
+from survreport.likelihood import (
+    NonPositiveLikelihoodError,
+    build_c_matrix,
+    loglik_and_gradient,
+    loglik_hessian,
+)
 from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
 
-from oracles import direct_pattern_probability
+from oracles import central_difference_gradient, direct_pattern_probability
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -175,3 +182,113 @@ def test_interval_covariates_match_bisect_locf(dataset):
                 times = [t for t, _ in s.covariate_path]
                 want = s.covariate_path[max(bisect.bisect_right(times, left) - 1, 0)][1]
             assert z[i, k].tolist() == list(want)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Kernel arguments ``(c, lambdas, beta, kwargs)`` over ``panels``: the
+    one-sample, time-fixed and time-varying models, eta < 1 (from
+    ``panels``), optional integer row weights, and optionally a row whose
+    linear predictor |z'beta| = 75 is clamped."""
+    dataset, em = draw(panels())
+    n, J = dataset.n, dataset.grid.J
+    c = build_c_matrix(dataset, em)
+    lambdas = np.array(draw(st.lists(st.floats(0.05, 0.8), min_size=J, max_size=J)))
+    kwargs = {"eta": em.eta}
+    if draw(st.booleans()):
+        kwargs["weights"] = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    model = draw(st.sampled_from(("onesample", "fixed", "timevarying")))
+    if model == "onesample":
+        return c, lambdas, None, kwargs
+    beta = np.array([draw(st.sampled_from((-0.9, -0.4, 0.3, 0.8)))])
+    z = np.array([s.covariates for s in dataset.subjects])
+    if model == "timevarying":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        z = z[:, None, :] + rng.normal(scale=0.5, size=(n, J, 1))
+    if draw(st.booleans()):
+        clamped = draw(st.sampled_from((-75.0, 75.0))) / beta[0]
+        if model == "timevarying":
+            z[0, draw(st.integers(0, J - 1))] = clamped
+        else:
+            z[0] = clamped
+    kwargs["z_intervals" if model == "timevarying" else "z"] = z
+    return c, lambdas, beta, kwargs
+
+
+def working_point(lambdas, beta):
+    return np.concatenate([np.log(lambdas), beta if beta is not None else []])
+
+
+def working_gradient(c, x, beta, kwargs):
+    """Gradient of the log-likelihood in (log lambda, beta)."""
+    J = c.shape[1] - 1
+    _, g_lambda, g_beta = loglik_and_gradient(c, np.exp(x[:J]), None if beta is None else x[J:], **kwargs)
+    return np.concatenate([g_lambda * np.exp(x[:J]), g_beta])
+
+
+def feasible(c, lambdas, beta, kwargs):
+    try:
+        loglik_and_gradient(c, lambdas, beta, **kwargs)
+    except NonPositiveLikelihoodError:  # a pattern the error model rules out
+        return False
+    return True
+
+
+def norm_relative_error(got, want):
+    # componentwise ratios blow up on entries that are tiny relative to the
+    # finite-difference truncation error
+    return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-8)
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_gradient_matches_central_differences(case):
+    c, lambdas, beta, kwargs = case
+    assume(feasible(c, lambdas, beta, kwargs))
+    J = lambdas.size
+    x = working_point(lambdas, beta)
+
+    def value(x):
+        return loglik_and_gradient(c, np.exp(x[:J]), None if beta is None else x[J:], **kwargs)[0]
+
+    want = central_difference_gradient(value, x)
+    assert norm_relative_error(working_gradient(c, x, beta, kwargs), want) < 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_hessian_matches_central_differences_of_gradient(case):
+    c, lambdas, beta, kwargs = case
+    assume(feasible(c, lambdas, beta, kwargs))
+    x = working_point(lambdas, beta)
+    hessian = loglik_hessian(c, lambdas, beta, **kwargs)
+    assert np.array_equal(hessian, hessian.T)
+    want = np.array(
+        [central_difference_gradient(lambda y: working_gradient(c, y, beta, kwargs)[k], x) for k in range(x.size)]
+    )
+    assert norm_relative_error(hessian, want) < 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_duplicate_row_equals_double_weight(case):
+    c, lambdas, beta, kwargs = case
+    assume(feasible(c, lambdas, beta, kwargs))
+    weights = kwargs.pop("weights", np.ones(c.shape[0]))
+    doubled = {**kwargs, "weights": np.concatenate(([2.0 * weights[0]], weights[1:]))}
+    duplicated = {**kwargs, "weights": np.append(weights, weights[0])}
+    for key in ("z", "z_intervals"):
+        if key in kwargs:
+            duplicated[key] = np.concatenate((kwargs[key], kwargs[key][:1]))
+    c_dup = np.vstack((c, c[:1]))
+    ll_w, *grad_w = loglik_and_gradient(c, lambdas, beta, **doubled)
+    ll_d, *grad_d = loglik_and_gradient(c_dup, lambdas, beta, **duplicated)
+    assert math.isclose(ll_w, ll_d, rel_tol=1e-12, abs_tol=1e-12)
+    for got, want in zip(grad_w, grad_d):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(
+        loglik_hessian(c, lambdas, beta, **doubled),
+        loglik_hessian(c_dup, lambdas, beta, **duplicated),
+        rtol=1e-10,
+        atol=1e-12,
+    )
