@@ -86,15 +86,13 @@ def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray) -> N
 
 
 def _fixed_covariate_matrix(dataset: Dataset) -> np.ndarray:
-    if dataset.n_covariates == 0:
-        return np.empty((dataset.n, 0))
-    for s in dataset.subjects:
-        if s.covariates is None:
-            raise ModelSpecError(
-                f"subject {s.subject_id} has no time-fixed covariates; "
-                "use the time-varying model for covariate paths"
-            )
-    z = np.array([s.covariates for s in dataset.subjects], dtype=float)
+    z = dataset.covariates
+    if z is None:
+        sid = next(s.subject_id for s in dataset.subjects if s.covariates is None)
+        raise ModelSpecError(
+            f"subject {sid} has no time-fixed covariates; "
+            "use the time-varying model for covariate paths"
+        )
     _require_finite(dataset, z, np.arange(dataset.n))
     return z
 
@@ -160,11 +158,10 @@ def _life_table_gamma(dataset: Dataset) -> np.ndarray:
 
 def _collapse_rows(c: np.ndarray, z: np.ndarray | None):
     """Merge identical (C row, covariate) pairs into weighted rows."""
-    if z is None or z.shape[1] == 0:
-        key = c
-    else:
-        key = np.hstack([c, z])
-    _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    # +0.0 turns -0.0 into 0.0, so that equal rows have equal bytes
+    key = np.ascontiguousarray(c) if z is None or z.shape[1] == 0 else np.hstack([c, z + 0.0])
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, idx, counts = np.unique(rows, return_index=True, return_counts=True)
     first_seen = np.argsort(idx)
     order = idx[first_seen]
     weights = counts[first_seen].astype(float)
@@ -260,12 +257,14 @@ def fit(
     )
     # L-BFGS-B often stalls on its function-change test slightly above the
     # gradient tolerance; a few Newton steps finish the job
-    x_hat, polish_steps, converged = _newton_polish(negloglik_and_grad, hessian, res.x, J, grad_tol)
+    x_hat, f_hat, polish_steps, converged = _newton_polish(
+        negloglik_and_grad, hessian, res.x, J, grad_tol
+    )
     gamma_hat = x_hat[:J]
     beta_hat = x_hat[J:]
     lambdas_hat = np.exp(gamma_hat)
     survival = lik.survival_from_increments(lambdas_hat)
-    loglik_hat = -negloglik_and_grad(x_hat)[0]
+    loglik_hat = -f_hat
     if res.status == 1:  # hit maxiter before polishing
         converged = False
         message = f"L-BFGS-B stopped at the iteration limit: {res.message}"
@@ -295,12 +294,13 @@ def fit(
                 ([0.0], np.sqrt(np.maximum(np.diag(cov_transformed)[p:], 0.0)))
             )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a huge SE saturates the hazard-ratio limits at 0 and inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         wald_z = beta_hat / beta_se
+        hr = np.exp(beta_hat)
+        hr_lo = np.exp(beta_hat - _Z975 * beta_se)
+        hr_hi = np.exp(beta_hat + _Z975 * beta_se)
     wald_p = 2.0 * stats.norm.sf(np.abs(wald_z))
-    hr = np.exp(beta_hat)
-    hr_lo = np.exp(beta_hat - _Z975 * beta_se)
-    hr_hi = np.exp(beta_hat + _Z975 * beta_se)
 
     return FitResult(
         model=model,
@@ -330,19 +330,17 @@ def fit(
 
 def _projected_gradient(grad, x, J):
     """Zero components that push against an active gamma bound."""
+    gamma, g = x[:J], grad[:J]
+    pinned = ((gamma <= GAMMA_LOWER + 1e-9) & (g > 0)) | ((gamma >= GAMMA_UPPER - 1e-9) & (g < 0))
     proj = grad.copy()
-    for j in range(J):
-        if x[j] <= GAMMA_LOWER + 1e-9 and grad[j] > 0:
-            proj[j] = 0.0
-        if x[j] >= GAMMA_UPPER - 1e-9 and grad[j] < 0:
-            proj[j] = 0.0
+    proj[:J][pinned] = 0.0
     return proj
 
 
 def _newton_polish(negloglik_and_grad, hessian, x, J, grad_tol, max_steps=10):
     """Drive the projected gradient below tolerance with damped Newton steps.
 
-    Returns ``(x, steps taken, converged)``.
+    Returns ``(x, objective value at x, steps taken, converged)``.
     """
     f, g = negloglik_and_grad(x)
     steps = 0
@@ -350,7 +348,7 @@ def _newton_polish(negloglik_and_grad, hessian, x, J, grad_tol, max_steps=10):
         proj = _projected_gradient(g, x, J)
         gmax = float(np.max(np.abs(proj))) if proj.size else 0.0
         if gmax <= grad_tol:
-            return x, steps, True
+            return x, f, steps, True
         free = proj != 0.0
         h = hessian(x)
         # near-zero-mass intervals contribute no curvature (and a matching
@@ -380,7 +378,7 @@ def _newton_polish(negloglik_and_grad, hessian, x, J, grad_tol, max_steps=10):
         if not accepted:
             break
     proj = _projected_gradient(g, x, J)
-    return x, steps, bool(np.max(np.abs(proj)) <= grad_tol) if proj.size else True
+    return x, f, steps, bool(np.max(np.abs(proj)) <= grad_tol) if proj.size else True
 
 
 def _covariances(hessian, J, p, lambdas, survival, frozen):

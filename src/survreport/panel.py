@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -147,7 +149,7 @@ class StudyGrid:
 class Dataset:
     """Validated collection of subject panels sharing one study grid."""
 
-    subjects: tuple[SubjectPanel, ...]
+    subjects: Sequence[SubjectPanel]
     grid: StudyGrid
     covariate_names: tuple[str, ...] = ()
     schedule: str = ADAPTIVE
@@ -158,6 +160,39 @@ class Dataset:
         if len(self.subjects) < 1:
             raise ValueError("dataset needs at least one subject")
 
+    @classmethod
+    def from_arrays(
+        cls,
+        subject_ids,
+        reports,
+        grid: StudyGrid,
+        covariates=None,
+        covariate_names=(),
+        schedule: str = ADAPTIVE,
+    ) -> Dataset:
+        """Dataset held as its (N, J) report matrix (-1 a missed visit) and
+        (N, P) time-fixed covariate matrix, or ``None`` without covariates.
+
+        Its ``subjects`` become :class:`SubjectPanel` objects only when read;
+        the result equals the same subjects passed through
+        :func:`build_dataset`.
+        """
+        ids, names = tuple(subject_ids), tuple(covariate_names)
+        reports = np.array(reports, dtype=np.int8)
+        z = np.empty((len(ids), 0)) if covariates is None else np.array(covariates, dtype=float)
+        if reports.shape != (len(ids), grid.J) or z.shape != (len(ids), len(names)):
+            raise ValueError(
+                f"expected a ({len(ids)}, {grid.J}) report and a ({len(ids)}, {len(names)}) "
+                f"covariate matrix, got {reports.shape} and {z.shape}"
+            )
+        if ((reports < -1) | (reports > 1)).any():
+            raise ValueError("reports must be -1 (missed visit), 0 or 1")
+        reports.flags.writeable = z.flags.writeable = False
+        subjects = _ArraySubjects(ids, reports, grid.taus, z if names else None)
+        dataset = cls(subjects, grid, names, schedule)
+        dataset.__dict__.update(reports=reports, covariates=z)  # fill the caches
+        return dataset
+
     @property
     def n(self) -> int:
         return len(self.subjects)
@@ -166,16 +201,58 @@ class Dataset:
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
-    @property
+    @cached_property
     def reports(self) -> np.ndarray:
         """Read-only (N, J) int8 report matrix: column k holds the report
         at tau_{k+1}, -1 a missed visit.  Built once per dataset."""
-        cached = self.__dict__.get("_reports_cache")
-        if cached is None:
-            cached = _report_matrix(self.subjects, self.grid)
-            cached.flags.writeable = False
-            object.__setattr__(self, "_reports_cache", cached)
-        return cached
+        reports = _report_matrix(self.subjects, self.grid)
+        reports.flags.writeable = False
+        return reports
+
+    @cached_property
+    def covariates(self) -> np.ndarray | None:
+        """Read-only (N, P) time-fixed covariate matrix, built once per
+        dataset; ``None`` when a subject has no time-fixed vector (a
+        covariate path, or nothing)."""
+        if self.n_covariates == 0:
+            return np.empty((self.n, 0))
+        if any(s.covariates is None for s in self.subjects):
+            return None
+        z = np.array([s.covariates for s in self.subjects], dtype=float)
+        z.flags.writeable = False
+        return z
+
+
+class _ArraySubjects(Sequence):
+    """Read-only subjects of a :meth:`Dataset.from_arrays` dataset: the
+    :class:`SubjectPanel` objects are made on first access and kept."""
+
+    def __init__(self, ids, reports, taus, covariates):
+        self._arrays = (ids, reports, taus, covariates)
+
+    @cached_property
+    def _panels(self) -> tuple[SubjectPanel, ...]:
+        ids, reports, taus, z = self._arrays
+        kept = (reports >= 0).tolist()
+        z = repeat(None) if z is None else map(tuple, z.tolist())
+        return tuple(
+            SubjectPanel(sid, tuple(compress(taus, k)), tuple(compress(r, k)), zi)
+            for sid, r, k, zi in zip(ids, reports.tolist(), kept, z)
+        )
+
+    def __len__(self):
+        return len(self._arrays[0])
+
+    def __getitem__(self, index):
+        return self._panels[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _ArraySubjects)):
+            return self._panels == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._panels)
 
 
 def _report_matrix(subjects, grid: StudyGrid) -> np.ndarray:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from itertools import compress
 
 import numpy as np
 from scipy import stats
 
 from . import estimate
-from .panel import ADAPTIVE, Dataset, ErrorModel, SubjectPanel, build_dataset
+from .panel import ADAPTIVE, Dataset, ErrorModel, StudyGrid
+from .panel import build_dataset  # noqa: F401  perfbench/spans.py times simulate.build_dataset
 
 DEFAULT_SEED = 20210617
 _Z975 = stats.norm.ppf(0.975)
@@ -144,7 +144,8 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     A fraction 1 - eta of subjects enters with the event already present
     (prevalent); their reports are positive with probability phi1 at every
     visit.  Visits are missing completely at random, and report collection
-    stops at the first positive.
+    stops at the first positive.  The dataset is held as its report and
+    covariate matrices; its subjects are made only when read.
     """
     rng = _replicate_rng(config.seed, replicate_index)
     n = config.n_subjects
@@ -174,22 +175,18 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     first_positive = np.where(positive.any(axis=1), positive.argmax(axis=1), config.n_visits)
     kept = keep & (np.arange(config.n_visits)[None, :] <= first_positive[:, None])
 
-    times_all = schedule.tolist()
-    kept_rows = kept.tolist()
-    result_rows = positive.astype(int).tolist()
-    z_rows = z.tolist() if z is not None else None
-    subjects = []
-    names = tuple(f"z{k + 1}" for k in range(beta.size)) if z is not None else ()
-    for i in np.flatnonzero(kept.any(axis=1)).tolist():  # all visits missing: no data
-        subjects.append(
-            SubjectPanel(
-                subject_id=f"s{replicate_index}_{i}",
-                times=tuple(compress(times_all, kept_rows[i])),
-                results=tuple(compress(result_rows[i], kept_rows[i])),
-                covariates=tuple(z_rows[i]) if z is not None else None,
-            )
-        )
-    return build_dataset(subjects, covariate_names=names, schedule=ADAPTIVE)
+    reports = np.where(kept, positive, np.int8(-1))
+    # subjects who missed every visit give no data; unvisited times are no grid points
+    rows = np.flatnonzero(kept.any(axis=1))
+    cols = np.flatnonzero(kept.any(axis=0))
+    return Dataset.from_arrays(
+        [f"s{replicate_index}_{i}" for i in rows.tolist()],
+        reports[np.ix_(rows, cols)],
+        StudyGrid(tuple(schedule[cols].tolist())),
+        z[rows] if z is not None else None,
+        covariate_names=tuple(f"z{k + 1}" for k in range(beta.size)) if z is not None else (),
+        schedule=ADAPTIVE,
+    )
 
 
 def analysis_error_model(config: ScenarioConfig, analysis) -> ErrorModel:

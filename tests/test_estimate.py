@@ -121,7 +121,7 @@ class TestFitBasics:
                 return np.inf, np.zeros(1)
             return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
 
-        x, steps, _ = _newton_polish(negloglik_and_grad, lambda x: np.array([[2.0]]), np.zeros(1), 0, 1e-5)
+        x, _, steps, _ = _newton_polish(negloglik_and_grad, lambda x: np.array([[2.0]]), np.zeros(1), 0, 1e-5)
         assert steps >= 1
         assert np.isfinite(negloglik_and_grad(x)[0])
 
@@ -180,6 +180,17 @@ class TestInputGuards:
             warnings.simplefilter("error")
             with pytest.raises(ModelSpecError, match="subject s7 has a non-finite covariate"):
                 fit(ds, ErrorModel(0.8, 0.9), model)
+
+    def test_huge_se_saturates_hazard_ratio_limits(self):
+        # replicate 0 has a monotone likelihood: beta ~ 14.8 with SE ~ 500
+        config = benchmark_config(1.0, 0.75, 0.9, n_replicates=2, seed=6)
+        ds = generate_dataset(config, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit(ds, config.error_model, check_valid=False)
+        assert result.beta_se[0] > 100.0
+        assert result.hr_ci_high[0] == np.inf and result.hr_ci_low[0] == 0.0
+        assert np.isfinite(result.hazard_ratio[0])
 
     def test_finite_cohort_fits(self):
         assert fit(self.cohort(), ErrorModel(0.8, 0.9)).has_covariance

@@ -165,6 +165,48 @@ class TestValidate:
         with pytest.raises(ValueError, match="subject b"):
             ds.reports
 
+    def test_covariate_matrix(self):
+        ds = Dataset((subj("a", [1.0], [0], cov=(1.0, -2.0)), subj("b", [2.0], [0], cov=(0.5, 3.0))),
+                     self.grid(), covariate_names=("x", "y"))
+        assert ds.covariates.tolist() == [[1.0, -2.0], [0.5, 3.0]]
+        assert ds.covariates is ds.covariates
+        with pytest.raises(ValueError):
+            ds.covariates[0, 0] = 9.0
+        assert Dataset((subj("a", [1.0], [0]),), self.grid()).covariates.shape == (1, 0)
+
+    def test_covariate_matrix_is_none_with_a_path(self):
+        path = SubjectPanel("b", (2.0,), (0,), covariate_path=((0.0, (1.0,)), (1.0, (2.0,))))
+        ds = Dataset((subj("a", [1.0], [0], cov=(1.0,)), path), self.grid(), covariate_names=("x",))
+        assert ds.covariates is None
+
+    def test_from_arrays_equals_built_dataset(self):
+        subjects = (subj("a", [1.0, 3.0], [0, 1], cov=(1.0,)), subj("b", [2.0], [0], cov=(0.0,)))
+        built = build_dataset(subjects, covariate_names=("x",))
+        ds = Dataset.from_arrays(["a", "b"], [[0, -1, 1], [-1, 0, -1]], self.grid(), [[1.0], [0.0]], ("x",))
+        assert ds.reports.dtype == np.int8 and ds.reports.tolist() == built.reports.tolist()
+        assert ds.covariates.tolist() == [[1.0], [0.0]]
+        assert not ds.reports.flags.writeable and not ds.covariates.flags.writeable
+        assert ds.n == 2 and len(ds.subjects) == 2
+        assert ds == built and built == ds and hash(ds) == hash(built)
+        assert tuple(ds.subjects) == subjects and ds.subjects[1] is ds.subjects[1]
+        assert ds.subjects[0].results == (0, 1) and type(ds.subjects[0].results[0]) is int
+        no_covariates = Dataset.from_arrays(["a"], [[0, 0, -1]], self.grid())
+        assert no_covariates.subjects[0] == subj("a", [1.0, 2.0], [0, 0])
+        assert no_covariates.covariates.shape == (1, 0)
+
+    @pytest.mark.parametrize(
+        "reports, covariates, names",
+        [
+            ([[0, 1]], None, ()),                      # J columns expected
+            ([[0, 1, 2]], None, ()),                   # not a report
+            ([[0, 1, -1]], None, ("x",)),              # names without a matrix
+            ([[0, 1, -1]], [[1.0, 2.0]], ("x",)),      # P columns expected
+        ],
+    )
+    def test_from_arrays_rejects_bad_shapes_and_values(self, reports, covariates, names):
+        with pytest.raises(ValueError):
+            Dataset.from_arrays(["a"], reports, self.grid(), covariates, names)
+
     def test_interval_index_unique(self):
         grid = self.grid()
         assert [grid.interval_index(t) for t in grid.taus] == [1, 2, 3]

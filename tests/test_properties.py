@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from survreport.estimate import _life_table_gamma, interval_covariates
+from survreport.estimate import (
+    GAMMA_LOWER,
+    GAMMA_UPPER,
+    _collapse_rows,
+    _life_table_gamma,
+    _projected_gradient,
+    interval_covariates,
+)
 from survreport.likelihood import (
     NonPositiveLikelihoodError,
     build_c_matrix,
@@ -292,3 +299,64 @@ def test_duplicate_row_equals_double_weight(case):
         rtol=1e-10,
         atol=1e-12,
     )
+
+
+def collapse_rows_by_axis_unique(c, z):
+    """Row collapse by ``np.unique(axis=0)``, which compares rows as floats."""
+    key = c if z is None else np.hstack([c, z])
+    _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    first_seen = np.argsort(idx)
+    order = idx[first_seen]
+    return c[order], None if z is None else z[order], counts[first_seen].astype(float)
+
+
+@st.composite
+def collapse_cases(draw):
+    """(C, z): rows drawn from a small pool so that many repeat; z holds
+    -0.0 next to 0.0, has one or two columns, or is absent."""
+    J = draw(st.integers(1, 4))
+    pool = draw(st.lists(
+        st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.1 + 0.2)), min_size=J, max_size=J),
+        min_size=1, max_size=4,
+    ))
+    n = draw(st.integers(1, 20))
+    c = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    p = draw(st.integers(0, 2))
+    if p == 0:
+        return c, None
+    values = st.sampled_from((0.0, -0.0, 1.0, -0.5))
+    return c, np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=n, max_size=n)))
+
+
+@PROPERTY_SETTINGS
+@given(collapse_cases())
+def test_collapse_rows_matches_axis_unique(case):
+    c, z = case
+    got = _collapse_rows(c, z)
+    want = collapse_rows_by_axis_unique(c, z)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got[2].sum() == c.shape[0]
+
+
+def projected_gradient_by_loop(grad, x, J):
+    proj = grad.copy()
+    for j in range(J):
+        if x[j] <= GAMMA_LOWER + 1e-9 and grad[j] > 0:
+            proj[j] = 0.0
+        if x[j] >= GAMMA_UPPER - 1e-9 and grad[j] < 0:
+            proj[j] = 0.0
+    return proj
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 5), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_projected_gradient_matches_loop(J, p, random):
+    at = (GAMMA_LOWER, GAMMA_LOWER + 5e-10, GAMMA_UPPER, GAMMA_UPPER - 5e-10, -1.0, GAMMA_LOWER + 1e-6)
+    x = np.array([random.choice(at) for _ in range(J)] + [random.uniform(-3, 3) for _ in range(p)])
+    grad = np.array([random.choice((-1.5, -0.0, 0.0, 2.0)) for _ in range(J + p)])
+    got = _projected_gradient(grad, x, J)
+    assert got.tobytes() == projected_gradient_by_loop(grad, x, J).tobytes()

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from survreport.panel import ErrorModel, validate
+from survreport import panel
+from survreport.estimate import ModelSpecError, fit
+from survreport.panel import PREDETERMINED, Dataset, ErrorModel, build_dataset, validate
 from survreport.simulate import (
     ADJUSTED,
     DEFAULT_SEED,
@@ -179,6 +182,107 @@ class TestGenerateDataset:
         ds = generate_dataset(small_config(), 0)
         assert ds.covariate_names == ("z1",)
         assert all(s.covariates in ((0.0,), (1.0,)) for s in ds.subjects)
+
+
+@st.composite
+def small_configs(draw):
+    """Small scenarios: up to 30 subjects and 5 visits, heavy missingness,
+    eta < 1, and no, Bernoulli or two-column table covariates."""
+    kind = draw(st.sampled_from(("none", "bernoulli", "table")))
+    if kind == "none":
+        gen, beta = None, ()
+    elif kind == "bernoulli":
+        gen, beta = CovariateGen("bernoulli", p=draw(st.sampled_from((0.0, 0.3, 1.0)))), (0.7,)
+    else:
+        table = ((0.0, 1.0), (1.0, -0.5), (-0.0, 0.0))
+        gen, beta = CovariateGen("table", table=table[: draw(st.integers(1, 3))]), (0.5, -0.3)
+    return ScenarioConfig(
+        n_subjects=draw(st.integers(1, 30)),
+        n_visits=draw(st.integers(1, 5)),
+        visit_spacing=draw(st.sampled_from((0.5, 1.0, 1.5))),
+        missing_prob=draw(st.floats(0.0, 0.9)),
+        event_dist=EventDist("exponential", rate=draw(st.sampled_from((0.05, 0.3, 1.0)))),
+        beta_true=beta,
+        covariate_gen=gen,
+        error_model=ErrorModel(
+            draw(st.floats(0.6, 1.0)), draw(st.floats(0.6, 1.0)), draw(st.sampled_from((1.0, 0.9, 0.7)))
+        ),
+        n_replicates=1,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def generate_or_none(config, rep):
+    try:
+        return generate_dataset(config, rep)
+    except ValueError:  # every subject missed every visit
+        return None
+
+
+def fit_outcome(dataset, error_model):
+    """Bytes of beta, SE and log-likelihood, or the error a fit raised."""
+    try:
+        f = fit(dataset, error_model, check_valid=False)
+    except ValueError as exc:  # both datasets must fail alike
+        return type(exc), str(exc)
+    return f.beta.tobytes(), f.beta_se.tobytes(), np.float64(f.loglik).tobytes()
+
+
+class TestArrayDataset:
+    """A generated dataset is held as arrays; it equals the same subjects
+    passed through build_dataset and fits identically."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_configs(), st.integers(0, 5))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_generated_equals_built(self, config, rep):
+        ds = generate_or_none(config, rep)
+        assume(ds is not None)
+        built = build_dataset(list(ds.subjects), covariate_names=ds.covariate_names, schedule=ds.schedule)
+        assert ds.reports.dtype == built.reports.dtype
+        assert np.array_equal(ds.reports, built.reports)
+        assert ds.grid == built.grid
+        assert ds.covariates.shape == built.covariates.shape
+        assert ds.covariates.tobytes() == built.covariates.tobytes()
+        assert ds.subjects == built.subjects and tuple(ds.subjects) == built.subjects
+        assert all(s.subject_id.startswith(f"s{rep}_") for s in ds.subjects)
+        assert ds == built and built == ds and hash(ds) == hash(built)
+        # a fresh dataset whose subjects were never read fits like the built one
+        fresh = generate_dataset(config, rep)
+        assert fit_outcome(fresh, config.error_model) == fit_outcome(built, config.error_model)
+
+    def test_no_subject_panel_until_read(self, monkeypatch):
+        made = []
+        original = panel.SubjectPanel.__post_init__
+
+        def counting(self):
+            made.append(self.subject_id)
+            original(self)
+
+        monkeypatch.setattr(panel.SubjectPanel, "__post_init__", counting)
+        config = small_config()
+        ds = generate_dataset(config, 0)
+        fit(ds, config.error_model, check_valid=False)
+        assert made == [] and ds.n > 0
+        assert ds.subjects[0].subject_id == made[0] == "s0_0"
+        assert len(made) == ds.n
+        list(ds.subjects)
+        assert len(made) == ds.n  # made once, then kept
+
+    def test_impossible_pattern_names_generated_subject(self):
+        # adaptive reports stop at the first positive, so every generated
+        # pattern is possible; a later negative after it is not when
+        # reports are exact
+        ds = generate_dataset(small_config(), 2)
+        reports = np.array(ds.reports)
+        i = int(np.flatnonzero((reports[:, :-1] == 1).any(axis=1))[0])
+        k = int(np.flatnonzero(reports[i] == 1)[0])
+        reports[i, k + 1] = 0
+        ids = [s.subject_id for s in ds.subjects]
+        bad = Dataset.from_arrays(ids, reports, ds.grid, ds.covariates, ds.covariate_names, PREDETERMINED)
+        assert ids[i].startswith("s2_")
+        with pytest.raises(ModelSpecError, match=f"subject {ids[i]}: report pattern is impossible"):
+            fit(bad, ErrorModel(1.0, 1.0), check_valid=False)
 
 
 class TestAnalysisErrorModel:
