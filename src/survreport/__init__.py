@@ -23,12 +23,10 @@ from .likelihood import (
     loglik_hessian,
     survival_from_increments,
     to_d_matrix,
-    transform_matrix,
 )
 from .estimate import (
     FitResult,
     SensitivityGrid,
-    WorkingParams,
     fit,
     lr_test,
     sensitivity_grid,

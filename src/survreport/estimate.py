@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from . import likelihood as lik
 from .panel import Dataset, ErrorModel, validate
@@ -26,25 +26,13 @@ _MODELS = (MODEL_ONESAMPLE, MODEL_COV_FIXED, MODEL_COV_TIMEVARYING)
 
 GAMMA_LOWER = -30.0   # exp(-30) ~ 1e-13: interval effectively carries no mass
 GAMMA_UPPER = 8.0
+MAX_NEWTON_STEPS = 100
+MAX_STEP_LENGTH = 2.0  # largest change of one working parameter per step
 _Z975 = stats.norm.ppf(0.975)
 
 
 class ModelSpecError(ValueError):
     """Dataset and requested model are incompatible."""
-
-
-@dataclass(frozen=True)
-class WorkingParams:
-    """Unconstrained parameters: log hazard increments plus beta."""
-
-    gamma: tuple[float, ...]
-    beta: tuple[float, ...] = ()
-
-    def lambdas(self) -> np.ndarray:
-        return np.exp(np.asarray(self.gamma))
-
-    def survival(self) -> np.ndarray:
-        return lik.survival_from_increments(self.lambdas())
 
 
 @dataclass
@@ -175,8 +163,6 @@ def fit(
     error_model: ErrorModel,
     model: str = MODEL_COV_FIXED,
     *,
-    max_iter: int = 500,
-    ll_tol: float = 1e-9,
     grad_tol: float = 1e-5,
     compute_covariance: bool = True,
     check_valid: bool = True,
@@ -184,9 +170,9 @@ def fit(
     """Maximize the chosen log-likelihood and assemble inference results.
 
     Baseline misclassification is applied whenever ``error_model.eta < 1``.
-    Convergence requires the relative log-likelihood change to fall below
-    ``ll_tol`` and the largest free working-scale gradient component below
-    ``grad_tol``.
+    Projected damped-Newton steps start from the life-table estimate;
+    convergence requires the largest free working-scale gradient component
+    to fall to ``grad_tol``, within ``MAX_NEWTON_STEPS`` steps.
     """
     if model not in _MODELS:
         raise ValueError(f"model must be one of {_MODELS}")
@@ -246,37 +232,17 @@ def fit(
         beta = x[J:] if p else None
         return -lik.loglik_hessian(c, np.exp(x[:J]), beta, z=z, z_intervals=z_int, eta=eta, weights=weights)
 
-    bounds = [(GAMMA_LOWER, GAMMA_UPPER)] * J + [(None, None)] * p
-    res = optimize.minimize(
-        negloglik_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": max_iter, "maxfun": 10 * max_iter, "ftol": ll_tol, "gtol": grad_tol},
-    )
-    # L-BFGS-B often stalls on its function-change test slightly above the
-    # gradient tolerance; a few Newton steps finish the job
-    x_hat, f_hat, polish_steps, converged = _newton_polish(
-        negloglik_and_grad, hessian, res.x, J, grad_tol
-    )
+    x_hat, f_hat, steps, stopped = _newton(negloglik_and_grad, hessian, x0, J, grad_tol)
+    converged = stopped is None
     gamma_hat = x_hat[:J]
     beta_hat = x_hat[J:]
     lambdas_hat = np.exp(gamma_hat)
     survival = lik.survival_from_increments(lambdas_hat)
     loglik_hat = -f_hat
-    if res.status == 1:  # hit maxiter before polishing
-        converged = False
-        message = f"L-BFGS-B stopped at the iteration limit: {res.message}"
-    elif converged and not polish_steps:
-        message = f"L-BFGS-B converged: {res.message}"
-    elif converged:
-        message = f"Newton polish converged after {polish_steps} step(s) (L-BFGS-B: {res.message})"
+    if converged:
+        message = f"converged after {steps} Newton step(s)"
     else:
-        message = (
-            f"not converged: Newton polish stopped after {polish_steps} step(s) with the "
-            f"projected gradient above {grad_tol:g} (L-BFGS-B: {res.message})"
-        )
+        message = f"not converged: stopped after {steps} Newton step(s) because {stopped}"
 
     frozen = tuple(int(j + 1) for j in np.flatnonzero(gamma_hat <= GAMMA_LOWER + 1e-6))
 
@@ -315,7 +281,7 @@ def fit(
         survival_se=survival_se,
         loglik=loglik_hat,
         converged=converged,
-        iterations=int(res.nit) + polish_steps,
+        iterations=steps,
         message=message,
         frozen_intervals=frozen,
         cov_working=cov_working,
@@ -337,48 +303,47 @@ def _projected_gradient(grad, x, J):
     return proj
 
 
-def _newton_polish(negloglik_and_grad, hessian, x, J, grad_tol, max_steps=10):
-    """Drive the projected gradient below tolerance with damped Newton steps.
-
-    Returns ``(x, objective value at x, steps taken, converged)``.
+def _newton(negloglik_and_grad, hessian, x, J, grad_tol):
+    """Projected damped Newton (Nocedal and Wright 2006, ch. 3-4) from
+    ``x``, gamma kept inside its bounds, with Armijo backtracking.  The
+    Hessian's eigenvalues enter in absolute value, so an indefinite one
+    still gives a descent direction.  Returns ``(x, objective value at x,
+    steps taken, None)`` once the projected gradient is at most
+    ``grad_tol``, else with the reason for stopping in place of None.
     """
     f, g = negloglik_and_grad(x)
-    steps = 0
-    for _ in range(max_steps):
+    for steps in range(MAX_NEWTON_STEPS + 1):
         proj = _projected_gradient(g, x, J)
-        gmax = float(np.max(np.abs(proj))) if proj.size else 0.0
-        if gmax <= grad_tol:
-            return x, f, steps, True
-        free = proj != 0.0
+        if np.max(np.abs(proj)) <= grad_tol:
+            return x, f, steps, None
+        if steps == MAX_NEWTON_STEPS:
+            return x, f, steps, "it reached the step limit"
+        free = proj == g  # all but the components pinned at a bound
         h = hessian(x)
         # near-zero-mass intervals contribute no curvature (and a matching
         # near-zero gradient); drop them so the Newton system stays regular
-        free[:J] &= np.diag(h)[:J] > 1e-6
-        if not np.any(free):
-            break
-        try:
-            step = np.linalg.solve(h[np.ix_(free, free)], -g[free])
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(h[np.ix_(free, free)], -g[free], rcond=None)
-        accepted = False
-        t = 1.0
+        free[:J] &= np.abs(np.diag(h)[:J]) > 1e-6
+        w, v = np.linalg.eigh(h[np.ix_(free, free)])
+        w = np.abs(w)
+        if w.max(initial=0.0) == 0.0:
+            return x, f, steps, "no free parameter has curvature"
+        direction = v @ ((v.T @ -g[free]) / np.maximum(w, 1e-8 * w.max()))
+        slope = float(g[free] @ direction)
+        # a near-flat direction would otherwise throw the point onto the
+        # plateau where some S_j underflows and every gradient vanishes
+        t = MAX_STEP_LENGTH / np.max(np.abs(direction), initial=MAX_STEP_LENGTH)
         for _ in range(25):
             x_new = x.copy()
-            x_new[free] += t * step
+            x_new[free] += t * direction
             x_new[:J] = np.clip(x_new[:J], GAMMA_LOWER, GAMMA_UPPER)
             f_new, g_new = negloglik_and_grad(x_new)
-            gmax_new = float(np.max(np.abs(_projected_gradient(g_new, x_new, J))))
             # an infeasible point reports f = inf with a zero gradient
-            if np.isfinite(f_new) and (f_new <= f + 1e-12 * max(1.0, abs(f)) or gmax_new < gmax):
-                x, f, g = x_new, f_new, g_new
-                accepted = True
-                steps += 1
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * slope + 1e-12 * max(1.0, abs(f)):
                 break
             t *= 0.5
-        if not accepted:
-            break
-    proj = _projected_gradient(g, x, J)
-    return x, f, steps, bool(np.max(np.abs(proj)) <= grad_tol) if proj.size else True
+        else:
+            return x, f, steps, "no step lowered the objective"
+        x, f, g = x_new, f_new, g_new
 
 
 def _covariances(hessian, J, p, lambdas, survival, frozen):
@@ -386,7 +351,8 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     closed-form Hessian of the negative log-likelihood at the estimate, and
     the delta-method covariance of (beta, S_2..S_{J+1}).  Frozen and
     no-curvature intervals get zero rows; ``(None, None)`` if the rest is
-    singular or gives a negative variance."""
+    numerically singular (its inverse would be rounding noise) or gives a
+    negative variance."""
     k = hessian.shape[0]
 
     free = np.ones(k, dtype=bool)
@@ -395,6 +361,9 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     idx = np.flatnonzero(free)
     sub = hessian[np.ix_(idx, idx)]
     try:
+        sv = np.linalg.svd(sub, compute_uv=False)
+        if sv.size and sv[-1] <= 1e-12 * sv[0]:
+            return None, None
         cov_free = np.linalg.inv(sub)
     except np.linalg.LinAlgError:
         return None, None

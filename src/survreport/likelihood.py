@@ -27,9 +27,6 @@ import numpy as np
 
 from .panel import Dataset, ErrorModel
 
-BEFORE_EVENT_INTERVAL = "before_event_interval"
-AFTER_EVENT_INTERVAL = "after_event_interval"
-
 # exp(z'beta) is clamped to this range during optimization so that wild
 # line-search points cannot overflow; converged solutions are unaffected.
 LINEAR_PREDICTOR_CLAMP = 50.0
@@ -42,33 +39,6 @@ class NonPositiveLikelihoodError(ValueError):
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"subject row {row} has non-positive likelihood")
-
-
-def report_probability(result: int, relation: str, error_model: ErrorModel) -> float:
-    """Probability of one report given the visit's relation to the event.
-
-    ``after_event_interval`` means the visit time is at or past the right
-    end of the interval containing the event (the event has occurred by
-    the visit); ``before_event_interval`` means the visit is at or before
-    the interval's left end.
-    """
-    if relation == AFTER_EVENT_INTERVAL:
-        p_pos = error_model.phi1
-    elif relation == BEFORE_EVENT_INTERVAL:
-        p_pos = 1.0 - error_model.phi0
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return p_pos if result == 1 else 1.0 - p_pos
-
-
-def transform_matrix(J: int) -> np.ndarray:
-    """(J+1)x(J+1) matrix T with theta = T @ S: +1 diagonal, -1 superdiagonal."""
-    if J < 1:
-        raise ValueError("J must be at least 1")
-    t = np.eye(J + 1)
-    idx = np.arange(J)
-    t[idx, idx + 1] = -1.0
-    return t
 
 
 def to_d_matrix(c: np.ndarray) -> np.ndarray:

@@ -13,6 +13,37 @@ import math
 import numpy as np
 
 
+BEFORE_EVENT_INTERVAL = "before_event_interval"
+AFTER_EVENT_INTERVAL = "after_event_interval"
+
+
+def report_probability(result: int, relation: str, error_model) -> float:
+    """Probability of one report given the visit's relation to the event.
+
+    ``after_event_interval`` means the visit time is at or past the right
+    end of the interval containing the event (the event has occurred by
+    the visit); ``before_event_interval`` means the visit is at or before
+    the interval's left end.
+    """
+    if relation == AFTER_EVENT_INTERVAL:
+        p_pos = error_model.phi1
+    elif relation == BEFORE_EVENT_INTERVAL:
+        p_pos = 1.0 - error_model.phi0
+    else:
+        raise ValueError(f"unknown relation {relation!r}")
+    return p_pos if result == 1 else 1.0 - p_pos
+
+
+def transform_matrix(J: int) -> np.ndarray:
+    """(J+1)x(J+1) matrix T with theta = T @ S: +1 diagonal, -1 superdiagonal."""
+    if J < 1:
+        raise ValueError("J must be at least 1")
+    t = np.eye(J + 1)
+    idx = np.arange(J)
+    t[idx, idx + 1] = -1.0
+    return t
+
+
 def direct_pattern_probability(times_idx, results, theta, phi1, phi0, eta=1.0):
     """Probability of one report pattern by summing over the latent event
     interval, with each per-visit report probability written out directly.

@@ -3,14 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
 
+from survreport import likelihood as lik
 from survreport.estimate import (
     MODEL_COV_FIXED,
     MODEL_COV_TIMEVARYING,
     MODEL_ONESAMPLE,
     ModelSpecError,
-    _newton_polish,
+    _Z975,
+    _covariances,
+    _newton,
     fit,
     fit_to_dict,
     fit_to_json,
@@ -30,6 +32,12 @@ def simulated(seed=0, phi1=0.75, phi0=0.9, s_end=0.5, eta=1.0, n=400):
     config = benchmark_config(phi1, phi0, s_end, eta=eta, n_replicates=1, seed=seed)
     config = type(config)(**{**config.__dict__, "n_subjects": n})
     return config, generate_dataset(config, 0)
+
+
+def fixed_panel(rows):
+    """Predetermined-schedule dataset from ``(times, results, z)`` rows."""
+    subjects = [SubjectPanel(f"s{i}", t, r, covariates=(z,)) for i, (t, r, z) in enumerate(rows)]
+    return build_dataset(subjects, covariate_names=("z",), schedule=PREDETERMINED)
 
 
 class TestFitBasics:
@@ -96,24 +104,28 @@ class TestFitBasics:
         res = fit(ds, ErrorModel(0.8, 0.9))
         assert abs(res.beta[0]) < 1e-6
 
-    def test_iterations_and_message_count_polish_steps(self, monkeypatch):
-        runs = []
-        minimize = optimize.minimize
+    def test_iterations_count_newton_steps(self, monkeypatch):
+        calls = []
+        hessian = lik.loglik_hessian
 
-        def recording_minimize(*args, **kwargs):
-            runs.append(minimize(*args, **kwargs))
-            return runs[-1]
+        def counting_hessian(*args, **kwargs):
+            calls.append(None)
+            return hessian(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "minimize", recording_minimize)
-        polished = fit(self.ds, self.em)
-        assert polished.converged
-        assert polished.message.startswith("Newton polish converged after 1 step(s)")
-        assert polished.iterations == runs[0].nit + 1
-        direct = fit(self.ds, self.em, grad_tol=1e-2)
-        assert direct.message.startswith("L-BFGS-B converged")
-        assert direct.iterations == runs[1].nit
+        monkeypatch.setattr(lik, "loglik_hessian", counting_hessian)
+        res = fit(self.ds, self.em)
+        assert res.converged
+        assert res.iterations >= 1
+        # one Hessian per Newton step, plus one for the covariance
+        assert len(calls) == res.iterations + 1
+        assert res.message == f"converged after {res.iterations} Newton step(s)"
+        stuck = fit(self.ds, self.em, grad_tol=0.0)
+        assert not stuck.converged
+        assert stuck.message.startswith("not converged: stopped after")
+        assert stuck.message.endswith(("because it reached the step limit", "because no step lowered the objective"))
+        assert stuck.loglik >= res.loglik - 1e-9
 
-    def test_polish_rejects_infeasible_step(self):
+    def test_newton_rejects_infeasible_step(self):
         # -log-likelihood (x - 1)^2, infeasible (f = inf, zero gradient, as
         # fit reports it) beyond x = 0.75: the full Newton step lands there
         def negloglik_and_grad(x):
@@ -121,9 +133,76 @@ class TestFitBasics:
                 return np.inf, np.zeros(1)
             return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
 
-        x, _, steps, _ = _newton_polish(negloglik_and_grad, lambda x: np.array([[2.0]]), np.zeros(1), 0, 1e-5)
+        x, _, steps, _ = _newton(negloglik_and_grad, lambda x: np.array([[2.0]]), np.zeros(1), 0, 1e-5)
         assert steps >= 1
         assert np.isfinite(negloglik_and_grad(x)[0])
+
+    def test_newton_descends_on_indefinite_hessian(self):
+        # f = x^4 - x^2 + y^2 at (0.1, 0): f_xx = -1.88, so a plain Newton
+        # solve steps toward the saddle at the origin (slope +0.020)
+        def f_and_grad(x):
+            return x[0] ** 4 - x[0] ** 2 + x[1] ** 2, np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]])
+
+        def hess(x):
+            return np.array([[12 * x[0] ** 2 - 2.0, 0.0], [0.0, 2.0]])
+
+        x, f, steps, stopped = _newton(f_and_grad, hess, np.array([0.1, 0.0]), 0, 1e-10)
+        assert stopped is None
+        assert steps <= 10
+        assert x == pytest.approx([1 / np.sqrt(2), 0.0], abs=1e-9)
+        assert f == pytest.approx(-0.25, abs=1e-15)
+
+    def test_step_length_cap_keeps_off_the_underflow_plateau(self):
+        # from the life-table start the first Newton step on this panel is
+        # long enough to push S_2 to an underflowing zero, where every
+        # gradient vanishes and the fit would stop at once, far below the
+        # maximum (log-likelihood -16.61, no covariance)
+        rows = [
+            ((0.25,), (1,), 1.0), ((0.25, 0.5, 1.0), (1, 0, 0), -0.5), ((0.5, 1.0), (0, 1), -0.5),
+            ((0.5, 1.0), (0, 0), 0.0), ((0.5, 1.0), (1, 0), -0.5), ((0.25, 0.5, 1.0), (0, 1, 1), -0.5),
+            ((1.0,), (1,), 1.0), ((0.25, 0.5, 1.0), (0, 0, 0), -0.5), ((0.25, 0.5), (0, 1), 1.0),
+            ((0.25, 1.0), (1, 1), 0.0), ((0.25, 1.0), (1, 0), 1.0),
+        ]
+        res = fit(fixed_panel(rows), ErrorModel(0.6, 0.95))
+        assert res.converged and res.has_covariance
+        assert res.loglik == pytest.approx(-15.77801, abs=1e-5)
+        assert res.beta[0] == pytest.approx(0.8287, abs=1e-4)
+
+    def test_negative_curvature_interval_stays_in_the_newton_step(self):
+        # on the way, the objective turns concave along the last interval's
+        # gamma (Hessian diagonal -0.66, gradient 0.66); an interval dropped
+        # for non-positive curvature never moves again and the fit runs
+        # into the step limit at log-likelihood -12.87
+        rows = [
+            ((0.5, 5.0), (1, 0), 0.0), ((1.0, 2.0), (1, 1), 0.0), ((0.5, 1.0, 3.0), (1, 1, 0), -0.5),
+            ((1.0, 2.0, 3.0, 5.0), (0, 0, 0, 1), -0.5), ((1.0, 2.0), (0, 1), 1.0), ((0.5, 4.5), (1, 1), 1.0),
+            ((0.5, 2.0, 3.0, 4.5, 5.0), (1, 1, 1, 1, 1), -0.5), ((5.0,), (1,), 0.0),
+        ]
+        res = fit(fixed_panel(rows), ErrorModel(0.98, 0.63, 0.8))
+        assert res.converged
+        assert res.loglik == pytest.approx(-11.80504, abs=1e-5)
+
+    def test_rounding_level_gradient_stays_in_the_newton_step(self):
+        # the likelihood is monotone along beta (SE ~220) and beta's gradient
+        # is zero to rounding: exactly zero in some subject orders, 1e-16 in
+        # others; dropping exact-zero components from the step made the
+        # fit (and its step count) depend on the order of the subjects
+        rows = [
+            ((1.0,), (1,), -0.5), ((1.0,), (0,), -0.5), ((1.0,), (1,), 1.0), ((1.0,), (1,), -0.5),
+            ((1.0,), (1,), 1.0), ((1.0,), (1,), 1.0), ((1.0,), (1,), 0.0),
+        ]
+        fits = [fit(fixed_panel(rows[k:] + rows[:k]), ErrorModel(0.86, 0.9)) for k in range(len(rows))]
+        assert len({f.iterations for f in fits}) == 1
+        for f in fits[1:]:
+            assert f.beta[0] == pytest.approx(fits[0].beta[0], rel=1e-9)
+
+    def test_numerically_singular_information_gives_no_covariance(self):
+        # the inverse of this matrix is ~1e15 times rounding noise
+        h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        lambdas = np.array([0.5])
+        assert _covariances(h, 1, 1, lambdas, np.exp(-np.array([0.0, 0.5])), ()) == (None, None)
+        cov, _ = _covariances(h + np.eye(2), 1, 1, lambdas, np.exp(-np.array([0.0, 0.5])), ())
+        assert np.allclose(cov, np.linalg.inv(h + np.eye(2)))
 
     def test_zero_visit_subject_fails_life_table_start(self):
         ds = build_dataset(
@@ -182,13 +261,17 @@ class TestInputGuards:
                 fit(ds, ErrorModel(0.8, 0.9), model)
 
     def test_huge_se_saturates_hazard_ratio_limits(self):
-        # replicate 0 has a monotone likelihood: beta ~ 14.8 with SE ~ 500
+        # replicate 0 has a monotone likelihood: the fit walks up the flat
+        # ridge in beta until the SE is ~500; at the default tolerance it
+        # stops earlier (SE ~280) with a finite upper limit
         config = benchmark_config(1.0, 0.75, 0.9, n_replicates=2, seed=6)
         ds = generate_dataset(config, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = fit(ds, config.error_model, check_valid=False)
+            result = fit(ds, config.error_model, check_valid=False, grad_tol=1e-6)
         assert result.beta_se[0] > 100.0
+        # the upper limit's exponent overflows a double
+        assert result.beta[0] + _Z975 * result.beta_se[0] > np.log(np.finfo(float).max)
         assert result.hr_ci_high[0] == np.inf and result.hr_ci_low[0] == 0.0
         assert np.isfinite(result.hazard_ratio[0])
 

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from survreport.likelihood import (
-    AFTER_EVENT_INTERVAL,
-    BEFORE_EVENT_INTERVAL,
     NonPositiveLikelihoodError,
     build_c_matrix,
     loglik_and_gradient,
     loglik_hessian,
-    report_probability,
     survival_from_increments,
     to_d_matrix,
-    transform_matrix,
 )
 from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
 
-from oracles import all_patterns, central_difference_gradient, direct_pattern_probability
+from oracles import (
+    AFTER_EVENT_INTERVAL,
+    BEFORE_EVENT_INTERVAL,
+    all_patterns,
+    central_difference_gradient,
+    direct_pattern_probability,
+    report_probability,
+    transform_matrix,
+)
 
 
 def make_dataset(patterns, taus=None, covs=None, schedule=PREDETERMINED):

@@ -2,8 +2,9 @@
 over small random panels.
 
 Each property compares the library's array code with a per-subject
-computation written here or in ``oracles.py``, or the kernel's analytic
-derivatives with central differences.
+computation written here or in ``oracles.py``, the kernel's analytic
+derivatives with central differences, or a fit with the fit of the same
+subjects in another order.
 """
 
 import bisect
@@ -16,9 +17,13 @@ from hypothesis import assume, given, settings, strategies as st
 from survreport.estimate import (
     GAMMA_LOWER,
     GAMMA_UPPER,
+    MODEL_COV_FIXED,
+    MODEL_COV_TIMEVARYING,
+    ModelSpecError,
     _collapse_rows,
     _life_table_gamma,
     _projected_gradient,
+    fit,
     interval_covariates,
 )
 from survreport.likelihood import (
@@ -360,3 +365,52 @@ def test_projected_gradient_matches_loop(J, p, random):
     grad = np.array([random.choice((-1.5, -0.0, 0.0, 2.0)) for _ in range(J + p)])
     got = _projected_gradient(grad, x, J)
     assert got.tobytes() == projected_gradient_by_loop(grad, x, J).tobytes()
+
+
+@st.composite
+def fit_cases(draw):
+    """(dataset, error model, model) over ``panels`` with up to 12 subjects:
+    the time-fixed model, or the time-varying one with each subject's
+    covariate changing at one of the visit times."""
+    dataset, em = draw(panels(max_subjects=12))
+    if not draw(st.booleans()):
+        return dataset, em, MODEL_COV_FIXED
+    subjects = []
+    for s in dataset.subjects:
+        switch = draw(st.sampled_from(dataset.grid.taus))
+        later = draw(st.sampled_from((0.0, 1.0, -0.5)))
+        path = ((0.0, s.covariates), (switch, (later,)))
+        subjects.append(SubjectPanel(s.subject_id, s.times, s.results, covariate_path=path))
+    return build_dataset(subjects, covariate_names=("z",), schedule=dataset.schedule), em, MODEL_COV_TIMEVARYING
+
+
+@PROPERTY_SETTINGS
+@given(fit_cases(), st.randoms(use_true_random=False))
+def test_permuting_subjects_leaves_fit_unchanged(case, random):
+    dataset, em, model = case
+    perm = list(range(dataset.n))
+    random.shuffle(perm)
+    permuted = build_dataset(
+        [dataset.subjects[k] for k in perm], covariate_names=("z",), schedule=dataset.schedule
+    )
+    try:
+        want = fit(dataset, em, model)
+    except ModelSpecError:  # an impossible report pattern is rejected in any order
+        with pytest.raises(ModelSpecError):
+            fit(permuted, em, model)
+        return
+    got = fit(permuted, em, model)
+    # rows enter the sums in another order, so the Newton paths differ by
+    # rounding.  Where the likelihood is flat (an interval drifting to zero
+    # mass, a large SE along beta), rounding moves the point where the
+    # projected gradient first drops below 1e-5: the log-likelihood is held
+    # to 1e-6, and beta and SE to 1e-6 of the SE
+    assert got.converged == want.converged
+    assert got.has_covariance == want.has_covariance
+    assert got.loglik == pytest.approx(want.loglik, rel=0.0, abs=1e-6)
+    if want.has_covariance:
+        tol = 1e-6 * max(1.0, float(want.beta_se[0]))
+        assert abs(got.beta[0] - want.beta[0]) <= tol
+        assert abs(got.beta_se[0] - want.beta_se[0]) <= tol * want.beta_se[0]
+    else:
+        assert got.beta == pytest.approx(want.beta, rel=1e-6, abs=1e-6)
