@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy import stats
 
 from . import likelihood as lik
-from .panel import Dataset, ErrorModel, validate
+from .panel import Dataset, ErrorModel, PanelValidationError, validate
 
 MODEL_ONESAMPLE = "onesample"
 MODEL_COV_FIXED = "cov_fixed"
@@ -69,7 +68,7 @@ def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray) -> N
     """Reject a covariate value that is nan or infinite, naming its subject."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        sid = dataset.subjects[rows[np.argmax(bad)]].subject_id
+        sid = dataset.subject_id(rows[np.argmax(bad)])
         raise ModelSpecError(f"subject {sid} has a non-finite covariate value")
 
 
@@ -92,29 +91,19 @@ def interval_covariates(dataset: Dataset) -> np.ndarray:
     measurement at or before tau_{k-1}; intervals before a subject's
     first measurement fall back to that earliest value.
     """
-    taus = dataset.grid.taus
-    J = dataset.grid.J
-    paths = []
-    for s in dataset.subjects:
-        # a time-fixed vector is a path measured once, at entry
-        path = ((0.0, s.covariates),) if s.covariates is not None else s.covariate_path
-        if not path:
-            raise ModelSpecError(f"subject {s.subject_id} has no covariates")
-        paths.append(path)
-    n = len(paths)
-    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=n)
-    points = list(chain.from_iterable(paths))
-    times = np.fromiter((t for t, _ in points), dtype=float, count=len(points))
-    values = np.array([v for _, v in points], dtype=float).reshape(len(points), dataset.n_covariates)
-    rows = np.repeat(np.arange(n), lengths)
+    rows, times, values = dataset.covariate_paths
+    n, J = dataset.n, dataset.grid.J
+    lengths = np.bincount(rows, minlength=n)
+    if not lengths.all():
+        raise ModelSpecError(f"subject {dataset.subject_id(int(np.argmin(lengths)))} has no covariates")
     _require_finite(dataset, values, rows)
     unordered = (rows[1:] == rows[:-1]) & (times[1:] <= times[:-1])
     if unordered.any():
-        sid = dataset.subjects[rows[1:][np.argmax(unordered)]].subject_id
+        sid = dataset.subject_id(rows[1:][np.argmax(unordered)])
         raise ValueError(f"subject {sid}: covariate path times not strictly increasing")
     # a measurement at time t is in effect from the first interval whose
     # left end is at or after t; counting them per interval gives LOCF
-    first = np.searchsorted(np.array((0.0,) + taus[:-1]), times, side="left")
+    first = np.searchsorted(np.array((0.0,) + dataset.grid.taus[:-1]), times, side="left")
     seen = np.bincount(rows * (J + 1) + first, minlength=n * (J + 1)).reshape(n, J + 1)
     seen = np.cumsum(seen[:, :J], axis=1)
     starts = np.cumsum(lengths) - lengths
@@ -128,7 +117,7 @@ def _life_table_gamma(dataset: Dataset) -> np.ndarray:
     observed = reports >= 0
     empty = ~observed.any(axis=1)
     if empty.any():
-        sid = dataset.subjects[int(np.argmax(empty))].subject_id
+        sid = dataset.subject_id(int(np.argmax(empty)))
         raise ValueError(f"subject {sid} has no visits")
     positive = reports == 1
     has_event = positive.any(axis=1)
@@ -179,8 +168,6 @@ def fit(
     if check_valid:
         violations = validate(dataset)
         if violations:
-            from .panel import PanelValidationError
-
             raise PanelValidationError(violations)
 
     J = dataset.grid.J
@@ -193,7 +180,7 @@ def fit(
     c = lik.build_c_matrix(dataset, error_model)
     impossible = ~c.any(axis=1)
     if impossible.any():
-        sid = dataset.subjects[int(np.argmax(impossible))].subject_id
+        sid = dataset.subject_id(int(np.argmax(impossible)))
         raise ModelSpecError(
             f"subject {sid}: report pattern is impossible under "
             f"phi1={error_model.phi1:g}, phi0={error_model.phi0:g}"

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import numpy as np
 
@@ -99,14 +99,6 @@ class SubjectPanel:
     def n_visits(self) -> int:
         return len(self.times)
 
-    @property
-    def n_covariates(self) -> int:
-        if self.covariates is not None:
-            return len(self.covariates)
-        if self.covariate_path is not None:
-            return len(self.covariate_path[0][1]) if self.covariate_path else 0
-        return 0
-
 
 @dataclass(frozen=True)
 class StudyGrid:
@@ -169,9 +161,13 @@ class Dataset:
         covariates=None,
         covariate_names=(),
         schedule: str = ADAPTIVE,
+        paths=None,
     ) -> Dataset:
         """Dataset held as its (N, J) report matrix (-1 a missed visit) and
         (N, P) time-fixed covariate matrix, or ``None`` without covariates.
+        ``paths``, ``(rows, times, values)`` ordered by row then time, gives
+        each subject in ``rows`` a covariate path in place of its row of
+        ``covariates``; it is ``None`` when no subject has a path.
 
         Its ``subjects`` become :class:`SubjectPanel` objects only when read;
         the result equals the same subjects passed through
@@ -187,10 +183,15 @@ class Dataset:
             )
         if ((reports < -1) | (reports > 1)).any():
             raise ValueError("reports must be -1 (missed visit), 0 or 1")
+        if paths is not None:
+            rows, times, values = np.asarray(paths[0], np.intp), *(np.asarray(a, float) for a in paths[1:])
+            if times.shape != rows.shape or values.shape != (rows.size, len(names)):
+                raise ValueError("covariate paths need one time and one covariate vector per row")
+            paths = rows, times, values
         reports.flags.writeable = z.flags.writeable = False
-        subjects = _ArraySubjects(ids, reports, grid.taus, z if names else None)
+        subjects = _ArraySubjects(ids, reports, grid.taus, z if names else None, paths)
         dataset = cls(subjects, grid, names, schedule)
-        dataset.__dict__.update(reports=reports, covariates=z)  # fill the caches
+        dataset.__dict__.update(reports=reports, covariates=z if paths is None else None)  # fill the caches
         return dataset
 
     @property
@@ -201,11 +202,45 @@ class Dataset:
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
+    def subject_id(self, i) -> str:
+        """Id of subject ``i``, read without making the other subjects."""
+        if isinstance(self.subjects, _ArraySubjects):
+            return self.subjects.ids[i]
+        return self.subjects[i].subject_id
+
+    @property
+    def visits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every visit in long form ``(rows, times, results)``, in subject
+        then visit order."""
+        if isinstance(self.subjects, _ArraySubjects):
+            rows, cols = np.nonzero(self.reports >= 0)
+            return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
+        counts = np.fromiter((len(s.times) for s in self.subjects), dtype=np.intp, count=self.n)
+        total = int(counts.sum())
+        times = np.fromiter(chain.from_iterable(s.times for s in self.subjects), dtype=float, count=total)
+        results = np.fromiter(
+            chain.from_iterable(s.results for s in self.subjects), dtype=np.int8, count=total
+        )
+        return np.repeat(np.arange(self.n), counts), times, results
+
     @cached_property
     def reports(self) -> np.ndarray:
         """Read-only (N, J) int8 report matrix: column k holds the report
         at tau_{k+1}, -1 a missed visit.  Built once per dataset."""
-        reports = _report_matrix(self.subjects, self.grid)
+        rows, times, results = self.visits
+        taus = np.asarray(self.grid.taus, dtype=float)
+        cols = np.searchsorted(taus, times)
+        off = taus[np.minimum(cols, self.grid.J - 1)] != times
+        if off.any():
+            raise KeyError(f"visit time {float(times[np.argmax(off)])!r} is not a grid point")
+        # each cell takes one visit: a repeated or out-of-order time would
+        # silently overwrite (or reorder) a subject's reports
+        unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+        if unordered.any():
+            sid = self.subject_id(rows[1:][np.argmax(unordered)])
+            raise ValueError(f"subject {sid}: visit times not strictly increasing")
+        reports = np.full((self.n, self.grid.J), -1, dtype=np.int8)
+        reports[rows, cols] = results
         reports.flags.writeable = False
         return reports
 
@@ -222,26 +257,90 @@ class Dataset:
         z.flags.writeable = False
         return z
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Every broken structural invariant (see :func:`validate`), found
+        once per dataset."""
+        # an array-held subject's vectors have P values by construction
+        widths = None if isinstance(self.subjects, _ArraySubjects) else _path_points(self.subjects)[::2]
+        return tuple(
+            _violations(
+                self.subject_id, self.n, self.visits, self.grid.taus, self.schedule, widths, self.n_covariates
+            )
+        )
+
+    @cached_property
+    def covariate_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every subject's covariates in long form ``(rows, times, values)``,
+        in subject then time order: point k, of the path of subject
+        ``rows[k]``, holds the (P,) vector ``values[k]`` measured at
+        ``times[k]``.  A time-fixed vector is one point at time 0.  Built
+        once per dataset; ValueError names a subject whose vectors do not
+        have P values."""
+        if isinstance(self.subjects, _ArraySubjects):
+            return self.subjects.covariate_paths(self.n_covariates)
+        rows, points, widths = _path_points(self.subjects)
+        wrong = widths != self.n_covariates
+        if wrong.any():
+            raise ValueError(f"subject {self.subject_id(rows[np.argmax(wrong)])}: covariate length mismatch")
+        times = np.fromiter((t for t, _ in points), dtype=float, count=len(points))
+        values = np.fromiter(chain.from_iterable(v for _, v in points), dtype=float, count=int(widths.sum()))
+        return rows, times, values.reshape(len(points), self.n_covariates)
+
+
+def _path_points(subjects):
+    """``(rows, points, widths)``: every subject's covariates as a list of
+    ``(time, vector)`` points, subject by subject (a time-fixed vector is
+    one point at time 0), with each point's subject and vector length."""
+    paths = [((0.0, s.covariates),) if s.covariates is not None else s.covariate_path or () for s in subjects]
+    counts = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    points = list(chain.from_iterable(paths))
+    widths = np.fromiter((len(v) for _, v in points), dtype=np.intp, count=len(points))
+    return np.repeat(np.arange(len(paths)), counts), points, widths
+
 
 class _ArraySubjects(Sequence):
     """Read-only subjects of a :meth:`Dataset.from_arrays` dataset: the
     :class:`SubjectPanel` objects are made on first access and kept."""
 
-    def __init__(self, ids, reports, taus, covariates):
-        self._arrays = (ids, reports, taus, covariates)
+    def __init__(self, ids, reports, taus, covariates, paths):
+        self.ids = ids
+        self._arrays = (reports, taus, covariates, paths)
 
     @cached_property
     def _panels(self) -> tuple[SubjectPanel, ...]:
-        ids, reports, taus, z = self._arrays
+        reports, taus, z, paths = self._arrays
         kept = (reports >= 0).tolist()
-        z = repeat(None) if z is None else map(tuple, z.tolist())
+        covariates = [None] * len(self.ids) if z is None else list(map(tuple, z.tolist()))
+        path_of: dict[int, list] = {}
+        if paths is not None:
+            for i, t, v in zip(paths[0].tolist(), paths[1].tolist(), map(tuple, paths[2].tolist())):
+                path_of.setdefault(i, []).append((t, v))
+                covariates[i] = None
         return tuple(
-            SubjectPanel(sid, tuple(compress(taus, k)), tuple(compress(r, k)), zi)
-            for sid, r, k, zi in zip(ids, reports.tolist(), kept, z)
+            SubjectPanel(
+                sid, tuple(compress(taus, k)), tuple(compress(r, k)), zi,
+                tuple(path_of[i]) if i in path_of else None,
+            )
+            for i, (sid, r, k, zi) in enumerate(zip(self.ids, reports.tolist(), kept, covariates))
         )
 
+    def covariate_paths(self, p: int):
+        """:attr:`Dataset.covariate_paths` of these subjects."""
+        _, _, z, paths = self._arrays
+        rows, times, values = paths or (np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, p)))
+        fixed = np.full(len(self.ids), z is not None)
+        fixed[rows] = False
+        first = np.flatnonzero(fixed)
+        if z is not None:
+            values = np.concatenate((z[first], values))
+        rows = np.concatenate((first, rows))
+        order = np.argsort(rows, kind="stable")
+        times = np.concatenate((np.zeros(first.size), times))
+        return rows[order], times[order], values[order]
+
     def __len__(self):
-        return len(self._arrays[0])
+        return len(self.ids)
 
     def __getitem__(self, index):
         return self._panels[index]
@@ -253,31 +352,6 @@ class _ArraySubjects(Sequence):
 
     def __hash__(self):
         return hash(self._panels)
-
-
-def _report_matrix(subjects, grid: StudyGrid) -> np.ndarray:
-    n, J = len(subjects), grid.J
-    counts = np.fromiter((len(s.times) for s in subjects), dtype=np.intp, count=n)
-    total = int(counts.sum())
-    times = np.fromiter(chain.from_iterable(s.times for s in subjects), dtype=float, count=total)
-    results = np.fromiter(
-        chain.from_iterable(s.results for s in subjects), dtype=np.int8, count=total
-    )
-    taus = np.asarray(grid.taus, dtype=float)
-    cols = np.searchsorted(taus, times)
-    off = taus[np.minimum(cols, J - 1)] != times
-    if off.any():
-        raise KeyError(f"visit time {float(times[np.argmax(off)])!r} is not a grid point")
-    rows = np.repeat(np.arange(n), counts)
-    # each cell takes one visit: a repeated or out-of-order time would
-    # silently overwrite (or reorder) a subject's reports
-    unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
-    if unordered.any():
-        sid = subjects[rows[1:][np.argmax(unordered)]].subject_id
-        raise ValueError(f"subject {sid}: visit times not strictly increasing")
-    reports = np.full((n, J), -1, dtype=np.int8)
-    reports[rows, cols] = results
-    return reports
 
 
 @dataclass(frozen=True)
@@ -369,37 +443,69 @@ def build_dataset(
     )
 
 
+_RULES = (
+    "zero visits",
+    "non-positive visit time",
+    "visit times not strictly increasing",
+    "off-grid visit time",
+    "multiple positive results",
+    "positive not terminal",
+    "covariate length mismatch",
+    "ragged covariate path",
+)
+
+
 def validate(dataset: Dataset) -> list[Violation]:
-    """Check every structural invariant; violations are data, not errors."""
-    out: list[Violation] = []
-    grid_times = set(dataset.grid.taus)
-    p = dataset.n_covariates
-    for s in dataset.subjects:
-        sid = s.subject_id
-        if s.n_visits == 0:
-            out.append(Violation(sid, "zero visits"))
-            continue
-        if any(t <= 0.0 for t in s.times):
-            out.append(Violation(sid, "non-positive visit time"))
-        if any(b <= a for a, b in zip(s.times, s.times[1:])):
-            out.append(Violation(sid, "visit times not strictly increasing"))
-        off = [t for t in s.times if t not in grid_times]
-        if off:
-            out.append(Violation(sid, "off-grid visit time", f"times {off}"))
-        if dataset.schedule == ADAPTIVE:
-            positives = [k for k, r in enumerate(s.results) if r == 1]
-            if len(positives) > 1:
-                out.append(Violation(sid, "multiple positive results"))
-            elif positives and positives[0] != s.n_visits - 1:
-                out.append(Violation(sid, "positive not terminal"))
-        if s.n_covariates != p:
-            out.append(
-                Violation(sid, "covariate length mismatch", f"expected {p}, got {s.n_covariates}")
-            )
-        if s.covariate_path is not None:
-            lengths = {len(vec) for _, vec in s.covariate_path}
-            if len(lengths) > 1:
-                out.append(Violation(sid, "ragged covariate path"))
+    """Check every structural invariant; violations are data, not errors.
+
+    The checks are array reductions over the dataset's long-form
+    ``visits`` and ``covariate_paths``, made once per dataset.
+    """
+    return list(dataset.violations)
+
+
+def _violations(subject_id, n, visits, taus, schedule, widths=None, p=0) -> list[Violation]:
+    """One :class:`Violation` per subject and broken rule of ``_RULES``, in
+    subject then rule order; a subject with no visits gets only that one.
+
+    ``visits`` is long form as in :attr:`Dataset.visits`; ``widths``,
+    ``(rows, lengths)``, gives the subject and length of every covariate
+    vector, or is None where the covariate rules cannot break.
+    """
+    rows, times, results = visits
+    taus = np.asarray(taus, dtype=float)
+
+    def per_subject(flags, where=rows):
+        return np.bincount(where[flags], minlength=n) > 0
+
+    counts = np.bincount(rows, minlength=n)
+    off = taus[np.minimum(np.searchsorted(taus, times), taus.size - 1)] != times
+    broken = np.zeros((n, len(_RULES)), dtype=bool)
+    broken[:, 1] = per_subject(times <= 0.0)
+    broken[:, 2] = per_subject((rows[1:] == rows[:-1]) & (times[1:] <= times[:-1]), rows[1:])
+    broken[:, 3] = per_subject(off)
+    if schedule == ADAPTIVE:
+        positives = np.bincount(rows, weights=results == 1, minlength=n)
+        last_positive = np.zeros(n, dtype=bool)
+        last_positive[counts > 0] = results[np.cumsum(counts)[counts > 0] - 1] == 1
+        broken[:, 4] = positives > 1
+        broken[:, 5] = (positives == 1) & ~last_positive
+    if widths is not None:
+        path_rows, lengths = widths
+        points = np.bincount(path_rows, minlength=n)
+        width = np.zeros(n, dtype=np.intp)  # of each subject's first vector
+        width[points > 0] = lengths[(np.cumsum(points) - points)[points > 0]]
+        broken[:, 6] = width != p
+        broken[:, 7] = per_subject(lengths != width[path_rows], path_rows)
+    broken[counts == 0] = np.arange(len(_RULES)) == 0
+    out = []
+    for i, k in zip(*np.nonzero(broken)):  # subject then rule order
+        detail = ""
+        if k == 3:
+            detail = f"times {times[(rows == i) & off].tolist()}"
+        elif k == 6:
+            detail = f"expected {p}, got {width[i]}"
+        out.append(Violation(subject_id(int(i)), _RULES[k], detail))
     return out
 
 
@@ -424,6 +530,74 @@ def _parse_float(token: str, line_no: int, column: str) -> float:
     return value
 
 
+def _read_csv(path, first_columns, what=""):
+    """Header, line numbers and cells end to end of the non-blank rows of a
+    CSV file whose header starts with ``first_columns``; every row must
+    have one cell per column and a subject id first.  ``what`` starts the
+    messages."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise PanelFormatError(f"empty {what}file: header row required") from None
+        if header[: len(first_columns)] != list(first_columns):
+            raise PanelFormatError(
+                f"{what}header must start with {','.join(first_columns)}; got {','.join(header)}"
+            )
+        # the cells end to end: a list of row lists would cost the garbage
+        # collector more than the parsing
+        lines, cells = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header) or not row[0].strip():
+                if all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise PanelFormatError(
+                        f"{what}line {line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                raise PanelFormatError(f"{what}line {line_no}: empty subject_id")
+            lines.append(line_no)
+            cells += row
+    return header, lines, cells
+
+
+def _float_columns(cells, lines, header, columns, optional=False):
+    """The given columns of a file read by :func:`_read_csv` as an (R, C)
+    float matrix, an empty ``optional`` cell as nan; a malformed or
+    non-finite cell is an error that names its line and column."""
+    out = np.empty((len(lines), len(columns)))
+    for k, j in enumerate(columns):
+        column = cells[j :: len(header)]
+        try:
+            out[:, k] = np.fromiter(map(float, column), dtype=float, count=len(column))
+            if np.isfinite(out[:, k]).all():
+                continue
+        except ValueError:
+            pass
+        out[:, k] = [
+            _parse_float(c.strip(), line, header[j]) if c.strip() or not optional else math.nan
+            for c, line in zip(column, lines)
+        ]
+    return out
+
+
+def _read_baseline(path, subject_ids):
+    """Covariate names and (N, P) matrix, in the order of ``subject_ids``,
+    from a ``subject_id,cov1,...`` file with one row per subject."""
+    header, lines, cells = _read_csv(path, ("subject_id",), "baseline ")
+    row_of: dict[str, int] = {}
+    for k, sid in enumerate(map(str.strip, cells[:: len(header)])):
+        if sid in row_of:
+            raise PanelFormatError(f"baseline lines {lines[row_of[sid]]} and {lines[k]}: subject {sid} appears twice")
+        row_of[sid] = k
+    missing = next((sid for sid in subject_ids if sid not in row_of), None)
+    if missing is not None:
+        raise PanelFormatError(f"subject {missing}: missing baseline covariate row")
+    z = _float_columns(cells, lines, header, range(1, len(header)))
+    return tuple(header[1:]), z[[row_of[sid] for sid in subject_ids]]
+
+
 def read_panel_csv(
     path,
     *,
@@ -433,131 +607,84 @@ def read_panel_csv(
 ) -> LoadedPanel:
     """Read a long-format panel CSV into a validated :class:`Dataset`.
 
-    Expected header: ``subject_id,time,result[,cov1,cov2,...]``.  Empty
-    covariate cells are imputed by carrying the last observed value
-    forward; an empty cell at a subject's first visit with no earlier
-    value is an error.  When ``baseline_csv`` is given
-    (``subject_id,cov1,...``) its columns become time-fixed covariates
-    and any covariate columns in the panel file are rejected.
+    Expected header: ``subject_id,time,result[,cov1,cov2,...]``; every row
+    names its subject.  A subject's rows are taken in time order, ties in
+    file order.  Empty covariate cells are imputed by carrying the last
+    observed value forward; an empty cell at a subject's first visit with
+    no earlier value is an error.  A subject whose covariates never change
+    gets them as a time-fixed vector, any other a covariate path.  With
+    ``rounding``, visit times are rounded to its multiples and, of two
+    visits that meet, the later record is kept.  When ``baseline_csv`` is
+    given (``subject_id,cov1,...``, one row per subject) its columns become
+    time-fixed covariates and any covariate columns in the panel file are
+    rejected.
     """
-    rows_by_subject: dict[str, list[tuple[int, float, int, list[str]]]] = {}
-    subject_order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError("empty file: header row required") from None
-        header = [h.strip() for h in header]
-        if header[:3] != ["subject_id", "time", "result"]:
-            raise PanelFormatError(
-                "header must start with subject_id,time,result; got " + ",".join(header)
-            )
-        cov_names = header[3:]
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise PanelFormatError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            sid = row[0].strip()
-            t = _parse_float(row[1].strip(), line_no, "time")
-            result_token = row[2].strip()
-            if result_token not in ("0", "1"):
-                raise PanelFormatError(
-                    f"line {line_no}: result must be 0 or 1, got {result_token!r}"
-                )
-            if sid not in rows_by_subject:
-                rows_by_subject[sid] = []
-                subject_order.append(sid)
-            rows_by_subject[sid].append((line_no, t, int(result_token), row[3:]))
-
-    baseline: dict[str, tuple[float, ...]] = {}
-    baseline_names: tuple[str, ...] = ()
+    header, lines, cells = _read_csv(path, ("subject_id", "time", "result"))
+    names, width = tuple(header[3:]), len(header)
+    if not cells:
+        raise ValueError("cannot build a grid from subjects with no visits")
+    times = _float_columns(cells, lines, header, [1])[:, 0]
+    tokens = cells[2::width]
+    if not set(tokens) <= {"0", "1"}:
+        tokens = [c.strip() for c in tokens]
+        k = next((k for k, c in enumerate(tokens) if c not in ("0", "1")), None)
+        if k is not None:
+            raise PanelFormatError(f"line {lines[k]}: result must be 0 or 1, got {tokens[k]!r}")
+    results = np.fromiter(map("1".__eq__, tokens), dtype=bool, count=len(lines)).view(np.int8)
+    values = _float_columns(cells, lines, header, range(3, width), optional=True)
+    missing = np.isnan(values)  # empty cells, imputed below
+    code_of: dict[str, int] = {}
+    codes = np.fromiter(
+        (code_of.setdefault(s, len(code_of)) for s in map(str.strip, cells[::width])),
+        dtype=np.intp,
+        count=len(lines),
+    )
+    subject_ids = tuple(code_of)
     if baseline_csv is not None:
-        if cov_names:
+        if names:
             raise PanelFormatError(
                 "panel file carries covariate columns; a separate baseline "
                 "covariate file is not allowed in addition"
             )
-        with open(baseline_csv, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                bheader = next(reader)
-            except StopIteration:
-                raise PanelFormatError("empty baseline covariate file") from None
-            bheader = [h.strip() for h in bheader]
-            if not bheader or bheader[0] != "subject_id":
-                raise PanelFormatError("baseline header must start with subject_id")
-            baseline_names = tuple(bheader[1:])
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(bheader):
-                    raise PanelFormatError(
-                        f"baseline line {line_no}: expected {len(bheader)} fields, got {len(row)}"
-                    )
-                baseline[row[0].strip()] = tuple(
-                    _parse_float(c.strip(), line_no, name)
-                    for c, name in zip(row[1:], baseline_names)
-                )
+        names, baseline = _read_baseline(baseline_csv, subject_ids)
+    order = np.lexsort((times, codes))
+    rows, times, results, values, missing = (a[order] for a in (codes, times, results, values, missing))
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # each subject's first row
 
-    n_imputed = 0
-    subjects: list[SubjectPanel] = []
-    for sid in subject_order:
-        recs = sorted(rows_by_subject[sid], key=lambda r: r[1])
-        times = tuple(r[1] for r in recs)
-        results = tuple(r[2] for r in recs)
-        covariates = None
-        path = None
-        if baseline_csv is not None:
-            if sid not in baseline:
-                raise PanelFormatError(f"subject {sid}: missing baseline covariate row")
-            covariates = baseline[sid]
-        elif cov_names:
-            last: list[float] | None = None
-            path_entries = []
-            for line_no, t, _r, cells in recs:
-                values: list[float] = []
-                for cell, name in zip(cells, cov_names):
-                    cell = cell.strip()
-                    if cell == "":
-                        if last is None:
-                            raise PanelFormatError(
-                                f"line {line_no}: covariate {name!r} missing at "
-                                f"subject {sid}'s first visit with no prior value"
-                            )
-                        values.append(last[len(values)])
-                        n_imputed += 1
-                    else:
-                        values.append(_parse_float(cell, line_no, name))
-                last = values
-                path_entries.append((t, tuple(values)))
-            vectors = {vec for _, vec in path_entries}
-            if len(vectors) == 1:
-                covariates = path_entries[0][1]
-            else:
-                path = tuple(path_entries)
-        subjects.append(
-            SubjectPanel(
-                subject_id=sid,
-                times=times,
-                results=results,
-                covariates=covariates,
-                covariate_path=path,
+    n_imputed = int(missing.sum())
+    if n_imputed:  # carry the last value forward, never across subjects
+        source = np.where(missing, 0, np.arange(rows.size)[:, None])
+        source[first] = first[:, None]
+        values = np.take_along_axis(values, np.maximum.accumulate(source, axis=0), axis=0)
+        lost = np.isnan(values)
+        if lost.any():
+            k = int(np.argmax(lost.any(axis=1)))
+            raise PanelFormatError(
+                f"line {lines[order[k]]}: covariate {names[int(np.argmax(lost[k]))]!r} missing at "
+                f"subject {subject_ids[rows[k]]}'s first visit with no prior value"
             )
-        )
+    varying = np.zeros(len(subject_ids), dtype=bool)
+    if baseline_csv is not None:
+        covariates = baseline
+    else:
+        covariates = values[first]
+        varying[rows[(values != covariates[rows]).any(axis=1)]] = True
 
     n_collisions = 0
     if rounding is not None:
-        before = sum(s.n_visits for s in subjects)
-        subjects = [apply_rounding(s, rounding) for s in subjects]
-        n_collisions = before - sum(s.n_visits for s in subjects)
+        distinct, inverse = np.unique(times, return_inverse=True)
+        times = np.array([round_to_granularity(t, rounding) for t in distinct.tolist()])[inverse]
+        later = np.append((rows[1:] != rows[:-1]) | (times[1:] != times[:-1]), True)
+        n_collisions = int(later.size - np.count_nonzero(later))
+        rows, times, results, values = rows[later], times[later], results[later], values[later]
 
-    names = baseline_names if baseline_csv is not None else tuple(cov_names)
-    dataset = build_dataset(subjects, covariate_names=names, schedule=schedule)
-    violations = validate(dataset)
+    grid = StudyGrid(tuple(np.unique(times).tolist()))
+    violations = _violations(subject_ids.__getitem__, len(subject_ids), (rows, times, results), grid.taus, schedule)
     if violations:
         raise PanelValidationError(violations)
+    reports = np.full((len(subject_ids), grid.J), -1, dtype=np.int8)
+    reports[rows, np.searchsorted(grid.taus, times)] = results
+    on_path = varying[rows]
+    paths = (rows[on_path], times[on_path], values[on_path]) if on_path.any() else None
+    dataset = Dataset.from_arrays(subject_ids, reports, grid, covariates, names, schedule, paths)
     return LoadedPanel(dataset=dataset, n_imputed=n_imputed, n_collisions_merged=n_collisions)

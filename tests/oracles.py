@@ -207,3 +207,39 @@ def central_difference_gradient(f, x, step=1e-5):
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
+
+
+def validate_by_subject(dataset):
+    """Structural violations of a dataset, found by walking its subjects one
+    by one: ``(subject_id, rule, detail)`` in subject then rule order, and
+    only "zero visits" for a subject without visits."""
+    out = []
+    grid_times = set(dataset.grid.taus)
+    p = dataset.n_covariates
+    for s in dataset.subjects:
+        sid = s.subject_id
+        if not s.times:
+            out.append((sid, "zero visits", ""))
+            continue
+        if any(t <= 0.0 for t in s.times):
+            out.append((sid, "non-positive visit time", ""))
+        if any(b <= a for a, b in zip(s.times, s.times[1:])):
+            out.append((sid, "visit times not strictly increasing", ""))
+        off = [t for t in s.times if t not in grid_times]
+        if off:
+            out.append((sid, "off-grid visit time", f"times {off}"))
+        if dataset.schedule == "adaptive":
+            positives = [k for k, r in enumerate(s.results) if r == 1]
+            if len(positives) > 1:
+                out.append((sid, "multiple positive results", ""))
+            elif positives and positives[0] != len(s.times) - 1:
+                out.append((sid, "positive not terminal", ""))
+        if s.covariates is not None:
+            width = len(s.covariates)
+        else:
+            width = len(s.covariate_path[0][1]) if s.covariate_path else 0
+        if width != p:
+            out.append((sid, "covariate length mismatch", f"expected {p}, got {width}"))
+        if s.covariate_path is not None and len({len(v) for _, v in s.covariate_path}) > 1:
+            out.append((sid, "ragged covariate path", ""))
+    return out

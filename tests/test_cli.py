@@ -138,6 +138,24 @@ class TestFitCommand:
         )
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "panel_text, base_text, message",
+        [
+            ("subject_id,time,result,z1\nA,1,0,1\n,2,0,1\n", None, "line 3: empty subject_id"),
+            ("subject_id,time,result\nA,1,0\n", "subject_id,z1\nA,0\nA,5\n",
+             "baseline lines 2 and 3: subject A appears twice"),
+        ],
+    )
+    def test_malformed_subject_ids_are_input_errors(self, tmp_path, capsys, panel_text, base_text, message):
+        panel = tmp_path / "p.csv"
+        panel.write_text(panel_text, encoding="utf-8")
+        argv = ["fit", str(panel), "--phi1", "0.75", "--phi0", "0.9", "--out", str(tmp_path / "x")]
+        if base_text is not None:
+            (tmp_path / "b.csv").write_text(base_text, encoding="utf-8")
+            argv += ["--baseline-covariates", str(tmp_path / "b.csv")]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+
     def test_predetermined_schedule_accepts_nonterminal_positive(self, tmp_path):
         panel = tmp_path / "pre.csv"
         panel.write_text(

@@ -259,6 +259,12 @@ class TestReadPanelCsv(object):
         with pytest.raises(PanelFormatError, match="first visit"):
             read_panel_csv(path)
 
+    def test_missing_at_first_visit_never_takes_another_subjects_value(self, tmp_path):
+        # B's first visit is its earlier one, on line 4
+        path = self.write(tmp_path, "subject_id,time,result,x\nA,1,0,1.0\nB,2,0,3.0\nB,1,0,\n")
+        with pytest.raises(PanelFormatError, match="line 4: covariate 'x' missing at subject B's first visit"):
+            read_panel_csv(path)
+
     def test_constant_covariates_collapse_to_fixed(self, tmp_path):
         path = self.write(tmp_path, "subject_id,time,result,x\nA,1,0,2.0\nA,2,1,2.0\n")
         s = read_panel_csv(path).dataset.subjects[0]
@@ -272,11 +278,29 @@ class TestReadPanelCsv(object):
         assert ds.covariate_names == ("age",)
         assert ds.subjects[0].covariates == (63.0,)
 
+    def test_baseline_file_repeated_subject_names_both_lines(self, tmp_path):
+        panel = self.write(tmp_path, "subject_id,time,result\nA,1,0\nA,2,1\n")
+        base = self.write(tmp_path, "subject_id,z1\na,0\nA,0\nB,1\nA,5\n", name="base.csv")
+        with pytest.raises(PanelFormatError, match="baseline lines 3 and 5: subject A appears twice"):
+            read_panel_csv(panel, baseline_csv=base)
+
     def test_baseline_file_missing_subject(self, tmp_path):
         panel = self.write(tmp_path, "subject_id,time,result\nA,1,0\n")
         base = self.write(tmp_path, "subject_id,age\nZ,40\n", name="base.csv")
         with pytest.raises(PanelFormatError, match="missing baseline"):
             read_panel_csv(panel, baseline_csv=base)
+
+    @pytest.mark.parametrize("row", [",2,0", "  ,2,0"])
+    def test_empty_subject_id_names_line(self, tmp_path, row):
+        path = self.write(tmp_path, f"subject_id,time,result\nA,1,0\n{row}\n")
+        with pytest.raises(PanelFormatError, match="line 3: empty subject_id"):
+            read_panel_csv(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = self.write(tmp_path, "subject_id,time,result,x\nA,1,0,1.0\n\n , ,,\nA,2,1,\n")
+        loaded = read_panel_csv(path)
+        assert loaded.dataset.subjects == (subj("A", [1.0, 2.0], [0, 1], cov=(1.0,)),)
+        assert loaded.n_imputed == 1
 
     def test_bad_field_count(self, tmp_path):
         path = self.write(tmp_path, "subject_id,time,result\nA,1\n")

@@ -8,7 +8,11 @@ subjects in another order.
 """
 
 import bisect
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -32,9 +36,20 @@ from survreport.likelihood import (
     loglik_and_gradient,
     loglik_hessian,
 )
-from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
+from survreport.cli import EXIT_INPUT_ERROR, main
+from survreport.panel import (
+    ADAPTIVE,
+    PREDETERMINED,
+    Dataset,
+    ErrorModel,
+    StudyGrid,
+    SubjectPanel,
+    build_dataset,
+    read_panel_csv,
+    validate,
+)
 
-from oracles import central_difference_gradient, direct_pattern_probability
+from oracles import central_difference_gradient, direct_pattern_probability, validate_by_subject
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -414,3 +429,136 @@ def test_permuting_subjects_leaves_fit_unchanged(case, random):
         assert abs(got.beta_se[0] - want.beta_se[0]) <= tol * want.beta_se[0]
     else:
         assert got.beta == pytest.approx(want.beta, rel=1e-6, abs=1e-6)
+
+
+VISIT_TIMES = (1.0, 1.2, 1.5, 1.7, 2.0, 2.3, 2.5, 3.1)
+
+
+def write_csv(rows, names, path):
+    """Panel file of ``(subject_id, time, result, covariate cells)`` rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(("subject_id", "time", "result", *names)) + "\n")
+        fh.writelines(",".join((sid, repr(t), str(r), *cells)) + "\n" for sid, t, r, cells in rows)
+
+
+def in_file_order(rows):
+    """Subject ids in the order the rows first name them."""
+    return list(dict.fromkeys(sid for sid, *_ in rows))
+
+
+@st.composite
+def csv_panels(draw):
+    """(subjects, rows, names, schedule, rounding): ``SubjectPanel``s in the
+    order the file first names them, and the file's rows with subjects
+    interleaved, visits shuffled and repeated covariate values sometimes
+    left empty.  Covariates are constant or vary; rounding to 0.5 or 1
+    makes visits meet."""
+    p = draw(st.integers(0, 2))
+    names = tuple(f"x{j}" for j in range(p))
+    schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
+    values = st.tuples(*[st.sampled_from((0.0, 1.0, 2.5, -1.0))] * p)
+    rows, subjects = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        sid = f"s{i}"
+        times = tuple(sorted(draw(st.lists(st.sampled_from(VISIT_TIMES), min_size=1, max_size=5, unique=True))))
+        if schedule == ADAPTIVE:
+            results = (0,) * (len(times) - 1) + (draw(st.integers(0, 1)),)
+        else:
+            results = tuple(draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times))))
+        vectors = [draw(values)] * len(times) if draw(st.booleans()) else [draw(values) for _ in times]
+        for k, (t, r, v) in enumerate(zip(times, results, vectors)):
+            # an empty cell repeats the value before it in time
+            blank = [k > 0 and v[j] == vectors[k - 1][j] and draw(st.booleans()) for j in range(p)]
+            rows.append((sid, t, r, ["" if b else repr(x) for b, x in zip(blank, v)]))
+        if not p:
+            subjects[sid] = SubjectPanel(sid, times, results)
+        elif len(set(vectors)) == 1:
+            subjects[sid] = SubjectPanel(sid, times, results, covariates=vectors[0])
+        else:
+            subjects[sid] = SubjectPanel(sid, times, results, covariate_path=tuple(zip(times, vectors)))
+    rows = draw(st.permutations(rows))
+    rounding = draw(st.sampled_from((None, 0.5, 1.0)))
+    return [subjects[sid] for sid in in_file_order(rows)], rows, names, schedule, rounding
+
+
+@PROPERTY_SETTINGS
+@given(csv_panels())
+def test_csv_round_trip_equals_built_dataset(case):
+    subjects, rows, names, schedule, rounding = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_csv(rows, names, path)
+        loaded = read_panel_csv(path, schedule=schedule, rounding=rounding)
+    built = build_dataset(subjects, covariate_names=names, schedule=schedule, rounding=rounding)
+    ds = loaded.dataset
+    assert ds.reports.dtype == built.reports.dtype and np.array_equal(ds.reports, built.reports)
+    if built.covariates is None:
+        assert ds.covariates is None
+    else:
+        assert ds.covariates.shape == built.covariates.shape
+        assert ds.covariates.tobytes() == built.covariates.tobytes()
+    for got, want in zip((*ds.covariate_paths, *ds.visits), (*built.covariate_paths, *built.visits)):
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    assert loaded.n_imputed == sum(cell == "" for *_, cells in rows for cell in cells)
+    assert loaded.n_collisions_merged == len(rows) - sum(len(s.times) for s in built.subjects)
+    assert ds == built and tuple(ds.subjects) == built.subjects
+
+
+@st.composite
+def broken_datasets(draw):
+    """Datasets breaking several structural rules at once: subjects on a
+    fixed grid with visits in any order, repeated, off the grid or not
+    positive, covariate vectors of any length; or array-held datasets
+    whose reports break the adaptive rules or hold no visit."""
+    grid = StudyGrid((1.0, 2.0, 3.0))
+    schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
+    names = tuple(f"x{j}" for j in range(draw(st.integers(0, 2))))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        reports = draw(st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3), min_size=n, max_size=n))
+        ids = [f"a{i}" for i in range(n)]
+        return Dataset.from_arrays(ids, reports, grid, np.zeros((n, len(names))), names, schedule)
+    vector = st.integers(0, 3).map(lambda width: (0.5,) * width)
+    subjects = []
+    for i in range(n):
+        times = tuple(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0, 2.0, 2.5, 3.0)), max_size=4)))
+        results = tuple(draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times))))
+        kind = draw(st.sampled_from(("none", "fixed", "path")))
+        covariates = draw(vector) if kind == "fixed" else None
+        path = tuple((float(k), draw(vector)) for k in range(draw(st.integers(0, 3)))) if kind == "path" else None
+        subjects.append(SubjectPanel(f"s{i}", times, results, covariates, path))
+    return Dataset(tuple(subjects), grid, names, schedule)
+
+
+@PROPERTY_SETTINGS
+@given(broken_datasets())
+def test_validate_matches_subject_walk(dataset):
+    assert [(v.subject_id, v.rule, v.detail) for v in validate(dataset)] == validate_by_subject(dataset)
+
+
+@st.composite
+def invalid_csv_panels(draw):
+    """Rows of an adaptive-schedule panel file in which some subjects repeat
+    a visit time or report a positive that is not their only, last one."""
+    rows = []
+    for i in range(draw(st.integers(1, 5))):
+        times = draw(st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=1, max_size=3))
+        rows += [(f"s{i}", t, draw(st.integers(0, 1)), []) for t in times]
+    return draw(st.permutations(rows))
+
+
+@PROPERTY_SETTINGS
+@given(invalid_csv_panels())
+def test_fit_command_reports_every_violation(rows):
+    by_subject = {sid: sorted((r for r in rows if r[0] == sid), key=lambda r: r[1]) for sid in in_file_order(rows)}
+    subjects = [SubjectPanel(sid, tuple(r[1] for r in rs), tuple(r[2] for r in rs)) for sid, rs in by_subject.items()]
+    expected = validate_by_subject(Dataset(tuple(subjects), StudyGrid((1.0, 2.0, 3.0))))
+    assume(expected)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = os.path.join(tmp, "panel.csv")
+        write_csv(rows, (), path)
+        code = main(["fit", path, "--phi1", "0.8", "--phi0", "0.9", "--out", os.path.join(tmp, "fit")])
+    assert code == EXIT_INPUT_ERROR
+    for sid, rule, _ in expected:
+        assert f"{sid}: {rule}" in err.getvalue()

@@ -263,6 +263,7 @@ class TestArrayDataset:
         config = small_config()
         ds = generate_dataset(config, 0)
         fit(ds, config.error_model, check_valid=False)
+        fit(ds, config.error_model)  # the structural checks read the arrays
         assert made == [] and ds.n > 0
         assert ds.subjects[0].subject_id == made[0] == "s0_0"
         assert len(made) == ds.n
