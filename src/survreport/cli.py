@@ -67,11 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens = sub.add_parser("sensitivity", description="Fit a grid of error-model assumptions")
     p_sens.add_argument("panel_csv")
     p_sens.add_argument("--baseline-covariates")
-    p_sens.add_argument(
-        "--grid",
-        required=True,
-        help="e.g. 'phi1=0.5,0.61,0.7;phi0=0.993,0.995,0.997;eta=0.96,0.98'",
-    )
+    p_sens.add_argument("--grid", required=True, help="e.g. 'phi1=0.5,0.61,0.7;phi0=0.993,0.995,0.997;eta=0.96,0.98'")
     p_sens.add_argument("--time-varying", action="store_true")
     p_sens.add_argument("--round", type=float, default=None, metavar="G")
     p_sens.add_argument("--out", required=True, help="grid CSV path")
@@ -100,12 +96,7 @@ def parse_grid_spec(spec: str) -> list[ErrorModel]:
         values[name] = vals
     if values["phi1"] is None or values["phi0"] is None:
         raise ValueError("grid spec must set both phi1 and phi0")
-    models = []
-    for p1 in values["phi1"]:
-        for p0 in values["phi0"]:
-            for eta in values["eta"]:
-                models.append(ErrorModel(p1, p0, eta))
-    return models
+    return [ErrorModel(p1, p0, eta) for p1 in values["phi1"] for p0 in values["phi0"] for eta in values["eta"]]
 
 
 def _load_panel(args):
@@ -118,12 +109,14 @@ def _load_panel(args):
     if loaded.n_imputed:
         print(f"note: {loaded.n_imputed} covariate value(s) carried forward", file=sys.stderr)
     if loaded.n_collisions_merged:
-        print(
-            f"note: {loaded.n_collisions_merged} visit(s) merged by rounding "
-            "(later report kept)",
-            file=sys.stderr,
-        )
+        print(f"note: {loaded.n_collisions_merged} visit(s) merged by rounding (later report kept)", file=sys.stderr)
     return loaded.dataset
+
+
+def _model(args, dataset) -> str:
+    if args.time_varying:
+        return estimate.MODEL_COV_TIMEVARYING
+    return estimate.MODEL_COV_FIXED if dataset.n_covariates else estimate.MODEL_ONESAMPLE
 
 
 def _write_csv(path, rows, fieldnames):
@@ -135,12 +128,7 @@ def _write_csv(path, rows, fieldnames):
 
 def cmd_fit(args) -> int:
     dataset = _load_panel(args)
-    model = (
-        estimate.MODEL_COV_TIMEVARYING
-        if args.time_varying
-        else (estimate.MODEL_COV_FIXED if dataset.n_covariates else estimate.MODEL_ONESAMPLE)
-    )
-    result = estimate.fit(dataset, ErrorModel(args.phi1, args.phi0, args.eta), model)
+    result = estimate.fit(dataset, ErrorModel(args.phi1, args.phi0, args.eta), _model(args, dataset))
 
     with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
         fh.write(estimate.fit_to_json(result) + "\n")
@@ -164,20 +152,13 @@ def cmd_simulate(args) -> int:
     arms = ["adjusted", "unadjusted"] if args.analysis == "both" else [args.analysis]
     rows = []
     for arm in arms:
-        summary = simulate.run_scenario(config, arm)
-        row = {
-            "analysis": summary.analysis,
-            "beta_true": summary.beta_true,
-            "mean_estimate": summary.mean_estimate,
-            "bias_pct": summary.mean_bias_pct,
-            "empirical_sd": summary.empirical_sd,
-            "mean_estimated_se": summary.mean_estimated_se,
-            "rmse": summary.rmse,
-            "coverage_pct": summary.coverage_pct,
-            "n_converged": summary.n_converged,
-            "n_replicates": summary.n_replicates,
-        }
-        rows.append(row)
+        s = simulate.run_scenario(config, arm)
+        rows.append({
+            "analysis": s.analysis, "beta_true": s.beta_true, "mean_estimate": s.mean_estimate,
+            "bias_pct": s.mean_bias_pct, "empirical_sd": s.empirical_sd, "mean_estimated_se": s.mean_estimated_se,
+            "rmse": s.rmse, "coverage_pct": s.coverage_pct, "n_converged": s.n_converged,
+            "n_replicates": s.n_replicates,
+        })
     _write_csv(args.out, rows, list(rows[0].keys()))
     return EXIT_OK
 
@@ -195,32 +176,15 @@ def cmd_reproduce(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     dataset = _load_panel(args)
-    models = parse_grid_spec(args.grid)
-    model = (
-        estimate.MODEL_COV_TIMEVARYING
-        if args.time_varying
-        else (estimate.MODEL_COV_FIXED if dataset.n_covariates else estimate.MODEL_ONESAMPLE)
-    )
-    grid = estimate.sensitivity_grid(dataset, model, models)
+    grid = estimate.sensitivity_grid(dataset, _model(args, dataset), parse_grid_spec(args.grid))
     rows = []
     for cell in grid.cells:
-        row = {
-            "phi1": cell.phi1,
-            "phi0": cell.phi0,
-            "eta": cell.eta,
-            "hazard_ratio": "",
-            "ci_low": "",
-            "ci_high": "",
-            "converged": False,
-            "error": cell.error or "",
-        }
-        if cell.fit is not None and cell.fit.beta.size:
-            row["hazard_ratio"] = float(cell.fit.hazard_ratio[0])
-            row["ci_low"] = float(cell.fit.hr_ci_low[0])
-            row["ci_high"] = float(cell.fit.hr_ci_high[0])
-            row["converged"] = bool(cell.fit.converged)
-        elif cell.fit is not None:
-            row["converged"] = bool(cell.fit.converged)
+        f = cell.fit
+        row = {"phi1": cell.phi1, "phi0": cell.phi0, "eta": cell.eta, "hazard_ratio": "", "ci_low": "", "ci_high": "",
+               "converged": f is not None and bool(f.converged), "error": cell.error or ""}
+        if f is not None and f.beta.size:
+            row.update(hazard_ratio=float(f.hazard_ratio[0]), ci_low=float(f.hr_ci_low[0]),
+                       ci_high=float(f.hr_ci_high[0]))
         rows.append(row)
     _write_csv(args.out, rows, list(rows[0].keys()))
     return EXIT_OK
@@ -229,12 +193,7 @@ def cmd_sensitivity(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "fit": cmd_fit,
-        "simulate": cmd_simulate,
-        "reproduce": cmd_reproduce,
-        "sensitivity": cmd_sensitivity,
-    }
+    handlers = {"fit": cmd_fit, "simulate": cmd_simulate, "reproduce": cmd_reproduce, "sensitivity": cmd_sensitivity}
     try:
         return handlers[args.command](args)
     except (PanelFormatError, PanelValidationError, ValueError, OSError, RuntimeError) as exc:

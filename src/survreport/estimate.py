@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import likelihood as lik
 from .panel import Dataset, ErrorModel, PanelValidationError, validate
@@ -27,7 +26,7 @@ GAMMA_LOWER = -30.0   # exp(-30) ~ 1e-13: interval effectively carries no mass
 GAMMA_UPPER = 8.0
 MAX_NEWTON_STEPS = 100
 MAX_STEP_LENGTH = 2.0  # largest change of one working parameter per step
-_Z975 = stats.norm.ppf(0.975)
+_Z975 = 1.959963984540054  # standard normal 97.5 % quantile
 
 
 class ModelSpecError(ValueError):
@@ -75,9 +74,8 @@ def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray) -> N
 def _fixed_covariate_matrix(dataset: Dataset) -> np.ndarray:
     z = dataset.covariates
     if z is None:
-        sid = next(s.subject_id for s in dataset.subjects if s.covariates is None)
         raise ModelSpecError(
-            f"subject {sid} has no time-fixed covariates; "
+            f"subject {dataset.vectorless_subject_id()} has no time-fixed covariates; "
             "use the time-varying model for covariate paths"
         )
     _require_finite(dataset, z, np.arange(dataset.n))
@@ -201,12 +199,14 @@ def fit(
     gamma0 = _life_table_gamma(dataset)
     x0 = np.concatenate([gamma0, np.zeros(p)])
 
+    memo = {}  # the front half at the last gradient point, for its Hessian
+
     def negloglik_and_grad(x):
         lambdas = np.exp(x[:J])
         beta = x[J:]
         try:
             ll, g_lambda, g_beta = lik.loglik_and_gradient(
-                c, lambdas, beta if p else None, z=z, z_intervals=z_int, eta=eta, weights=weights
+                c, lambdas, beta if p else None, z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
             )
         except lik.NonPositiveLikelihoodError:
             # a line-search point put zero mass on some subject's only
@@ -217,7 +217,9 @@ def fit(
 
     def hessian(x):  # of the negative log-likelihood, in the working parameters
         beta = x[J:] if p else None
-        return -lik.loglik_hessian(c, np.exp(x[:J]), beta, z=z, z_intervals=z_int, eta=eta, weights=weights)
+        return -lik.loglik_hessian(
+            c, np.exp(x[:J]), beta, z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
+        )
 
     x_hat, f_hat, steps, stopped = _newton(negloglik_and_grad, hessian, x0, J, grad_tol)
     converged = stopped is None
@@ -253,7 +255,7 @@ def fit(
         hr = np.exp(beta_hat)
         hr_lo = np.exp(beta_hat - _Z975 * beta_se)
         hr_hi = np.exp(beta_hat + _Z975 * beta_se)
-    wald_p = 2.0 * stats.norm.sf(np.abs(wald_z))
+    wald_p = np.array([_two_sided_p(v) for v in wald_z])
 
     return FitResult(
         model=model,
@@ -369,6 +371,11 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     return cov, cov_transformed
 
 
+def _two_sided_p(z: float) -> float:
+    """2 P(Z > |z|) = erfc(|z| / sqrt 2) for a standard normal Z."""
+    return math.erfc(abs(z) * math.sqrt(0.5))  # times 1/sqrt 2, as scipy's ndtr
+
+
 def wald_test(fit_result: FitResult, contrast) -> tuple[float, float]:
     """Wald z-test for one coefficient index or a linear contrast on beta."""
     if not fit_result.has_covariance:
@@ -387,18 +394,27 @@ def wald_test(fit_result: FitResult, contrast) -> tuple[float, float]:
     est = float(vec @ beta)
     se = math.sqrt(float(vec @ cov_beta @ vec))
     z = est / se
-    return z, float(2.0 * stats.norm.sf(abs(z)))
+    return z, _two_sided_p(z)
 
 
 def lr_test(fit_full: FitResult, fit_reduced: FitResult, df: int) -> tuple[float, float]:
-    """Likelihood-ratio test of nested fits against chi-square(df)."""
+    """Likelihood-ratio test of nested fits against chi-square(df), df a
+    positive integer."""
+    if not isinstance(df, (int, np.integer)) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
     stat = 2.0 * (fit_full.loglik - fit_reduced.loglik)
     if stat < -1e-8:
         raise ValueError(
             f"full-model log-likelihood below reduced ({stat / 2:.3g}); optimizer failure"
         )
     stat = max(stat, 0.0)
-    return stat, float(stats.chi2.sf(stat, df))
+    # closed-form upper tail: the series of the odd or the even df family
+    term, tail = (math.sqrt(2.0 * stat / math.pi), math.erfc(math.sqrt(stat / 2.0))) if df % 2 else (1.0, 0.0)
+    term *= math.exp(-stat / 2.0)
+    for k in range(2 + df % 2, df + 1, 2):
+        tail += term
+        term *= stat / k
+    return stat, tail
 
 
 def survival_curve(fit_result: FitResult, covariate_profile) -> list[tuple[float, float, float, float]]:

@@ -208,6 +208,13 @@ class Dataset:
             return self.subjects.ids[i]
         return self.subjects[i].subject_id
 
+    def vectorless_subject_id(self) -> str:
+        """Id of the first subject with no time-fixed covariate vector; an
+        array-held dataset reads it from its path rows."""
+        if isinstance(self.subjects, _ArraySubjects):
+            return self.subject_id(self.subjects.paths[0][0])
+        return next(s.subject_id for s in self.subjects if s.covariates is None)
+
     @property
     def visits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every visit in long form ``(rows, times, results)``, in subject
@@ -304,12 +311,12 @@ class _ArraySubjects(Sequence):
     :class:`SubjectPanel` objects are made on first access and kept."""
 
     def __init__(self, ids, reports, taus, covariates, paths):
-        self.ids = ids
-        self._arrays = (reports, taus, covariates, paths)
+        self.ids, self.paths = ids, paths
+        self._arrays = (reports, taus, covariates)
 
     @cached_property
     def _panels(self) -> tuple[SubjectPanel, ...]:
-        reports, taus, z, paths = self._arrays
+        (reports, taus, z), paths = self._arrays, self.paths
         kept = (reports >= 0).tolist()
         covariates = [None] * len(self.ids) if z is None else list(map(tuple, z.tolist()))
         path_of: dict[int, list] = {}
@@ -327,7 +334,7 @@ class _ArraySubjects(Sequence):
 
     def covariate_paths(self, p: int):
         """:attr:`Dataset.covariate_paths` of these subjects."""
-        _, _, z, paths = self._arrays
+        z, paths = self._arrays[2], self.paths
         rows, times, values = paths or (np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, p)))
         fixed = np.full(len(self.ids), z is not None)
         fixed[rows] = False

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from survreport.likelihood import LINEAR_PREDICTOR_CLAMP, NonPositiveLikelihoodError
+
 
 BEFORE_EVENT_INTERVAL = "before_event_interval"
 AFTER_EVENT_INTERVAL = "after_event_interval"
@@ -243,3 +245,166 @@ def validate_by_subject(dataset):
         if s.covariate_path is not None and len({len(v) for _, v in s.covariate_path}) > 1:
             out.append((sid, "ragged covariate path", ""))
     return out
+
+
+# The likelihood kernel as it was before its interval and subject sums
+# became matrix products: running sums by ``np.cumsum`` along the interval
+# axis, sums over subjects by ``.sum(axis=0)`` and ``np.einsum``, and the
+# time-fixed Hessian as the J-broadcast of the time-varying one.  The
+# property tests hold the library kernel to it.
+
+
+def to_d_matrix(c: np.ndarray) -> np.ndarray:
+    """Transformed coefficients D with sum_j C_ij theta_j == sum_j D_ij S_j."""
+    c = np.asarray(c, dtype=float)
+    d = c.copy()
+    d[:, 1:] -= c[:, :-1]
+    return d
+
+
+def _clamped_exp_lp(z: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of the clamped linear predictor plus the not-clamped mask."""
+    u = np.asarray(z, dtype=float) @ np.asarray(beta, dtype=float)
+    mask = np.abs(u) < LINEAR_PREDICTOR_CLAMP
+    return np.exp(np.clip(u, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP)), mask
+
+
+def _row_mixture(c, subject_survival, eta):
+    """Per-subject likelihood eta * sum_j C_ij theta_j^(i) + (1-eta) C_i1."""
+    theta = subject_survival - np.concatenate(
+        (subject_survival[:, 1:], np.zeros((subject_survival.shape[0], 1))), axis=1
+    )
+    row = np.einsum("ij,ij->i", c, theta)
+    if eta != 1.0:
+        row = eta * row + (1.0 - eta) * c[:, 0]
+    return row
+
+
+def cumsum_kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
+    """Front half shared by the value, the gradient and the Hessian.
+
+    Returns ``(lp, mask, rows, q, tail, scale)``: exp of the clamped linear
+    predictor ((N, J) with ``z_intervals``, else (N,)) and its not-clamped
+    mask, the per-subject likelihoods, q_ij = D_ij S_j^(i), the tail sums
+    T_ik = sum_{j>k} q_ij, and the (weighted) eta / rows.
+    """
+    if z is not None and z_intervals is not None:
+        raise ValueError("pass either z or z_intervals, not both")
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+    if np.any(lambdas < 0):
+        raise ValueError("hazard increments must be non-negative")
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    if z_intervals is not None:
+        lp, mask = _clamped_exp_lp(z_intervals, beta)  # (N, J)
+        cum = np.cumsum(lambdas[None, :] * lp, axis=1)
+        ss = np.exp(-np.concatenate((np.zeros((n, 1)), cum), axis=1))
+    else:
+        if beta.size:
+            lp, mask = _clamped_exp_lp(z, beta)  # (N,)
+        else:
+            lp = np.ones(n)
+            mask = np.ones(n, dtype=bool)
+        h = np.concatenate(([0.0], np.cumsum(lambdas)))
+        ss = np.exp(-np.outer(lp, h))
+
+    rows = _row_mixture(c, ss, eta)
+    bad = np.flatnonzero(rows <= 0.0)
+    if bad.size:
+        raise NonPositiveLikelihoodError(int(bad[0]))
+    q = to_d_matrix(c) * ss  # (N, J+1); sum_j q_ij == rows pre-mixture
+    scale = eta / rows
+    if weights is not None:
+        scale = scale * np.asarray(weights, dtype=float)
+    tail = np.cumsum(q[:, :0:-1], axis=1)[:, ::-1]  # T_ik = sum_{j>k} q_ij
+    return lp, mask, rows, q, tail, scale
+
+
+def _as_params(lambdas, beta):
+    lambdas = np.asarray(lambdas, dtype=float)
+    beta = np.asarray(beta, dtype=float) if beta is not None else np.zeros(0)
+    return lambdas, beta
+
+
+def cumsum_loglik_and_gradient(
+    c,
+    lambdas,
+    beta,
+    z=None,
+    z_intervals=None,
+    eta: float = 1.0,
+    weights=None,
+):
+    """Log-likelihood and its gradient w.r.t. (lambda, beta).
+
+    Covers every variant: pass ``z`` (N x P) for time-fixed covariates,
+    ``z_intervals`` (N x J x P) for time-varying ones, neither for the
+    one-sample model, and ``eta < 1`` for baseline misclassification.
+    Returns ``(loglik, grad_lambda, grad_beta)``.
+    """
+    lambdas, beta = _as_params(lambdas, beta)
+    lp, mask, rows, q, tail, scale = cumsum_kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    logs = np.log(rows)
+    if weights is not None:
+        logs = logs * np.asarray(weights, dtype=float)
+    # compensated summation keeps the total stable for very large N
+    ll = math.fsum(logs.tolist())
+
+    grad_beta = np.zeros(0)
+    if z_intervals is not None:
+        grad_lambda = -(scale[:, None] * lp * tail).sum(axis=0)
+        if beta.size:
+            # d w_ik / d beta_p = w_ik z_ikp (zero where clamped)
+            effect = scale[:, None] * (lambdas * lp) * mask * tail  # (N, J)
+            grad_beta = -np.einsum("ik,ikp->p", effect, np.asarray(z_intervals, dtype=float))
+    else:
+        grad_lambda = -((scale * lp)[:, None] * tail).sum(axis=0)
+        if beta.size:
+            hdot = q @ np.concatenate(([0.0], np.cumsum(lambdas)))  # sum_j q_ij H_j
+            grad_beta = -np.asarray(z, dtype=float).T @ (scale * lp * mask * hdot)
+    return ll, grad_lambda, grad_beta
+
+
+def cumsum_loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
+    """Hessian of the log-likelihood w.r.t. the working parameters
+    (gamma = log lambda, beta), gamma first.
+
+    Takes the arguments of ``loglik_and_gradient``.  With u_ik = lambda_k
+    w_ik the hazard increment of interval k and A_ij = sum_{k<j} u_ik,
+    S_j^(i) = exp(-A_ij), so each row's likelihood L_i has second
+    derivative eta * sum_j q_ij (dA_ij dA_ij' - d2A_ij), and
+    d2 log L_i = d2 L_i / L_i - dL_i dL_i' / L_i^2.  Clamped linear
+    predictors get no beta-curvature, as in the gradient.  Time-fixed and
+    one-sample models are the J-broadcast of the time-varying form.
+    """
+    lambdas, beta = _as_params(lambdas, beta)
+    p = beta.size
+    lp, mask, rows, q, tail, scale = cumsum_kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    n, J = tail.shape
+    if z_intervals is None:
+        lp, mask = lp[:, None], mask[:, None]
+        zk = np.broadcast_to(np.asarray(z, dtype=float)[:, None, :], (n, J, p)) if p else None
+    else:
+        zk = np.asarray(z_intervals, dtype=float)
+    u = lambdas * lp  # (N, J)
+    su = scale[:, None] * u
+    # g_i = sum_j q_ij dA_ij, so that d log L_i = -(eta / L_i) g_i
+    g = u * tail
+    hess = np.zeros((J + p, J + p))
+    # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)]; exact on and above
+    # the diagonal, mirrored below
+    hess[:J, :J] = su.T @ g - np.diag((su * tail).sum(axis=0))
+    if p:
+        umz = (u * mask)[:, :, None] * zk
+        v = np.cumsum(umz, axis=1)  # v[:, k] = dA_i,k+1 / d beta
+        qv = q[:, 1:, None] * v
+        r = np.cumsum(qv[:, ::-1], axis=1)[:, ::-1]  # r[:, a] = sum_{j > a} q_ij V_ij
+        smt = (scale[:, None] * tail)[:, :, None] * umz
+        hess[:J, J:] = np.einsum("ia,iap->ap", su, r) - smt.sum(axis=0)
+        hess[J:, J:] = (scale[:, None, None] * qv).reshape(-1, p).T @ v.reshape(-1, p) - (
+            smt.reshape(-1, p).T @ zk.reshape(-1, p)
+        )
+        g = np.concatenate((g, r[:, 0]), axis=1)
+    hess -= (g * (scale * eta / rows)[:, None]).T @ g
+    return np.triu(hess) + np.triu(hess, 1).T

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from survreport import likelihood as lik
+from survreport import likelihood as lik, panel
 from survreport.estimate import (
     MODEL_COV_FIXED,
     MODEL_COV_TIMEVARYING,
@@ -13,6 +17,7 @@ from survreport.estimate import (
     _Z975,
     _covariances,
     _newton,
+    _two_sided_p,
     fit,
     fit_to_dict,
     fit_to_json,
@@ -22,7 +27,7 @@ from survreport.estimate import (
     survival_curve,
     wald_test,
 )
-from survreport.panel import PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
+from survreport.panel import PREDETERMINED, Dataset, ErrorModel, StudyGrid, SubjectPanel, build_dataset
 from survreport.simulate import benchmark_config, generate_dataset
 
 from oracles import npmle_grid_search, npmle_self_consistency, turnbull_intervals
@@ -124,6 +129,26 @@ class TestFitBasics:
         assert stuck.message.startswith("not converged: stopped after")
         assert stuck.message.endswith(("because it reached the step limit", "because no step lowered the objective"))
         assert stuck.loglik >= res.loglik - 1e-9
+
+    @pytest.mark.parametrize("model", [MODEL_COV_FIXED, MODEL_COV_TIMEVARYING])
+    def test_hessians_reuse_the_gradients_front_half(self, monkeypatch, model):
+        counts = {"front": 0, "gradient": 0}
+        kernel_terms, gradient = lik._kernel_terms, lik.loglik_and_gradient
+
+        def counting_terms(*args):
+            counts["front"] += 1
+            return kernel_terms(*args)
+
+        def counting_gradient(*args, **kwargs):
+            counts["gradient"] += 1
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(lik, "_kernel_terms", counting_terms)
+        monkeypatch.setattr(lik, "loglik_and_gradient", counting_gradient)
+        res = fit(self.ds, self.em, model)
+        assert res.converged and res.iterations >= 1 and res.has_covariance
+        # iterations + 1 Hessians, none of which computes a front half
+        assert counts["front"] == counts["gradient"]
 
     def test_newton_rejects_infeasible_step(self):
         # -log-likelihood (x - 1)^2, infeasible (f = inf, zero gradient, as
@@ -259,6 +284,27 @@ class TestInputGuards:
             warnings.simplefilter("error")
             with pytest.raises(ModelSpecError, match="subject s7 has a non-finite covariate"):
                 fit(ds, ErrorModel(0.8, 0.9), model)
+
+    def test_fixed_model_on_array_paths_names_subject_without_making_panels(self, monkeypatch):
+        made = []
+        original = panel.SubjectPanel.__post_init__
+
+        def counting(self):
+            made.append(self.subject_id)
+            original(self)
+
+        monkeypatch.setattr(panel.SubjectPanel, "__post_init__", counting)
+        # subjects b and d hold covariate paths, a and c time-fixed vectors
+        paths = ([1, 1, 3], [0.0, 1.0, 0.0], [[0.5], [1.5], [2.0]])
+        ds = Dataset.from_arrays(
+            ["a", "b", "c", "d"], [[0, 1], [0, 0], [1, -1], [0, -1]], StudyGrid((1.0, 2.0)),
+            [[1.0], [0.0], [2.0], [0.0]], ("x",), paths=paths,
+        )
+        with pytest.raises(ModelSpecError, match="subject b has no time-fixed covariates"):
+            fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_FIXED)
+        assert made == []
+        assert fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING).converged
+        assert made == []
 
     def test_huge_se_saturates_hazard_ratio_limits(self):
         # replicate 0 has a monotone likelihood: the fit walks up the flat
@@ -407,6 +453,31 @@ class TestInference:
         if self.res.loglik - reduced.loglik > 1e-6:
             with pytest.raises(ValueError):
                 lr_test(reduced, self.res, df=1)
+
+    def test_lr_rejects_df_that_is_not_a_positive_integer(self):
+        for df in (0, -1, 1.5, 2.0, "1"):
+            with pytest.raises(ValueError, match="df must be a positive integer"):
+                lr_test(self.res, self.res, df=df)
+
+    def test_tails_match_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for z in np.linspace(0.0, 37.0, 741):
+            want = 2.0 * stats.norm.sf(z)
+            assert _two_sided_p(z) == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert _two_sided_p(-z) == _two_sided_p(z)
+        assert _Z975 == stats.norm.ppf(0.975)
+        for df in range(1, 41):
+            for stat in (0.0, 1e-9, 0.01, 0.5, 1.0, 3.84, 7.5, 20.0, 60.0, 150.0, 700.0):
+                reduced = type(self.res)(**{**self.res.__dict__, "loglik": self.res.loglik - stat / 2.0})
+                got_stat, p = lr_test(self.res, reduced, df=df)
+                assert p == pytest.approx(float(stats.chi2.sf(got_stat, df)), rel=1e-13, abs=0.0)
+
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        code = "import sys, survreport.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(lik.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
     def test_survival_curve_within_unit_interval(self):
         for profile in ([0.0], [1.0]):

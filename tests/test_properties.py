@@ -49,7 +49,13 @@ from survreport.panel import (
     validate,
 )
 
-from oracles import central_difference_gradient, direct_pattern_probability, validate_by_subject
+from oracles import (
+    central_difference_gradient,
+    cumsum_loglik_and_gradient,
+    cumsum_loglik_hessian,
+    direct_pattern_probability,
+    validate_by_subject,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -319,6 +325,33 @@ def test_duplicate_row_equals_double_weight(case):
         rtol=1e-10,
         atol=1e-12,
     )
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases(), st.sampled_from((None, -0.6, 0.7)), st.integers(0, 2**16))
+def test_kernel_matches_cumsum_oracle(case, beta2, seed):
+    c, lambdas, beta, kwargs = case
+    key = "z" if "z" in kwargs else "z_intervals"
+    if beta is not None and beta2 is not None:
+        # a second covariate brings in the cross-covariate Hessian terms
+        z = kwargs[key]
+        extra = np.random.default_rng(seed).normal(size=z.shape[:-1] + (1,))
+        kwargs = {**kwargs, key: np.concatenate((z, extra), axis=-1)}
+        beta = np.append(beta, beta2)
+    assume(feasible(c, lambdas, beta, kwargs))
+    memo = {}
+    ll, *grad = loglik_and_gradient(c, lambdas, beta, **kwargs, memo=memo)
+    want_ll, *want_grad = cumsum_loglik_and_gradient(c, lambdas, beta, **kwargs)
+    assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
+    assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-10
+    hessian = loglik_hessian(c, lambdas, beta, **kwargs, memo=memo)
+    assert norm_relative_error(hessian, cumsum_loglik_hessian(c, lambdas, beta, **kwargs)) < 1e-10
+    # the memo's front half gives the Hessian computed afresh, bit for bit,
+    # and is not used at another point
+    assert np.array_equal(hessian, loglik_hessian(c, lambdas, beta, **kwargs))
+    other = 1.5 * lambdas
+    assume(feasible(c, other, beta, kwargs))
+    assert np.array_equal(loglik_hessian(c, other, beta, **kwargs, memo=memo), loglik_hessian(c, other, beta, **kwargs))
 
 
 def collapse_rows_by_axis_unique(c, z):
