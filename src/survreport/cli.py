@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_grid_spec(spec: str) -> list[ErrorModel]:
     """Parse 'phi1=a,b;phi0=c;eta=d,e' into the full cross of error models."""
-    values = {"phi1": None, "phi0": None, "eta": [1.0]}
+    values = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -93,10 +93,13 @@ def parse_grid_spec(spec: str) -> list[ErrorModel]:
             raise ValueError(f"non-numeric value in grid component {part!r}") from None
         if not vals:
             raise ValueError(f"empty value list in grid component {part!r}")
+        if name in values:
+            raise ValueError(f"grid parameter {name!r} is given more than once")
         values[name] = vals
-    if values["phi1"] is None or values["phi0"] is None:
+    if "phi1" not in values or "phi0" not in values:
         raise ValueError("grid spec must set both phi1 and phi0")
-    return [ErrorModel(p1, p0, eta) for p1 in values["phi1"] for p0 in values["phi0"] for eta in values["eta"]]
+    etas = values.get("eta", [1.0])
+    return [ErrorModel(p1, p0, eta) for p1 in values["phi1"] for p0 in values["phi0"] for eta in etas]
 
 
 def _load_panel(args):

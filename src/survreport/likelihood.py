@@ -17,15 +17,22 @@ are all non-negative; the equivalent coefficient transform D = C @ T_r is
 exposed for callers who want the compact linear form.  One kernel,
 ``loglik_and_gradient``, serves every model variant, and
 ``loglik_hessian`` gives its exact second derivatives, reusing the front
-half of a gradient at the same point through the caller's ``memo``.  Sums
-over intervals are products with 0/1 triangular matrices and sums over
-subjects products with a vector: numpy reductions along a short axis cost
-ten times as much.
+half of a gradient at the same point through the caller's ``memo``.
+
+The kernel works interval-major: per-subject arrays are (J, N) or
+(J+1, N) with subjects contiguous, so that a per-interval scalar
+broadcasts along a whole row.  It reads ``c.T`` and ``z_intervals.T``,
+views that are free for the Fortran-ordered arrays of ``build_c_matrix``
+and ``estimate.interval_covariates``.  Sums over intervals are 0/1
+triangular matrices on the left and sums over subjects products with a
+vector: numpy loops over short rows, or reductions along a short axis, cost
+several times as much.  The log-likelihood is one pairwise ``np.sum``, whose
+rounding error is O(eps log N) relative to sum_i |log L_i|.
 """
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,15 +52,9 @@ class NonPositiveLikelihoodError(ValueError):
         super().__init__(f"subject row {row} has non-positive likelihood")
 
 
-def _differences(n: int) -> np.ndarray:
-    """(n, n) matrix with ``x @ _differences(n)`` = (x_1 - x_2, ..., x_{n-1} - x_n, x_n)."""
-    return np.eye(n) - np.eye(n, k=-1)
-
-
 def to_d_matrix(c: np.ndarray) -> np.ndarray:
     """Transformed coefficients D with sum_j C_ij theta_j == sum_j D_ij S_j."""
-    c = np.asarray(c, dtype=float)
-    return c @ _differences(c.shape[1]).T  # D_ij = C_ij - C_i,j-1, exactly
+    return np.diff(np.asarray(c, dtype=float), axis=1, prepend=0.0)  # D_ij = C_ij - C_i,j-1, exactly
 
 
 def build_c_matrix(dataset: Dataset, error_model: ErrorModel) -> np.ndarray:
@@ -61,21 +62,26 @@ def build_c_matrix(dataset: Dataset, error_model: ErrorModel) -> np.ndarray:
 
     Row i, column j is the probability of subject i's report vector given
     the event time falls in interval j; column J+1 corresponds to the
-    event never occurring.
+    event never occurring.  The matrix is Fortran-ordered, so that its
+    transpose is a C-contiguous view.
     """
-    reports = dataset.reports
-    n, J = reports.shape
+    reports = np.ascontiguousarray(dataset.reports.T) + 1  # (J, N)
+    J, n = reports.shape
     phi1, phi0 = error_model.phi1, error_model.phi0
     # per-cell report probability, indexed by report + 1 (a missed visit
     # contributes a factor of 1)
-    after = np.array([1.0, 1.0 - phi1, phi1])[reports + 1]    # visit after the event
-    before = np.array([1.0, phi0, 1.0 - phi0])[reports + 1]   # visit before the event
+    after = np.array([1.0, 1.0 - phi1, phi1])[reports]    # visit after the event
+    before = np.array([1.0, phi0, 1.0 - phi0])[reports]   # visit before the event
     # for column j the visits at tau_1..tau_{j-1} precede the event
-    # interval and the rest follow it
-    c = np.ones((n, J + 1))
-    np.cumprod(before, axis=1, out=c[:, 1:])
-    c[:, :J] *= np.cumprod(after[:, ::-1], axis=1)[:, ::-1]
-    return c
+    # interval and the rest follow it; running products one row at a time
+    ct = np.ones((J + 1, n))
+    for j in range(J):
+        np.multiply(ct[j], before[j], out=ct[j + 1])
+    suffix = np.ones(n)
+    for j in range(J - 1, -1, -1):
+        suffix *= after[j]
+        ct[j] *= suffix
+    return ct.T
 
 
 def survival_from_increments(lambdas: np.ndarray) -> np.ndarray:
@@ -86,38 +92,39 @@ def survival_from_increments(lambdas: np.ndarray) -> np.ndarray:
     return np.exp(-np.concatenate(([0.0], np.cumsum(lambdas))))
 
 
-def _clamped_exp_lp(z: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp of the clamped linear predictor plus the not-clamped mask."""
-    z = np.asarray(z, dtype=float)
-    # a 2-D product: matmul of a 3-D stack with a vector is ten times slower
-    u = np.dot(z.reshape(-1, z.shape[-1]), np.asarray(beta, dtype=float)).reshape(z.shape[:-1])
-    mask = np.abs(u) < LINEAR_PREDICTOR_CLAMP
-    return np.exp(np.clip(u, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP)), mask
+def _interval_major(x) -> np.ndarray:
+    """``x.T`` as a C-contiguous float array: a view for a Fortran-ordered ``x``."""
+    return np.ascontiguousarray(np.asarray(x, dtype=float).T)
 
 
+def _clamped_exp_lp(zt: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of the clamped linear predictor of covariate-major ``zt``
+    ((P, N) or (P, J, N)), and the same with 0 where it is clamped."""
+    # np.dot: matmul of a vector with a matrix is four times slower
+    u = np.dot(beta, zt.reshape(zt.shape[0], -1)).reshape(zt.shape[1:])
+    lp = np.exp(np.clip(u, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))
+    free = np.abs(u) < LINEAR_PREDICTOR_CLAMP
+    return lp, lp if free.all() else np.where(free, lp, 0.0)
+
+
+@lru_cache(maxsize=None)
 def _before(J: int) -> np.ndarray:
-    """(J, J+1) 0/1 matrix, [k, j] = 1 when interval k precedes S_j: ``x @
-    _before(J)`` sums the first j of x's J columns into column j, ``y @
-    _before(J).T`` the columns of y after k into column k."""
-    return np.triu(np.ones((J, J + 1)), 1)
-
-
-def _row_mixture(c, subject_survival, eta):
-    """Per-subject likelihood eta * sum_j C_ij theta_j^(i) + (1-eta) C_i1."""
-    theta = subject_survival @ _differences(subject_survival.shape[1])  # exact, non-negative
-    row = np.einsum("ij,ij->i", c, theta)
-    if eta != 1.0:
-        row = eta * row + (1.0 - eta) * c[:, 0]
-    return row
+    """Read-only (J, J+1) 0/1 matrix, [k, j] = 1 when interval k precedes
+    S_j: ``_before(J) @ y`` sums the rows of y after k into row k,
+    ``_before(J).T @ x`` the first j of x's J rows into row j."""
+    before = np.triu(np.ones((J, J + 1)), 1)
+    before.setflags(write=False)
+    return before
 
 
 def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
     """Front half shared by the value, the gradient and the Hessian.
 
-    Returns ``(lp, mask, rows, q, tail, scale)``: exp of the clamped linear
-    predictor ((N, J) with ``z_intervals``, else (N,)) and its not-clamped
-    mask, the per-subject likelihoods, q_ij = D_ij S_j^(i), the tail sums
-    T_ik = sum_{j>k} q_ij, and the (weighted) eta / rows.
+    Returns interval-major ``(lp, lp_free, rows, q, tail, scale)``: exp of
+    the clamped linear predictor ((J, N) with ``z_intervals``, else (N,))
+    and the same with 0 where clamped, the per-subject likelihoods, the
+    (J+1, N) q_ji = D_ij S_j^(i), the (J, N) tail sums T_ki = sum_{j>k}
+    q_ji, and the (weighted) eta / rows.
     """
     if z is not None and z_intervals is not None:
         raise ValueError("pass either z or z_intervals, not both")
@@ -125,26 +132,34 @@ def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
     if np.any(lambdas < 0):
         raise ValueError("hazard increments must be non-negative")
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
+    ct = _interval_major(c)  # (J+1, N)
+    n = ct.shape[1]
     before = _before(lambdas.size)
     if z_intervals is not None:
-        lp, mask = _clamped_exp_lp(z_intervals, beta)  # (N, J)
-        ss = np.exp(-((lambdas * lp) @ before))
+        lp, lp_free = _clamped_exp_lp(_interval_major(z_intervals), beta)  # (J, N)
+        ss = np.exp(before.T @ (-lambdas[:, None] * lp))  # negation is exact
     else:
-        lp, mask = _clamped_exp_lp(z, beta) if beta.size else (np.ones(n), np.ones(n, dtype=bool))  # (N,)
-        ss = np.exp(-np.outer(lp, lambdas @ before))
+        lp, lp_free = _clamped_exp_lp(_interval_major(z), beta) if beta.size else (np.ones(n),) * 2
+        ss = np.exp(np.outer(-(lambdas @ before), lp))
 
-    rows = _row_mixture(c, ss, eta)
+    # rows: eta * sum_j C_ij theta_j + (1-eta) C_i1, with theta_j = S_j -
+    # S_{j+1} exact and non-negative
+    theta = ss.copy()
+    theta[:-1] -= ss[1:]
+    rows = np.einsum("ji,ji->i", ct, theta)
+    if eta != 1.0:
+        rows = eta * rows + (1.0 - eta) * ct[0]
     bad = np.flatnonzero(rows <= 0.0)
     if bad.size:
         raise NonPositiveLikelihoodError(int(bad[0]))
-    q = to_d_matrix(c) * ss  # (N, J+1); sum_j q_ij == rows pre-mixture
+    q = np.empty_like(ct)  # D S; sum_j q_ji == rows pre-mixture
+    q[0] = ct[0]
+    np.subtract(ct[1:], ct[:-1], out=q[1:])
+    q *= ss
     scale = eta / rows
     if weights is not None:
         scale = scale * np.asarray(weights, dtype=float)
-    tail = q @ before.T  # T_ik = sum_{j>k} q_ij
-    return lp, mask, rows, q, tail, scale
+    return lp, lp_free, rows, q, before @ q, scale
 
 
 def _as_params(lambdas, beta):
@@ -168,26 +183,25 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
     terms = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
     if memo is not None:
         memo["at"], memo["terms"] = (lambdas.tobytes(), beta.tobytes()), terms
-    lp, mask, rows, q, tail, scale = terms
+    lp, lp_free, rows, q, tail, scale = terms
     logs = np.log(rows)
     if weights is not None:
-        logs = logs * np.asarray(weights, dtype=float)
-    # compensated summation keeps the total stable for very large N
-    ll = math.fsum(logs.tolist())
+        logs *= np.asarray(weights, dtype=float)
+    ll = float(np.sum(logs))  # pairwise: error O(eps log N) relative to sum |log L_i|
 
     grad_beta = np.zeros(0)
     if z_intervals is not None:
         lt = lp * tail
-        grad_lambda = -(scale @ lt)
+        grad_lambda = -(lt @ scale)
         if beta.size:
-            # d w_ik / d beta_p = w_ik z_ikp (zero where clamped)
-            lz = (lt * mask)[:, :, None] * np.asarray(z_intervals, dtype=float)  # (N, J, P)
-            grad_beta = -(lambdas @ (scale @ lz.reshape(lt.shape[0], -1)).reshape(lambdas.size, -1))
+            # d w_ki / d beta_p = w_ki z_ikp (zero where clamped)
+            lz = (lp_free * tail) * _interval_major(z_intervals)  # (P, J, N)
+            grad_beta = -((lz.reshape(-1, lt.shape[1]) @ scale).reshape(-1, lambdas.size) @ lambdas)
     else:
-        grad_lambda = -((scale * lp) @ tail)
+        grad_lambda = -(tail @ (scale * lp))
         if beta.size:
-            hdot = q @ (lambdas @ _before(lambdas.size))  # sum_j q_ij H_j
-            grad_beta = -np.asarray(z, dtype=float).T @ (scale * lp * mask * hdot)
+            hdot = (lambdas @ _before(lambdas.size)) @ q  # sum_j q_ji H_j
+            grad_beta = -(_interval_major(z) @ (scale * lp_free * hdot))
     return ll, grad_lambda, grad_beta
 
 
@@ -207,40 +221,35 @@ def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0,
     """
     lambdas, beta = _as_params(lambdas, beta)
     p = beta.size
-    if memo is not None and memo.get("at") == (lambdas.tobytes(), beta.tobytes()):
-        lp, mask, rows, q, tail, scale = memo["terms"]
-    else:
-        lp, mask, rows, q, tail, scale = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
-    n, J = tail.shape
-    if z_intervals is None:
-        lp, mask = lp[:, None], mask[:, None]
-        zk = np.asarray(z, dtype=float)[:, None, :] if p else None  # (N, 1, P)
-    else:
-        zk = np.asarray(z_intervals, dtype=float)
-    u = lambdas * lp  # (N, J)
+    hit = memo is not None and memo.get("at") == (lambdas.tobytes(), beta.tobytes())
+    terms = memo["terms"] if hit else _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    lp, lp_free, rows, q, tail, scale = terms
+    J, n = tail.shape
+    u = lambdas[:, None] * lp  # (J, N)
     # g_i = sum_j q_ij dA_ij, so that d log L_i = -(eta / L_i) g_i; outer
     # products of dL_i are weighted by eta^2 / L_i^2 (times the row weight)
     g = u * tail
     outer = scale * eta / rows
-    gs = g * outer[:, None]
+    gs = g * outer
     hess = np.zeros((J + p, J + p))
     # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)]; exact on and above
-    # the diagonal, mirrored below
-    hess[:J, :J] = (scale[:, None] * u).T @ g - np.diag(scale @ g) - gs.T @ g
+    # the diagonal, mirrored below at the end
+    hess[:J, :J] = (u * scale) @ g.T - np.diag(g @ scale) - gs @ g.T
     if p:
         before = _before(J)
-        um = u * mask
-        cum = um @ before if z_intervals is None else None
-        zs = [zk[:, :, a] for a in range(p)]
-        w = [um * za for za in zs]  # w[a][:, k] = d u_ik / d beta_a
-        v = [cum * za for za in zs] if cum is not None else [wa @ before for wa in w]  # dA_ij / d beta_a
-        dg = np.empty((p, n))  # dg[a] = sum_j q_ij dA_ij / d beta_a
+        # (P, J, N), or (P, 1, N) in the time-fixed model
+        zk = _interval_major(z_intervals) if z is None else _interval_major(z)[:, None, :]
+        um = lambdas[:, None] * lp_free
+        w = um * zk  # w[a, k] = d u_k / d beta_a
+        v = (before.T @ um) * zk if z is not None else before.T @ w  # dA_j / d beta_a
+        dg = np.empty((p, n))  # dg[a] = sum_j q_j dA_j / d beta_a
         for a in range(p):
             qv = q * v[a]
-            r = qv @ before.T  # r[:, k] = sum_{j > k} q_ij dA_ij / d beta_a
-            dg[a] = r[:, 0]
-            hess[:J, J + a] = scale @ (u * r - tail * w[a]) - gs.T @ dg[a]
+            r = before @ qv  # r[k] = sum_{j > k} q_j dA_j / d beta_a
+            dg[a] = r[0]
+            tw = tail * w[a]
+            hess[:J, J + a] = (u * r - tw) @ scale - gs @ dg[a]
             for b in range(a, p):
-                hess[J + a, J + b] = np.sum(scale @ (qv * v[b])) - np.sum(scale @ (tail * w[a] * zs[b]))
+                hess[J + a, J + b] = np.sum((qv * v[b]) @ scale) - np.sum((tw * zk[b]) @ scale)
         hess[J:, J:] -= (dg * outer) @ dg.T
-    return np.triu(hess) + np.triu(hess, 1).T
+    return np.where(np.tri(J + p, k=-1, dtype=bool), hess.T, hess)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import cached_property
 from itertools import chain, compress
@@ -127,14 +127,9 @@ class StudyGrid:
         except KeyError:
             raise KeyError(f"visit time {time!r} is not a grid point") from None
 
-    @property
+    @cached_property
     def _index_map(self) -> dict[float, int]:
-        # cached lazily; object is frozen so bypass __setattr__
-        cached = self.__dict__.get("_index_map_cache")
-        if cached is None:
-            cached = {t: j + 1 for j, t in enumerate(self.taus)}
-            object.__setattr__(self, "_index_map_cache", cached)
-        return cached
+        return {t: j + 1 for j, t in enumerate(self.taus)}
 
 
 @dataclass(frozen=True)
@@ -379,7 +374,7 @@ def round_to_granularity(time: float, granularity: float) -> float:
     The multiple is snapped to the decimal places of ``granularity`` so
     that, e.g., 3 * 0.1 reads 0.3 rather than 0.30000000000000004.
     """
-    if granularity <= 0.0:
+    if not 0.0 < granularity < math.inf:  # also rejects nan
         raise ValueError(f"rounding granularity must be positive, got {granularity!r}")
     decimals = max(0, -Decimal(repr(granularity)).as_tuple().exponent)
     return round(round(time / granularity) * granularity, decimals)
@@ -402,18 +397,9 @@ def apply_rounding(subject: SubjectPanel, granularity: float) -> SubjectPanel:
         merged[rt] = r
     order.sort()
     path = subject.covariate_path
-    if path is not None:
-        merged_path: dict[float, tuple[float, ...]] = {}
-        for t, vec in path:
-            merged_path[round_to_granularity(t, granularity)] = vec
-        path = tuple(sorted(merged_path.items()))
-    return SubjectPanel(
-        subject_id=subject.subject_id,
-        times=tuple(order),
-        results=tuple(merged[t] for t in order),
-        covariates=subject.covariates,
-        covariate_path=path,
-    )
+    if path is not None:  # a later measurement replaces an earlier one
+        path = tuple(sorted({round_to_granularity(t, granularity): vec for t, vec in path}.items()))
+    return replace(subject, times=tuple(order), results=tuple(merged[t] for t in order), covariate_path=path)
 
 
 def build_grid(subjects, rounding: float | None = None) -> StudyGrid:

@@ -54,6 +54,13 @@ class TestParseGridSpec:
         with pytest.raises(ValueError):
             parse_grid_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, name", [("phi1=0.9;phi0=0.9;phi1=0.8", "phi1"), ("eta=1;phi1=0.9;eta=0.9;phi0=0.9", "eta")]
+    )
+    def test_repeated_parameter(self, spec, name):
+        with pytest.raises(ValueError, match=f"grid parameter '{name}' is given more than once"):
+            parse_grid_spec(spec)
+
 
 class TestFitCommand:
     def test_end_to_end(self, tmp_path):
@@ -106,6 +113,17 @@ class TestFitCommand:
         expected = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
         assert json.loads((tmp_path / "r.json").read_text())["taus"] == expected
         assert [r["tau"] for r in read_rows(tmp_path / "r_survival.csv")] == [str(t) for t in expected]
+
+    @pytest.mark.parametrize("granularity", ["0", "-1", "nan", "inf"])
+    def test_bad_round_is_input_error(self, tmp_path, capsys, granularity):
+        panel = write_panel(tmp_path, n=20)
+        code = main(
+            ["fit", str(panel), "--phi1", "0.9", "--phi0", "0.9", "--round", granularity,
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "survreport: error: rounding granularity must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_phi0_is_usage_error(self, tmp_path):
         panel = write_panel(tmp_path)
@@ -280,6 +298,14 @@ class TestSensitivityCommand:
              "--out", str(tmp_path / "g.csv")]
         )
         assert code == EXIT_INPUT_ERROR
+
+    def test_repeated_grid_parameter_is_input_error(self, tmp_path, capsys):
+        panel = write_panel(tmp_path, n=40, seed=3)
+        out = tmp_path / "g.csv"
+        code = main(["sensitivity", str(panel), "--grid", "phi1=0.9;phi0=0.9;phi1=0.8", "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert "grid parameter 'phi1' is given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -98,6 +98,11 @@ class TestRounding:
     def test_snaps_to_granularity_decimals(self, time, granularity, expected):
         assert round_to_granularity(time, granularity) == expected
 
+    @pytest.mark.parametrize("granularity", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_granularity_not_finite_and_positive(self, granularity):
+        with pytest.raises(ValueError, match="rounding granularity must be positive"):
+            round_to_granularity(1.0, granularity)
+
     def test_collision_keeps_later_record(self):
         s = apply_rounding(subj("a", [1.9, 2.1], [1, 0]), 1.0)
         assert s.times == (2.0,)

@@ -109,6 +109,8 @@ def test_report_matrix_holds_each_visit(case):
 def test_c_columns_match_direct_probability(case):
     dataset, em = case
     c = build_c_matrix(dataset, em)
+    # the kernel reads c.T: a view, not a copy
+    assert c.T.flags.c_contiguous
     jp1 = dataset.grid.J + 1
     for i, s in enumerate(dataset.subjects):
         idx = visit_indices(dataset, s)
@@ -207,6 +209,8 @@ def test_interval_covariates_match_bisect_locf(dataset):
     taus = dataset.grid.taus
     lefts = [0.0, *taus[:-1]]
     z = interval_covariates(dataset)
+    # the kernel reads z.T: a view, not a copy
+    assert z.T.flags.c_contiguous
     for i, s in enumerate(dataset.subjects):
         for k, left in enumerate(lefts):
             if s.covariates is not None:
@@ -339,19 +343,31 @@ def test_kernel_matches_cumsum_oracle(case, beta2, seed):
         kwargs = {**kwargs, key: np.concatenate((z, extra), axis=-1)}
         beta = np.append(beta, beta2)
     assume(feasible(c, lambdas, beta, kwargs))
-    memo = {}
-    ll, *grad = loglik_and_gradient(c, lambdas, beta, **kwargs, memo=memo)
     want_ll, *want_grad = cumsum_loglik_and_gradient(c, lambdas, beta, **kwargs)
-    assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
-    assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-10
-    hessian = loglik_hessian(c, lambdas, beta, **kwargs, memo=memo)
-    assert norm_relative_error(hessian, cumsum_loglik_hessian(c, lambdas, beta, **kwargs)) < 1e-10
-    # the memo's front half gives the Hessian computed afresh, bit for bit,
-    # and is not used at another point
-    assert np.array_equal(hessian, loglik_hessian(c, lambdas, beta, **kwargs))
+    want_hessian = cumsum_loglik_hessian(c, lambdas, beta, **kwargs)
+    results, layouts = [], []
+    # the kernel reads c, z and z_intervals transposed: a view of a
+    # Fortran-ordered array, a copy of a C-ordered one
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        c_o = order(c)
+        kw = {k: order(v) if k in ("z", "z_intervals") else v for k, v in kwargs.items()}
+        memo = {}
+        ll, *grad = loglik_and_gradient(c_o, lambdas, beta, **kw, memo=memo)
+        assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
+        assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-10
+        hessian = loglik_hessian(c_o, lambdas, beta, **kw, memo=memo)
+        assert norm_relative_error(hessian, want_hessian) < 1e-10
+        # the memo's front half gives the Hessian computed afresh, bit for bit
+        assert np.array_equal(hessian, loglik_hessian(c_o, lambdas, beta, **kw))
+        results.append((ll, *grad, hessian))
+        layouts.append((c_o, kw, memo))
+    # both layouts give the same bits
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
+    # and the memo is not used at another point
     other = 1.5 * lambdas
     assume(feasible(c, other, beta, kwargs))
-    assert np.array_equal(loglik_hessian(c, other, beta, **kwargs, memo=memo), loglik_hessian(c, other, beta, **kwargs))
+    for c_o, kw, memo in layouts:
+        assert np.array_equal(loglik_hessian(c_o, other, beta, **kw, memo=memo), loglik_hessian(c_o, other, beta, **kw))
 
 
 def collapse_rows_by_axis_unique(c, z):
