@@ -591,6 +591,40 @@ def _read_baseline(path, subject_ids):
     return tuple(header[1:]), z[[row_of[sid] for sid in subject_ids]]
 
 
+_PLAIN_BYTES = bytes(b for b in range(33, 127) if b != 34) + b"\n"  # no cell to unquote or strip
+
+
+def _read_plain(path):
+    """Header, no line numbers, ids, codes, times, results and covariates of a
+    plain file (only ``_PLAIN_BYTES``, each row full, every result 0 or 1 and
+    number finite) parsed in one ``np.loadtxt`` pass; None for any other file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = data.partition(b"\n")[0].decode("latin-1").split(",")
+    # a row's id runs from a newline to a comma that comes first on its line
+    raw = np.frombuffer(data, dtype=np.uint8)
+    marks = np.flatnonzero((raw == 10) | (raw == 44))
+    ends = np.flatnonzero(raw[marks[:-1]] == 10)
+    ends = ends[raw[marks[ends + 1]] == 44]
+    if data.translate(None, _PLAIN_BYTES) or header[:3] != ["subject_id", "time", "result"] or not ends.size:
+        return None  # also a file with no row, on which loadtxt would warn
+    # the id field fits the longest id; the result field holds a token like 10 whole
+    width = max(int((marks[ends + 1] - marks[ends]).max()) - 1, 1)
+    dtype = [("id", f"S{width}"), ("time", float), ("result", "S2"), ("values", float, (len(header) - 3,))]
+    try:
+        table = np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except ValueError:  # a wrong field count, an empty cell, or a token only float() takes
+        return None
+    ids, times, tokens, values = (table[f] for f in ("id", "time", "result", "values"))
+    finite = np.isfinite(times).all() and np.isfinite(values).all()
+    if not finite or (ids == b"").any() or not ((tokens == b"0") | (tokens == b"1")).all():
+        return None
+    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.argsort(first)  # the distinct ids in first-appearance order
+    subject_ids = tuple(distinct[rank].astype(str).tolist())
+    return header, None, subject_ids, np.argsort(rank)[inverse], times, (tokens == b"1").view(np.int8), values
+
+
 def read_panel_csv(
     path,
     *,
@@ -610,29 +644,32 @@ def read_panel_csv(
     visits that meet, the later record is kept.  When ``baseline_csv`` is
     given (``subject_id,cov1,...``, one row per subject) its columns become
     time-fixed covariates and any covariate columns in the panel file are
-    rejected.
+    rejected.  A plain file (see :func:`_read_plain`) is parsed in one pass,
+    any other cell by cell: both give the same dataset, or the same error
+    naming its line.  The dataset's :func:`validate` checks have been run.
     """
-    header, lines, cells = _read_csv(path, ("subject_id", "time", "result"))
-    names, width = tuple(header[3:]), len(header)
-    if not cells:
-        raise ValueError("cannot build a grid from subjects with no visits")
-    times = _float_columns(cells, lines, header, [1])[:, 0]
-    tokens = cells[2::width]
-    if not set(tokens) <= {"0", "1"}:
-        tokens = [c.strip() for c in tokens]
-        k = next((k for k, c in enumerate(tokens) if c not in ("0", "1")), None)
-        if k is not None:
-            raise PanelFormatError(f"line {lines[k]}: result must be 0 or 1, got {tokens[k]!r}")
-    results = np.fromiter(map("1".__eq__, tokens), dtype=bool, count=len(lines)).view(np.int8)
-    values = _float_columns(cells, lines, header, range(3, width), optional=True)
+    plain = _read_plain(path)
+    if plain is None:
+        header, lines, cells = _read_csv(path, ("subject_id", "time", "result"))
+        if not cells:
+            raise ValueError("cannot build a grid from subjects with no visits")
+        times = _float_columns(cells, lines, header, [1])[:, 0]
+        tokens = cells[2 :: len(header)]
+        if not set(tokens) <= {"0", "1"}:
+            tokens = [c.strip() for c in tokens]
+            k = next((k for k, c in enumerate(tokens) if c not in ("0", "1")), None)
+            if k is not None:
+                raise PanelFormatError(f"line {lines[k]}: result must be 0 or 1, got {tokens[k]!r}")
+        results = np.fromiter(map("1".__eq__, tokens), dtype=bool, count=len(lines)).view(np.int8)
+        values = _float_columns(cells, lines, header, range(3, len(header)), optional=True)
+        code_of: dict[str, int] = {}
+        coded = (code_of.setdefault(s, len(code_of)) for s in map(str.strip, cells[:: len(header)]))
+        codes = np.fromiter(coded, dtype=np.intp, count=len(lines))
+        subject_ids = tuple(code_of)
+    else:
+        header, lines, subject_ids, codes, times, results, values = plain
+    names = tuple(header[3:])
     missing = np.isnan(values)  # empty cells, imputed below
-    code_of: dict[str, int] = {}
-    codes = np.fromiter(
-        (code_of.setdefault(s, len(code_of)) for s in map(str.strip, cells[::width])),
-        dtype=np.intp,
-        count=len(lines),
-    )
-    subject_ids = tuple(code_of)
     if baseline_csv is not None:
         if names:
             raise PanelFormatError(
@@ -680,4 +717,5 @@ def read_panel_csv(
     on_path = varying[rows]
     paths = (rows[on_path], times[on_path], values[on_path]) if on_path.any() else None
     dataset = Dataset.from_arrays(subject_ids, reports, grid, covariates, names, schedule, paths)
+    dataset.__dict__.update(violations=())  # checked above
     return LoadedPanel(dataset=dataset, n_imputed=n_imputed, n_collisions_merged=n_collisions)

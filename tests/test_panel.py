@@ -1,8 +1,14 @@
+import importlib.util
 import math
+import re
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from survreport import panel
 from survreport.panel import (
     ADAPTIVE,
     PREDETERMINED,
@@ -19,6 +25,9 @@ from survreport.panel import (
     round_to_granularity,
     validate,
 )
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def subj(sid, times, results, cov=None):
@@ -340,3 +349,127 @@ class TestReadPanelCsv(object):
         loaded = read_panel_csv(path, rounding=1.0)
         assert loaded.n_collisions_merged == 1
         assert loaded.dataset.subjects[0].times == (1.0, 2.0)
+
+
+PLAIN = "subject_id,time,result,x\nA,1,0,1.5\nA,2,1,1.5\nB,1,0,2\n"
+
+
+def benchmark_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclass looks its module up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+class TestPlainAndCellReaders:
+    """A plain file is parsed in one pass; any other goes cell by cell, to
+    the same dataset or the same error."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @pytest.fixture
+    def cell_reads(self, monkeypatch):
+        """Files read by the cell-by-cell reader."""
+        calls, read = [], panel._read_csv
+        monkeypatch.setattr(panel, "_read_csv", lambda path, *args: calls.append(path) or read(path, *args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            PLAIN,
+            PLAIN.rstrip("\n"),  # no final newline
+            PLAIN.replace("\nB", "\n\n\nB") + "\n\n",  # blank lines
+            "subject_id,time,result,x,\na#'1,1,0,1.5,7\na#'1,2,1,1.5,7\nB,1,0,2,7\n",  # odd ids, no name
+            "subject_id,time,result,x,y\nA,+1,0,.5,5.\nA,1E1,1,.5,5.\nB,1e0,0,-2.5e-3,0\n",
+            "subject_id,time,result\nA,1,0\n",
+        ],
+    )
+    def test_plain_file_is_never_read_cell_by_cell(self, tmp_path, monkeypatch, text):
+        path = self.write(tmp_path, text)
+        monkeypatch.setattr(panel, "_read_csv", lambda *args: pytest.fail("read cell by cell"))
+        plain = read_panel_csv(path)
+        monkeypatch.undo()
+        monkeypatch.setattr(panel, "_read_plain", lambda path: None)
+        cells = read_panel_csv(path)
+        assert plain.dataset == cells.dataset and plain.n_imputed == cells.n_imputed == 0
+        assert np.array_equal(plain.dataset.reports, cells.dataset.reports)
+        assert plain.dataset.covariates.tobytes() == cells.dataset.covariates.tobytes()
+
+    def test_benchmark_panel_file_is_plain(self, tmp_path, monkeypatch):
+        inputs = benchmark_inputs()
+        path = tmp_path / "cohort.csv"
+        subjects = inputs.fixed_cohort(1, 200)
+        inputs.write_panel_csv(subjects, path)
+        monkeypatch.setattr(panel, "_read_csv", lambda *args: pytest.fail("read cell by cell"))
+        ds = read_panel_csv(path).dataset
+        assert ds.subjects == tuple(
+            subj(s.sid, map(float, s.visits), s.results, cov=s.path[:1]) for s in subjects
+        )
+
+    @pytest.mark.parametrize(
+        "text, ids, n_imputed",
+        [
+            (PLAIN.replace("A,", '"A",').replace("B,", '"B",'), "AB", 0),  # quoted as R's write.csv quotes
+            (PLAIN.replace("\n", "\r\n"), "AB", 0),
+            (PLAIN.replace(",", " , "), "AB", 0),
+            (PLAIN.replace(",1.5", "\t,1.5"), "AB", 0),
+            (PLAIN.replace("B", "\u00e9"), "A\u00e9", 0),
+            (PLAIN.replace("A,2,1,1.5", "A,2,1,"), "AB", 1),  # an empty cell, imputed
+            (PLAIN.replace("1.5", "1.5_0"), "AB", 0),  # float() reads 1.5_0 as 1.5
+            (PLAIN + " , ,,\n", "AB", 0),
+        ],
+    )
+    def test_other_files_are_read_cell_by_cell(self, tmp_path, cell_reads, text, ids, n_imputed):
+        path = self.write(tmp_path, text)
+        loaded = read_panel_csv(path)
+        assert cell_reads == [path]
+        want = [subj(ids[0], [1.0, 2.0], [0, 1], cov=(1.5,)), subj(ids[1], [1.0], [0], cov=(2.0,))]
+        assert loaded.dataset == build_dataset(want, covariate_names=("x",))
+        assert loaded.n_imputed == n_imputed
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("subject_id,time,result\nA,1\n", "line 2: expected 3 fields, got 2"),
+            ("subject_id,time,result\nA,1,0,0\n", "line 2: expected 3 fields, got 4"),
+            ("subject_id,time,result\nA,1,0\n,2,0\n", "line 3: empty subject_id"),
+            ("subject_id,time,result,x\nA,1,0,\n", "line 2: covariate 'x' missing at subject A's first visit"),
+            ("subject_id,time,result\nA,1,0\nA,2,x\n", "line 3: result must be 0 or 1, got 'x'"),
+            ("subject_id,time,result\nA,1,0\nA,2e,0\n", "line 3: column 'time' has non-numeric value '2e'"),
+            ("subject_id,time,result,x\nA,1,0,1\nA,2,0,nan\n", "line 3: column 'x' has non-finite value 'nan'"),
+            ("subject_id,time,result,x\nA,1,0,-Infinity\n", "line 2: column 'x' has non-finite value '-Infinity'"),
+            ("subject_id,time,result\nA,1,0\nA,1e400,0\n", "line 3: column 'time' has non-finite value '1e400'"),
+            ("subject_id,time,result\n", "cannot build a grid"),
+            ("subject_id,time,result\n\n\n", "cannot build a grid"),
+            ("", "empty file"),
+            ("subject_id,when,result\nA,1,0\n", "header must start with"),
+        ],
+    )
+    def test_malformed_plain_file_errs_as_cell_reader_does(self, tmp_path, cell_reads, text, error):
+        path = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=error):
+                read_panel_csv(path)
+        assert cell_reads == [path]
+
+    @pytest.mark.parametrize("token", ["01", "1.0", "+1", "10", "00", "1e0", "true"])
+    def test_result_other_than_0_or_1_names_line(self, tmp_path, token):
+        path = self.write(tmp_path, f"subject_id,time,result\nA,1,0\nA,2,{token}\n")
+        with pytest.raises(PanelFormatError, match=re.escape(f"line 3: result must be 0 or 1, got '{token}'")):
+            read_panel_csv(path)
+
+    def test_underscore_digits_read_as_float_reads_them(self, tmp_path):
+        path = self.write(tmp_path, "subject_id,time,result,x\nA,1_0,0,2_5\n")
+        s = read_panel_csv(path).dataset.subjects[0]
+        assert s.times == (10.0,) and s.covariates == (25.0,)
+
+    def test_reader_checks_are_not_repeated(self, tmp_path):
+        loaded = read_panel_csv(self.write(tmp_path, PLAIN))
+        assert loaded.dataset.__dict__["violations"] == ()
+        assert validate(loaded.dataset) == []

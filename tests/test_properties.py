@@ -13,6 +13,7 @@ import io
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from survreport.likelihood import (
     loglik_and_gradient,
     loglik_hessian,
 )
+from survreport import panel
 from survreport.cli import EXIT_INPUT_ERROR, main
 from survreport.panel import (
     ADAPTIVE,
@@ -483,11 +485,23 @@ def test_permuting_subjects_leaves_fit_unchanged(case, random):
 VISIT_TIMES = (1.0, 1.2, 1.5, 1.7, 2.0, 2.3, 2.5, 3.1)
 
 
-def write_csv(rows, names, path):
-    """Panel file of ``(subject_id, time, result, covariate cells)`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(("subject_id", "time", "result", *names)) + "\n")
-        fh.writelines(",".join((sid, repr(t), str(r), *cells)) + "\n" for sid, t, r, cells in rows)
+# how a file may write the same rows; only the first is plain
+STYLES = ("plain", "padded", "crlf", "quoted")
+
+
+def write_csv(rows, names, path, style="plain"):
+    """Panel file of ``(subject_id, time, result, covariate cells)`` rows:
+    plain, with every cell padded by spaces, with CRLF line ends, or with
+    the header and ids quoted as R's ``write.csv`` quotes them."""
+    header = ("subject_id", "time", "result", *names)
+    lines = [(sid, repr(t), str(r), *cells) for sid, t, r, cells in rows]
+    if style == "quoted":
+        header = tuple(f'"{h}"' for h in header)
+        lines = [(f'"{sid}"', *cells) for sid, *cells in lines]
+    pad = " " if style == "padded" else ""
+    end = "\r\n" if style == "crlf" else "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(",".join(f"{pad}{c}{pad}" for c in line) + end for line in (header, *lines))
 
 
 def in_file_order(rows):
@@ -531,26 +545,68 @@ def csv_panels(draw):
 
 
 @PROPERTY_SETTINGS
-@given(csv_panels())
-def test_csv_round_trip_equals_built_dataset(case):
+@given(csv_panels(), st.sampled_from(STYLES[1:]))
+def test_csv_round_trip_equals_built_dataset(case, style):
+    """The plain file and the same rows written in another style give the
+    dataset of ``build_dataset``; only a plain file with no empty cell
+    skips the cell-by-cell reader."""
     subjects, rows, names, schedule, rounding = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "panel.csv")
-        write_csv(rows, names, path)
-        loaded = read_panel_csv(path, schedule=schedule, rounding=rounding)
+    n_empty = sum(cell == "" for *_, cells in rows for cell in cells)
     built = build_dataset(subjects, covariate_names=names, schedule=schedule, rounding=rounding)
-    ds = loaded.dataset
-    assert ds.reports.dtype == built.reports.dtype and np.array_equal(ds.reports, built.reports)
-    if built.covariates is None:
-        assert ds.covariates is None
-    else:
-        assert ds.covariates.shape == built.covariates.shape
-        assert ds.covariates.tobytes() == built.covariates.tobytes()
-    for got, want in zip((*ds.covariate_paths, *ds.visits), (*built.covariate_paths, *built.visits)):
-        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
-    assert loaded.n_imputed == sum(cell == "" for *_, cells in rows for cell in cells)
-    assert loaded.n_collisions_merged == len(rows) - sum(len(s.times) for s in built.subjects)
-    assert ds == built and tuple(ds.subjects) == built.subjects
+    for how in ("plain", style):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            panel, "_read_csv", wraps=panel._read_csv
+        ) as read_cells:
+            path = os.path.join(tmp, "panel.csv")
+            write_csv(rows, names, path, how)
+            loaded = read_panel_csv(path, schedule=schedule, rounding=rounding)
+        assert read_cells.called == (how != "plain" or n_empty > 0)
+        ds = loaded.dataset
+        assert ds.reports.dtype == built.reports.dtype and np.array_equal(ds.reports, built.reports)
+        if built.covariates is None:
+            assert ds.covariates is None
+        else:
+            assert ds.covariates.shape == built.covariates.shape
+            assert ds.covariates.tobytes() == built.covariates.tobytes()
+        for got, want in zip((*ds.covariate_paths, *ds.visits), (*built.covariate_paths, *built.visits)):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert loaded.n_imputed == n_empty
+        assert loaded.n_collisions_merged == len(rows) - sum(len(s.times) for s in built.subjects)
+        # the reader's structural checks are the dataset's
+        assert ds.violations == built.violations
+        assert ds == built and tuple(ds.subjects) == built.subjects
+
+
+def float_tokens(values):
+    """Numbers drawn from ``values`` written as ``repr``, ``.17e`` and
+    ``.17E`` write them and with a leading ``+``, and tokens like ``.5``
+    and ``5.``."""
+    digits = st.integers(1, 10**12).map(str)
+    return st.one_of(
+        values.map(repr),
+        values.map(lambda x: format(x, ".17e")),
+        values.map(lambda x: format(x, ".17E")),
+        values.map(lambda x: "+" + repr(x) if math.copysign(1.0, x) > 0 else repr(x)),
+        digits.map(lambda d: "." + d),
+        digits.map(lambda d: d + "."),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    float_tokens(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    float_tokens(st.floats(allow_nan=False, allow_infinity=False)),
+)
+def test_plain_file_reads_numbers_as_float_does(time, value):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        panel, "_read_csv", side_effect=AssertionError("read cell by cell")
+    ):
+        path = os.path.join(tmp, "panel.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"subject_id,time,result,x\nA,{time},0,{value}\n")
+        ds = read_panel_csv(path).dataset
+    assert ds.grid.taus[0].hex() == float(time).hex()
+    assert float(ds.covariates[0, 0]).hex() == float(value).hex()
 
 
 @st.composite
