@@ -42,15 +42,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[], description="Fit a model to a panel CSV")
-    p_fit.add_argument("panel_csv")
-    p_fit.add_argument("--baseline-covariates", help="separate subject_id,cov,... CSV")
+    # the panel-loading arguments that fit and sensitivity share
+    panel = argparse.ArgumentParser(add_help=False)
+    panel.add_argument("panel_csv")
+    panel.add_argument("--baseline-covariates", help="separate subject_id,cov,... CSV")
+    panel.add_argument("--time-varying", action="store_true", help="use per-interval covariate paths")
+    panel.add_argument("--round", type=float, default=None, metavar="G", help="round visit times to multiples of G")
+    panel.add_argument("--schedule", choices=["adaptive", "predetermined"], default="adaptive")
+
+    p_fit = sub.add_parser("fit", parents=[panel], description="Fit a model to a panel CSV")
     p_fit.add_argument("--phi1", type=_probability, required=True, help="report sensitivity")
     p_fit.add_argument("--phi0", type=_probability, required=True, help="report specificity")
     p_fit.add_argument("--eta", type=_probability, default=1.0, help="baseline negative predictive value")
-    p_fit.add_argument("--time-varying", action="store_true", help="use per-interval covariate paths")
-    p_fit.add_argument("--round", type=float, default=None, metavar="G", help="round visit times to multiples of G")
-    p_fit.add_argument("--schedule", choices=["adaptive", "predetermined"], default="adaptive")
     p_fit.add_argument("--out", required=True, metavar="PREFIX", help="output path prefix")
 
     p_sim = sub.add_parser("simulate", description="Run a simulation scenario from a JSON config")
@@ -64,12 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, default=simulate.DEFAULT_SEED)
     p_rep.add_argument("--out", required=True, metavar="PREFIX", help="writes PREFIX.csv and PREFIX.txt")
 
-    p_sens = sub.add_parser("sensitivity", description="Fit a grid of error-model assumptions")
-    p_sens.add_argument("panel_csv")
-    p_sens.add_argument("--baseline-covariates")
+    p_sens = sub.add_parser("sensitivity", parents=[panel], description="Fit a grid of error-model assumptions")
     p_sens.add_argument("--grid", required=True, help="e.g. 'phi1=0.5,0.61,0.7;phi0=0.993,0.995,0.997;eta=0.96,0.98'")
-    p_sens.add_argument("--time-varying", action="store_true")
-    p_sens.add_argument("--round", type=float, default=None, metavar="G")
     p_sens.add_argument("--out", required=True, help="grid CSV path")
     return parser
 
@@ -103,12 +102,8 @@ def parse_grid_spec(spec: str) -> list[ErrorModel]:
 
 
 def _load_panel(args):
-    loaded = read_panel_csv(
-        args.panel_csv,
-        baseline_csv=getattr(args, "baseline_covariates", None),
-        schedule=getattr(args, "schedule", "adaptive"),
-        rounding=getattr(args, "round", None),
-    )
+    loaded = read_panel_csv(args.panel_csv, baseline_csv=args.baseline_covariates, schedule=args.schedule,
+                            rounding=args.round)
     if loaded.n_imputed:
         print(f"note: {loaded.n_imputed} covariate value(s) carried forward", file=sys.stderr)
     if loaded.n_collisions_merged:

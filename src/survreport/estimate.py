@@ -71,8 +71,9 @@ def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray) -> N
         raise ModelSpecError(f"subject {sid} has a non-finite covariate value")
 
 
-def _fixed_covariate_matrix(dataset: Dataset) -> np.ndarray:
-    z = dataset.covariates
+def _fixed_covariate_matrix(dataset: Dataset, p: int) -> np.ndarray:
+    """(N, p) time-fixed covariates; (N, 0) for the one-sample model."""
+    z = dataset.covariates if p else np.empty((dataset.n, 0))
     if z is None:
         raise ModelSpecError(
             f"subject {dataset.vectorless_subject_id()} has no time-fixed covariates; "
@@ -134,10 +135,10 @@ def _life_table_gamma(dataset: Dataset) -> np.ndarray:
     return np.log(-np.log1p(-haz))
 
 
-def _collapse_rows(c: np.ndarray, z: np.ndarray | None):
+def _collapse_rows(c: np.ndarray, z: np.ndarray):
     """Merge identical (C row, covariate) pairs into weighted rows."""
     # +0.0 turns -0.0 into 0.0, so that equal rows have equal bytes
-    key = np.ascontiguousarray(c if z is None or z.shape[1] == 0 else np.hstack([c, z + 0.0]))
+    key = np.ascontiguousarray(np.hstack([c, z + 0.0]) if z.shape[1] else c)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, idx, counts = np.unique(rows, return_index=True, return_counts=True)
     first_seen = np.argsort(idx)
@@ -145,8 +146,7 @@ def _collapse_rows(c: np.ndarray, z: np.ndarray | None):
     weights = counts[first_seen].astype(float)
     # Fortran order, so that the kernel's interval-major views are free
     c2 = np.asfortranarray(c[order])
-    z2 = np.asfortranarray(z[order]) if z is not None else None
-    return c2, z2, weights
+    return c2, np.asfortranarray(z[order]), weights
 
 
 def fit(
@@ -155,7 +155,6 @@ def fit(
     model: str = MODEL_COV_FIXED,
     *,
     grad_tol: float = 1e-5,
-    compute_covariance: bool = True,
     check_valid: bool = True,
 ) -> FitResult:
     """Maximize the chosen log-likelihood and assemble inference results.
@@ -192,11 +191,8 @@ def fit(
         if p == 0:
             raise ModelSpecError("time-varying model requires covariates")
         z_int = interval_covariates(dataset)
-    elif p:
-        z = _fixed_covariate_matrix(dataset)
-        c, z, weights = _collapse_rows(c, z)
     else:
-        c, _, weights = _collapse_rows(c, None)
+        c, z, weights = _collapse_rows(c, _fixed_covariate_matrix(dataset, p))
 
     gamma0 = _life_table_gamma(dataset)
     x0 = np.concatenate([gamma0, np.zeros(p)])
@@ -205,10 +201,9 @@ def fit(
 
     def negloglik_and_grad(x):
         lambdas = np.exp(x[:J])
-        beta = x[J:]
         try:
             ll, g_lambda, g_beta = lik.loglik_and_gradient(
-                c, lambdas, beta if p else None, z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
+                c, lambdas, x[J:], z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
             )
         except lik.NonPositiveLikelihoodError:
             # a line-search point put zero mass on some subject's only
@@ -218,9 +213,8 @@ def fit(
         return -ll, -grad
 
     def hessian(x):  # of the negative log-likelihood, in the working parameters
-        beta = x[J:] if p else None
         return -lik.loglik_hessian(
-            c, np.exp(x[:J]), beta, z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
+            c, np.exp(x[:J]), x[J:], z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
         )
 
     x_hat, f_hat, steps, stopped = _newton(negloglik_and_grad, hessian, x0, J, grad_tol)
@@ -237,19 +231,12 @@ def fit(
 
     frozen = tuple(int(j + 1) for j in np.flatnonzero(gamma_hat <= GAMMA_LOWER + 1e-6))
 
-    cov_working = None
-    cov_transformed = None
     beta_se = np.full(p, np.nan)
     survival_se = np.full(J + 1, np.nan)
-    if compute_covariance:
-        cov_working, cov_transformed = _covariances(
-            hessian(x_hat), J, p, lambdas_hat, survival, frozen
-        )
-        if cov_working is not None:
-            beta_se = np.sqrt(np.maximum(np.diag(cov_working)[J:], 0.0))
-            survival_se = np.concatenate(
-                ([0.0], np.sqrt(np.maximum(np.diag(cov_transformed)[p:], 0.0)))
-            )
+    cov_working, cov_transformed = _covariances(hessian(x_hat), J, p, lambdas_hat, survival, frozen)
+    if cov_working is not None:
+        beta_se = np.sqrt(np.maximum(np.diag(cov_working)[J:], 0.0))
+        survival_se = np.concatenate(([0.0], np.sqrt(np.maximum(np.diag(cov_transformed)[p:], 0.0))))
 
     # a huge SE saturates the hazard-ratio limits at 0 and inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -7,10 +7,10 @@ intervals that could contain the latent event time:
 
 where C_ij multiplies the per-visit report probabilities given the event
 lies in interval j.  With proportional hazards the subject-specific
-survival is S_j^(i) = S_j ** exp(z_i' beta); with a time-varying
-covariate path it is built from per-interval cumulative hazard
-increments.  Baseline misclassification mixes in a prevalent-case term
-weighted by 1 - eta.
+survival is built from per-interval cumulative hazard increments
+lambda_k exp(z_ik' beta); a time-fixed covariate has z_ik = z_i, so that
+S_j^(i) = S_j ** exp(z_i' beta).  Baseline misclassification mixes in a
+prevalent-case term weighted by 1 - eta.
 
 Values are evaluated in the survival-difference (theta) form, whose terms
 are all non-negative; the equivalent coefficient transform D = C @ T_r is
@@ -21,13 +21,17 @@ half of a gradient at the same point through the caller's ``memo``.
 
 The kernel works interval-major: per-subject arrays are (J, N) or
 (J+1, N) with subjects contiguous, so that a per-interval scalar
-broadcasts along a whole row.  It reads ``c.T`` and ``z_intervals.T``,
-views that are free for the Fortran-ordered arrays of ``build_c_matrix``
-and ``estimate.interval_covariates``.  Sums over intervals are 0/1
-triangular matrices on the left and sums over subjects products with a
-vector: numpy loops over short rows, or reductions along a short axis, cost
-several times as much.  The log-likelihood is one pairwise ``np.sum``, whose
-rounding error is O(eps log N) relative to sum_i |log L_i|.
+broadcasts along a whole row.  Every model reaches it through one
+covariate-major (P, K, N) array: ``z_intervals.T`` (K = J) for
+time-varying covariates, a time-fixed ``z`` as one interval (K = 1) that
+applies to every interval, and no covariates as P = 0.  The transposes are
+views that are free for the Fortran-ordered arrays of ``build_c_matrix``,
+``estimate.interval_covariates`` and the row collapse.  Sums over
+intervals are 0/1 triangular matrices on the left and sums over subjects
+products with a vector: numpy loops over short rows, or reductions along a
+short axis, cost several times as much.  The log-likelihood is one
+pairwise ``np.sum``, whose rounding error is O(eps log N) relative to
+sum_i |log L_i|.
 """
 
 from __future__ import annotations
@@ -97,11 +101,12 @@ def _interval_major(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=float).T)
 
 
-def _clamped_exp_lp(zt: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp of the clamped linear predictor of covariate-major ``zt``
-    ((P, N) or (P, J, N)), and the same with 0 where it is clamped."""
+def _clamped_exp_lp(zk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of the clamped (K, N) linear predictor of covariate-major ``zk``
+    (P, K, N), and the same with 0 where it is clamped."""
+    p, k, n = zk.shape
     # np.dot: matmul of a vector with a matrix is four times slower
-    u = np.dot(beta, zt.reshape(zt.shape[0], -1)).reshape(zt.shape[1:])
+    u = np.dot(beta, zk.reshape(p, k * n)).reshape(k, n)
     lp = np.exp(np.clip(u, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))
     free = np.abs(u) < LINEAR_PREDICTOR_CLAMP
     return lp, lp if free.all() else np.where(free, lp, 0.0)
@@ -120,9 +125,9 @@ def _before(J: int) -> np.ndarray:
 def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
     """Front half shared by the value, the gradient and the Hessian.
 
-    Returns interval-major ``(lp, lp_free, rows, q, tail, scale)``: exp of
-    the clamped linear predictor ((J, N) with ``z_intervals``, else (N,))
-    and the same with 0 where clamped, the per-subject likelihoods, the
+    Returns interval-major ``(zk, lp, lp_free, rows, q, tail, scale)``: the
+    (P, K, N) covariates, exp of the clamped (K, N) linear predictor and
+    the same with 0 where clamped, the per-subject likelihoods, the
     (J+1, N) q_ji = D_ij S_j^(i), the (J, N) tail sums T_ki = sum_{j>k}
     q_ji, and the (weighted) eta / rows.
     """
@@ -133,14 +138,12 @@ def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
     if np.any(lambdas < 0):
         raise ValueError("hazard increments must be non-negative")
     ct = _interval_major(c)  # (J+1, N)
-    n = ct.shape[1]
+    if z_intervals is None:  # a time-fixed z is one interval that applies to all; none is P = 0
+        z_intervals = np.empty((ct.shape[1], 1, 0)) if z is None else np.asarray(z, dtype=float)[:, None, :]
+    zk = _interval_major(z_intervals)  # (P, K, N)
     before = _before(lambdas.size)
-    if z_intervals is not None:
-        lp, lp_free = _clamped_exp_lp(_interval_major(z_intervals), beta)  # (J, N)
-        ss = np.exp(before.T @ (-lambdas[:, None] * lp))  # negation is exact
-    else:
-        lp, lp_free = _clamped_exp_lp(_interval_major(z), beta) if beta.size else (np.ones(n),) * 2
-        ss = np.exp(np.outer(-(lambdas @ before), lp))
+    lp, lp_free = _clamped_exp_lp(zk, beta)
+    ss = np.exp(before.T @ (-lambdas[:, None] * lp))  # negation is exact
 
     # rows: eta * sum_j C_ij theta_j + (1-eta) C_i1, with theta_j = S_j -
     # S_{j+1} exact and non-negative
@@ -159,7 +162,7 @@ def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
     scale = eta / rows
     if weights is not None:
         scale = scale * np.asarray(weights, dtype=float)
-    return lp, lp_free, rows, q, before @ q, scale
+    return zk, lp, lp_free, rows, q, before @ q, scale
 
 
 def _as_params(lambdas, beta):
@@ -183,25 +186,17 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
     terms = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
     if memo is not None:
         memo["at"], memo["terms"] = (lambdas.tobytes(), beta.tobytes()), terms
-    lp, lp_free, rows, q, tail, scale = terms
+    zk, lp, lp_free, rows, q, tail, scale = terms
     logs = np.log(rows)
     if weights is not None:
         logs *= np.asarray(weights, dtype=float)
     ll = float(np.sum(logs))  # pairwise: error O(eps log N) relative to sum |log L_i|
 
-    grad_beta = np.zeros(0)
-    if z_intervals is not None:
-        lt = lp * tail
-        grad_lambda = -(lt @ scale)
-        if beta.size:
-            # d w_ki / d beta_p = w_ki z_ikp (zero where clamped)
-            lz = (lp_free * tail) * _interval_major(z_intervals)  # (P, J, N)
-            grad_beta = -((lz.reshape(-1, lt.shape[1]) @ scale).reshape(-1, lambdas.size) @ lambdas)
-    else:
-        grad_lambda = -(tail @ (scale * lp))
-        if beta.size:
-            hdot = (lambdas @ _before(lambdas.size)) @ q  # sum_j q_ji H_j
-            grad_beta = -(_interval_major(z) @ (scale * lp_free * hdot))
+    lt = lp * tail
+    grad_lambda = -(lt @ scale)
+    # d w_ki / d beta_p = w_ki z_ikp (zero where clamped; lp_free is lp when nothing is)
+    lz = (lt if lp_free is lp else lp_free * tail) * zk  # (P, J, N)
+    grad_beta = -((lz.reshape(-1, tail.shape[1]) @ scale).reshape(-1, lambdas.size) @ lambdas)
     return ll, grad_lambda, grad_beta
 
 
@@ -216,15 +211,15 @@ def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0,
     A_ij = sum_{k<j} u_ik, S_j^(i) = exp(-A_ij), so each row's likelihood
     L_i has second derivative eta * sum_j q_ij (dA_ij dA_ij' - d2A_ij), and
     d2 log L_i = d2 L_i / L_i - dL_i dL_i' / L_i^2.  Clamped linear
-    predictors get no beta-curvature, as in the gradient.  In the
-    time-fixed model dA_ij / d beta_p = z_ip A_ij, one running sum for all p.
+    predictors get no beta-curvature, as in the gradient.
     """
     lambdas, beta = _as_params(lambdas, beta)
     p = beta.size
     hit = memo is not None and memo.get("at") == (lambdas.tobytes(), beta.tobytes())
     terms = memo["terms"] if hit else _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
-    lp, lp_free, rows, q, tail, scale = terms
+    zk, lp, lp_free, rows, q, tail, scale = terms
     J, n = tail.shape
+    before = _before(J)
     u = lambdas[:, None] * lp  # (J, N)
     # g_i = sum_j q_ij dA_ij, so that d log L_i = -(eta / L_i) g_i; outer
     # products of dL_i are weighted by eta^2 / L_i^2 (times the row weight)
@@ -235,21 +230,16 @@ def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0,
     # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)]; exact on and above
     # the diagonal, mirrored below at the end
     hess[:J, :J] = (u * scale) @ g.T - np.diag(g @ scale) - gs @ g.T
-    if p:
-        before = _before(J)
-        # (P, J, N), or (P, 1, N) in the time-fixed model
-        zk = _interval_major(z_intervals) if z is None else _interval_major(z)[:, None, :]
-        um = lambdas[:, None] * lp_free
-        w = um * zk  # w[a, k] = d u_k / d beta_a
-        v = (before.T @ um) * zk if z is not None else before.T @ w  # dA_j / d beta_a
-        dg = np.empty((p, n))  # dg[a] = sum_j q_j dA_j / d beta_a
-        for a in range(p):
-            qv = q * v[a]
-            r = before @ qv  # r[k] = sum_{j > k} q_j dA_j / d beta_a
-            dg[a] = r[0]
-            tw = tail * w[a]
-            hess[:J, J + a] = (u * r - tw) @ scale - gs @ dg[a]
-            for b in range(a, p):
-                hess[J + a, J + b] = np.sum((qv * v[b]) @ scale) - np.sum((tw * zk[b]) @ scale)
-        hess[J:, J:] -= (dg * outer) @ dg.T
+    w = (u if lp_free is lp else lambdas[:, None] * lp_free) * zk  # (P, J, N), w[a, k] = d u_k / d beta_a
+    v = before.T @ w  # dA_j / d beta_a
+    dg = np.empty((p, n))  # dg[a] = sum_j q_j dA_j / d beta_a
+    for a in range(p):
+        qv = q * v[a]
+        r = before @ qv  # r[k] = sum_{j > k} q_j dA_j / d beta_a
+        dg[a] = r[0]
+        tw = tail * w[a]
+        hess[:J, J + a] = (u * r - tw) @ scale - gs @ dg[a]
+        for b in range(a, p):
+            hess[J + a, J + b] = np.sum((qv * v[b]) @ scale) - np.sum((tw * zk[b]) @ scale)
+    hess[J:, J:] -= (dg * outer) @ dg.T
     return np.where(np.tri(J + p, k=-1, dtype=bool), hess.T, hess)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import estimate
+from .estimate import _Z975
 from .panel import ADAPTIVE, Dataset, ErrorModel, StudyGrid
 from .panel import build_dataset  # noqa: F401  perfbench/spans.py times simulate.build_dataset
 
 DEFAULT_SEED = 20210617
-_Z975 = 1.959963984540054  # standard normal 97.5 % quantile
 
 ADJUSTED = "adjusted"
 UNADJUSTED = "unadjusted"
@@ -188,15 +188,13 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     )
 
 
-def analysis_error_model(config: ScenarioConfig, analysis) -> ErrorModel:
+def analysis_error_model(config: ScenarioConfig, analysis: str) -> ErrorModel:
     """Resolve an analysis arm to the error model the fit will assume.
 
     ``adjusted`` assumes the generating truth.  ``unadjusted`` ignores the
     modeled error source: perfect reports when the truth has eta = 1,
     otherwise the true report error rates with eta = 1.
     """
-    if isinstance(analysis, ErrorModel):
-        return analysis
     if analysis == ADJUSTED:
         return config.error_model
     if analysis == UNADJUSTED:
@@ -207,7 +205,7 @@ def analysis_error_model(config: ScenarioConfig, analysis) -> ErrorModel:
     raise ValueError(f"unknown analysis arm {analysis!r}")
 
 
-def run_scenario(config: ScenarioConfig, analysis=ADJUSTED) -> ScenarioSummary:
+def run_scenario(config: ScenarioConfig, analysis: str = ADJUSTED) -> ScenarioSummary:
     """Fit every replicate and summarize operating characteristics.
 
     Only the first regression coefficient is summarized (the exposure of
@@ -238,9 +236,8 @@ def run_scenario(config: ScenarioConfig, analysis=ADJUSTED) -> ScenarioSummary:
     emp_sd = float(est.std(ddof=1)) if est.size > 1 else float("nan")
     rmse = float(np.sqrt(np.mean((est - beta_true) ** 2)))
     covered = np.abs(est - beta_true) <= _Z975 * se
-    label = analysis if isinstance(analysis, str) else "custom"
     return ScenarioSummary(
-        analysis=label,
+        analysis=analysis,
         beta_true=beta_true,
         mean_estimate=mean_est,
         mean_bias_pct=bias_pct,

@@ -3,13 +3,15 @@ import json
 
 import pytest
 
-from survreport import cli
-from survreport.panel import ErrorModel
+from survreport import cli, estimate
+from survreport.panel import ErrorModel, read_panel_csv
 from survreport.simulate import benchmark_config, generate_dataset
-from survreport.cli import EXIT_INPUT_ERROR, EXIT_OK, main, parse_grid_spec
+from survreport.cli import EXIT_INPUT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main, parse_grid_spec
 
 
-def write_panel(tmp_path, n=150, seed=0, with_covariate=True, name="panel.csv"):
+def write_panel(tmp_path, n=150, seed=0, with_covariate=True, name="panel.csv", drift=0.0):
+    """A generated panel as CSV; ``drift`` adds drift * k to the covariate
+    at a subject's k-th visit, giving time-varying covariate paths."""
     config = benchmark_config(0.75, 0.9, 0.5, n_replicates=1, seed=seed)
     config = type(config)(**{**config.__dict__, "n_subjects": n})
     ds = generate_dataset(config, 0)
@@ -20,12 +22,20 @@ def write_panel(tmp_path, n=150, seed=0, with_covariate=True, name="panel.csv"):
         else:
             fh.write("subject_id,time,result\n")
         for s in ds.subjects:
-            for t, r in zip(s.times, s.results):
+            for k, (t, r) in enumerate(zip(s.times, s.results)):
                 if with_covariate:
-                    fh.write(f"{s.subject_id},{t},{r},{s.covariates[0]}\n")
+                    fh.write(f"{s.subject_id},{t},{r},{s.covariates[0] + drift * k}\n")
                 else:
                     fh.write(f"{s.subject_id},{t},{r}\n")
     return path
+
+
+# reports 1,0,1 break the adaptive schedule but not the predetermined one
+PREDETERMINED_PANEL = (
+    "subject_id,time,result\n"
+    "A,1,1\nA,2,0\nA,3,1\nB,1,0\nB,2,0\nB,3,0\nC,1,0\nC,2,1\nC,3,0\n"
+    "D,1,0\nD,2,0\nD,3,1\nE,1,1\nE,2,1\nE,3,1\n"
+)
 
 
 def read_rows(path):
@@ -186,6 +196,48 @@ class TestFitCommand:
         )
         assert code == EXIT_OK
 
+    def test_not_converged_exits_two_with_artifacts(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimate, "MAX_NEWTON_STEPS", 0)
+        panel = write_panel(tmp_path, n=60)
+        out = tmp_path / "nc"
+        code = main(["fit", str(panel), "--phi1", "0.75", "--phi0", "0.9", "--out", str(out)])
+        assert code == EXIT_NOT_CONVERGED
+        assert "fit did not converge; artifacts written anyway" in capsys.readouterr().err
+        blob = json.loads((tmp_path / "nc.json").read_text())
+        assert blob["convergence"]["converged"] is False
+        assert blob["convergence"]["iterations"] == 0
+        assert len(read_rows(tmp_path / "nc_coefficients.csv")) == 1
+        assert len(read_rows(tmp_path / "nc_survival.csv")) == len(blob["taus"])
+
+    def test_time_varying_matches_in_process_fit(self, tmp_path):
+        panel = write_panel(tmp_path, n=200, seed=4, drift=0.25)
+        out = tmp_path / "tv"
+        code = main(["fit", str(panel), "--phi1", "0.75", "--phi0", "0.9", "--time-varying", "--out", str(out)])
+        assert code == EXIT_OK
+        blob = json.loads((tmp_path / "tv.json").read_text())
+        want = estimate.fit(read_panel_csv(panel).dataset, ErrorModel(0.75, 0.9), estimate.MODEL_COV_TIMEVARYING)
+        assert want.converged and blob["model"] == estimate.MODEL_COV_TIMEVARYING
+        assert blob == json.loads(estimate.fit_to_json(want))
+
+    def test_notes_for_carried_forward_and_merged_visits(self, tmp_path, capsys):
+        panel = tmp_path / "notes.csv"
+        lines = write_panel(tmp_path, n=60, seed=1).read_text(encoding="utf-8").splitlines()
+        first = lines[1].split(",")[0]
+        rows = [i for i, line in enumerate(lines) if line.startswith(first + ",")]
+        assert len(rows) >= 2
+        # a blank covariate cell at a subject's second visit, and a copy of
+        # its first visit 0.01 later that rounding to 1 merges back
+        lines[rows[1]] = lines[rows[1]].rsplit(",", 1)[0] + ","
+        sid, t, r, z = lines[rows[0]].split(",")
+        lines.insert(rows[0] + 1, f"{sid},{float(t) + 0.01},{r},{z}")
+        panel.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["fit", str(panel), "--phi1", "0.75", "--phi0", "0.9", "--round", "1", "--out", str(tmp_path / "n")]
+        code = main(argv)
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert "note: 1 covariate value(s) carried forward" in err
+        assert "note: 1 visit(s) merged by rounding (later report kept)" in err
+
     def test_baseline_covariates_file(self, tmp_path):
         panel = tmp_path / "p.csv"
         panel.write_text(
@@ -290,6 +342,19 @@ class TestSensitivityCommand:
         assert float(cell["hazard_ratio"]) == pytest.approx(
             blob["coefficients"][0]["hazard_ratio"], rel=1e-9
         )
+
+    def test_predetermined_schedule(self, tmp_path, capsys):
+        panel = tmp_path / "pre.csv"
+        panel.write_text(PREDETERMINED_PANEL, encoding="utf-8")
+        out = tmp_path / "g.csv"
+        argv = ["sensitivity", str(panel), "--grid", "phi1=0.8;phi0=0.9", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT_ERROR  # the default schedule is adaptive
+        assert "multiple positive results" in capsys.readouterr().err
+        assert main(argv + ["--schedule", "predetermined"]) == EXIT_OK
+        [row] = read_rows(out)
+        assert row["converged"] == "True" and row["error"] == ""
+        assert main(["fit", str(panel), "--phi1", "0.8", "--phi0", "0.9", "--schedule", "predetermined",
+                     "--out", str(tmp_path / "pre")]) == EXIT_OK
 
     def test_bad_grid_spec(self, tmp_path):
         panel = write_panel(tmp_path, n=40, seed=3)

@@ -240,6 +240,12 @@ class TestFitBasics:
         with pytest.raises(ValueError):
             fit(self.ds, self.em, "cox")
 
+    def test_default_fit_validates_in_memory_dataset(self):
+        # on the adaptive schedule a positive report must be the last visit
+        ds = build_dataset([SubjectPanel("a", (1.0, 2.0), (1, 0)), SubjectPanel("b", (1.0, 2.0), (0, 1))])
+        with pytest.raises(panel.PanelValidationError, match="a: positive not terminal"):
+            fit(ds, self.em)
+
     def test_eta_below_one_changes_fit(self):
         _, ds = simulated(seed=9, phi1=0.61, phi0=0.995, s_end=0.9, eta=0.93)
         res_adj = fit(ds, ErrorModel(0.61, 0.995, 0.93))

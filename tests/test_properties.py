@@ -384,7 +384,7 @@ def collapse_rows_by_axis_unique(c, z):
 @st.composite
 def collapse_cases(draw):
     """(C, z): rows drawn from a small pool so that many repeat; z holds
-    -0.0 next to 0.0, has one or two columns, or is absent."""
+    -0.0 next to 0.0 and has zero, one or two columns."""
     J = draw(st.integers(1, 4))
     pool = draw(st.lists(
         st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.1 + 0.2)), min_size=J, max_size=J),
@@ -393,8 +393,6 @@ def collapse_cases(draw):
     n = draw(st.integers(1, 20))
     c = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
     p = draw(st.integers(0, 2))
-    if p == 0:
-        return c, None
     values = st.sampled_from((0.0, -0.0, 1.0, -0.5))
     return c, np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=n, max_size=n)))
 

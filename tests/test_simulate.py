@@ -299,17 +299,17 @@ class TestAnalysisErrorModel:
         config = small_config(error_model=ErrorModel(0.61, 0.995, 1.0))
         assert analysis_error_model(config, UNADJUSTED) == ErrorModel(1.0, 1.0, 1.0)
 
-    def test_explicit_model_passes_through(self):
-        config = small_config()
-        em = ErrorModel(0.5, 0.99)
-        assert analysis_error_model(config, em) is em
-
     def test_unknown_arm(self):
         with pytest.raises(ValueError):
             analysis_error_model(small_config(), "naive")
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("arm", ["naive", ErrorModel(0.5, 0.99)])
+    def test_unknown_arm(self, arm):
+        with pytest.raises(ValueError, match="unknown analysis arm"):
+            run_scenario(small_config(n_replicates=1), arm)
+
     def test_summary_internally_consistent(self):
         summary = run_scenario(small_config(n_replicates=30), ADJUSTED)
         assert summary.analysis == ADJUSTED
