@@ -112,41 +112,72 @@ def interval_covariates(dataset: Dataset) -> np.ndarray:
     return np.take(values.T, starts + np.maximum(seen - 1, 0), axis=1).T
 
 
-def _life_table_gamma(dataset: Dataset) -> np.ndarray:
-    """Naive starting values treating self-reports as perfect."""
-    reports = dataset.reports
-    J = reports.shape[1]
-    observed = reports >= 0
-    empty = ~observed.any(axis=1)
-    if empty.any():
-        sid = dataset.subject_id(int(np.argmax(empty)))
-        raise ValueError(f"subject {sid} has no visits")
-    positive = reports == 1
-    has_event = positive.any(axis=1)
-    event = positive.argmax(axis=1)
-    last_visit = J - 1 - observed[:, ::-1].argmax(axis=1)
+def _life_table_gamma(dataset: Dataset, rows=None, counts=None) -> np.ndarray:
+    """Naive starting values treating self-reports as perfect, from the report
+    rows ``rows`` (every subject by default), each counted ``counts`` times."""
+    reports = dataset.reports if rows is None else dataset.reports[rows]
+    rt = np.ascontiguousarray(reports.T)  # (J, M): reduce along the long axis
+    J = rt.shape[0]
+    up = np.arange(1, J + 1, dtype=np.min_scalar_type(-J - 1))[:, None]  # 1..J, smallest signed type
+    last_visit = ((rt >= 0) * up).max(axis=0) - 1
+    if (last_visit < 0).any():
+        i = int(np.argmax(last_visit < 0))
+        raise ValueError(f"subject {dataset.subject_id(i if rows is None else rows[i])} has no visits")
+    event = J - ((rt == 1) * up[::-1]).max(axis=0)  # the first positive report; J if none
     # a subject is at risk on intervals 1..(first positive, else last visit)
-    last = np.where(has_event, event, last_visit)
-    at_risk = np.cumsum(np.bincount(last, minlength=J)[::-1])[::-1].astype(float)
-    events = np.bincount(event[has_event], minlength=J).astype(float)
+    last = np.minimum(event, last_visit)
+    at_risk = np.cumsum(np.bincount(last, counts, J)[::-1])[::-1].astype(float)
+    events = np.bincount(event, counts, J + 1)[:J].astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         haz = np.where(at_risk > 0, events / np.maximum(at_risk, 1), 0.0)
     haz = np.clip(haz, 5e-4, 0.95)
     return np.log(-np.log1p(-haz))
 
 
-def _collapse_rows(c: np.ndarray, z: np.ndarray):
-    """Merge identical (C row, covariate) pairs into weighted rows."""
+def _patterns(reports: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and count of each distinct (report row, covariate row), in
+    first-appearance order.  The integer key holds a base-3 digit per report
+    and the rank of each covariate value (-0.0 ranks as 0.0); it is re-coded
+    to dense ranks before a digit could overflow int64, and for the count."""
+    n = reports.shape[0]
+    digits = [(r, 3) for r in np.ascontiguousarray(reports.T) + 1]
+    digits += [(inverse, values.size) for values, inverse in (np.unique(x, return_inverse=True) for x in z.T)]
+    key, size = np.zeros(n, dtype=np.int64), 1
+    for digit, base in digits:
+        if size * base > 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+        key, size = key * base + digit, size * base
+    key = np.unique(key, return_inverse=True)[1]
+    first = np.full(int(key.max()) + 1, n)
+    np.minimum.at(first, key, np.arange(n))
+    rows = np.flatnonzero(first[key] == np.arange(n))
+    return rows, np.bincount(key)[key[rows]]
+
+
+def _collapse_rows(c: np.ndarray, z: np.ndarray, counts):
+    """Merge identical (C row, covariate) pairs into rows weighted by the
+    sum of their ``counts``."""
     # +0.0 turns -0.0 into 0.0, so that equal rows have equal bytes
     key = np.ascontiguousarray(np.hstack([c, z + 0.0]) if z.shape[1] else c)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, idx, counts = np.unique(rows, return_index=True, return_counts=True)
+    _, idx, inverse = np.unique(rows, return_index=True, return_inverse=True)
     first_seen = np.argsort(idx)
     order = idx[first_seen]
-    weights = counts[first_seen].astype(float)
+    weights = np.bincount(inverse, counts)[first_seen]
     # Fortran order, so that the kernel's interval-major views are free
-    c2 = np.asfortranarray(c[order])
-    return c2, np.asfortranarray(z[order]), weights
+    return np.asfortranarray(c[order]), np.asfortranarray(z[order]), weights
+
+
+def _model_and_p(dataset: Dataset, model: str) -> tuple[str, int]:
+    """The model fitted (the fixed model without covariates is the
+    one-sample one) and its number of coefficients."""
+    if model not in _MODELS:
+        raise ValueError(f"model must be one of {_MODELS}")
+    p = 0 if model == MODEL_ONESAMPLE else dataset.n_covariates
+    if model == MODEL_COV_TIMEVARYING and not p:
+        raise ModelSpecError("time-varying model requires covariates")
+    return model if p else MODEL_ONESAMPLE, p
 
 
 def fit(
@@ -164,38 +195,31 @@ def fit(
     convergence requires the largest free working-scale gradient component
     to fall to ``grad_tol``, within ``MAX_NEWTON_STEPS`` steps.
     """
-    if model not in _MODELS:
-        raise ValueError(f"model must be one of {_MODELS}")
+    model, p = _model_and_p(dataset, model)
     if check_valid:
         violations = validate(dataset)
         if violations:
             raise PanelValidationError(violations)
 
     J = dataset.grid.J
-    p = dataset.n_covariates if model != MODEL_ONESAMPLE else 0
-    if model == MODEL_COV_FIXED and dataset.n_covariates == 0:
-        model = MODEL_ONESAMPLE
-        p = 0
     eta = error_model.eta
-
-    c = lik.build_c_matrix(dataset, error_model)
+    z = z_int = rows = counts = weights = None
+    if model == MODEL_COV_TIMEVARYING:
+        z_int = interval_covariates(dataset)
+    else:  # one row per distinct (report row, covariate row), counted
+        z = _fixed_covariate_matrix(dataset, p)
+        rows, counts = _patterns(dataset.reports, z)
+    c = lik.build_c_matrix(dataset, error_model, rows)
     impossible = ~c.any(axis=1)
     if impossible.any():
-        sid = dataset.subject_id(int(np.argmax(impossible)))
+        i = int(np.argmax(impossible))
         raise ModelSpecError(
-            f"subject {sid}: report pattern is impossible under "
-            f"phi1={error_model.phi1:g}, phi0={error_model.phi0:g}"
+            f"subject {dataset.subject_id(i if rows is None else rows[i])}: report pattern is "
+            f"impossible under phi1={error_model.phi1:g}, phi0={error_model.phi0:g}"
         )
-    z = z_int = weights = None
-    if model == MODEL_COV_TIMEVARYING:
-        if p == 0:
-            raise ModelSpecError("time-varying model requires covariates")
-        z_int = interval_covariates(dataset)
-    else:
-        c, z, weights = _collapse_rows(c, _fixed_covariate_matrix(dataset, p))
-
-    gamma0 = _life_table_gamma(dataset)
-    x0 = np.concatenate([gamma0, np.zeros(p)])
+    x0 = np.concatenate([_life_table_gamma(dataset, rows, counts), np.zeros(p)])
+    if rows is not None:  # patterns whose C rows coincide merge
+        c, z, weights = _collapse_rows(c, z[rows], counts)
 
     memo = {}  # the front half at the last gradient point, for its Hessian
 
@@ -461,6 +485,7 @@ def sensitivity_grid(dataset: Dataset, model: str, error_models) -> SensitivityG
     error_models = list(error_models)
     if not error_models:
         raise ValueError("sensitivity grid needs at least one cell")
+    _model_and_p(dataset, model)  # a model error fails every cell alike
     cells = []
     for em in error_models:
         try:

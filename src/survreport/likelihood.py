@@ -61,15 +61,16 @@ def to_d_matrix(c: np.ndarray) -> np.ndarray:
     return np.diff(np.asarray(c, dtype=float), axis=1, prepend=0.0)  # D_ij = C_ij - C_i,j-1, exactly
 
 
-def build_c_matrix(dataset: Dataset, error_model: ErrorModel) -> np.ndarray:
+def build_c_matrix(dataset: Dataset, error_model: ErrorModel, rows=None) -> np.ndarray:
     """N x (J+1) coefficient matrix of per-interval report probabilities.
 
     Row i, column j is the probability of subject i's report vector given
     the event time falls in interval j; column J+1 corresponds to the
-    event never occurring.  The matrix is Fortran-ordered, so that its
+    event never occurring; ``rows`` builds only those rows, in that order
+    and with the same bits.  The matrix is Fortran-ordered, so that its
     transpose is a C-contiguous view.
     """
-    reports = np.ascontiguousarray(dataset.reports.T) + 1  # (J, N)
+    reports = np.ascontiguousarray((dataset.reports if rows is None else dataset.reports[rows]).T) + 1  # (J, N)
     J, n = reports.shape
     phi1, phi0 = error_model.phi1, error_model.phi0
     # per-cell report probability, indexed by report + 1 (a missed visit
@@ -105,6 +106,8 @@ def _clamped_exp_lp(zk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.nd
     """exp of the clamped (K, N) linear predictor of covariate-major ``zk``
     (P, K, N), and the same with 0 where it is clamped."""
     p, k, n = zk.shape
+    if not p:  # exp(0) = 1 everywhere and nothing is clamped: no predictor to form
+        return (np.ones((1, n)),) * 2
     # np.dot: matmul of a vector with a matrix is four times slower
     u = np.dot(beta, zk.reshape(p, k * n)).reshape(k, n)
     lp = np.exp(np.clip(u, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))

@@ -636,17 +636,18 @@ def read_panel_csv(
 
     Expected header: ``subject_id,time,result[,cov1,cov2,...]``; every row
     names its subject.  A subject's rows are taken in time order, ties in
-    file order.  Empty covariate cells are imputed by carrying the last
-    observed value forward; an empty cell at a subject's first visit with
-    no earlier value is an error.  A subject whose covariates never change
-    gets them as a time-fixed vector, any other a covariate path.  With
-    ``rounding``, visit times are rounded to its multiples and, of two
-    visits that meet, the later record is kept.  When ``baseline_csv`` is
-    given (``subject_id,cov1,...``, one row per subject) its columns become
-    time-fixed covariates and any covariate columns in the panel file are
-    rejected.  A plain file (see :func:`_read_plain`) is parsed in one pass,
-    any other cell by cell: both give the same dataset, or the same error
-    naming its line.  The dataset's :func:`validate` checks have been run.
+    file order (a file in that order is not sorted).  Empty covariate cells
+    are imputed by carrying the last observed value forward; an empty cell
+    at a subject's first visit with no earlier value is an error.  A subject
+    whose covariates never change gets them as a time-fixed vector, any
+    other a covariate path.  With ``rounding``, visit times are rounded to
+    its multiples and, of two visits that meet, the later record is kept.
+    When ``baseline_csv`` is given (``subject_id,cov1,...``, one row per
+    subject) its columns become time-fixed covariates and any covariate
+    columns in the panel file are rejected.  A plain file (see
+    :func:`_read_plain`) is parsed in one pass, any other cell by cell: both
+    give the same dataset, or the same error naming its line.  The dataset's
+    :func:`validate` checks have been run.
     """
     plain = _read_plain(path)
     if plain is None:
@@ -677,8 +678,10 @@ def read_panel_csv(
                 "covariate file is not allowed in addition"
             )
         names, baseline = _read_baseline(baseline_csv, subject_ids)
-    order = np.lexsort((times, codes))
-    rows, times, results, values, missing = (a[order] for a in (codes, times, results, values, missing))
+    order, rows, step = range(codes.size), codes, np.diff(codes)
+    if not ((step > 0) | (step == 0) & (np.diff(times) >= 0)).all():  # not in subject, time order
+        order = np.lexsort((times, codes))
+        rows, times, results, values, missing = (a[order] for a in (codes, times, results, values, missing))
     first = np.flatnonzero(np.diff(rows, prepend=-1))  # each subject's first row
 
     n_imputed = int(missing.sum())

@@ -1,7 +1,8 @@
 """The benchmark's span recorder (``perfbench/spans.py``) wraps package
-functions by module and attribute name, records the rows of each kernel
-call as the first argument's leading dimension, and its workloads call
-``fit`` with ``check_valid``.  A rename or a change of layout must fail
+functions by module and attribute name, records what it reads of each
+call's arguments and result (the rows of each kernel call as the first
+argument's leading dimension), and its workloads call ``fit`` with
+``check_valid``.  A rename or a change of signature or layout must fail
 here, not in a traced benchmark run."""
 
 import importlib
@@ -12,18 +13,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survreport import estimate, likelihood as lik
+from survreport import cli, estimate, likelihood as lik, panel, simulate
 from survreport.panel import ErrorModel
 from survreport.simulate import benchmark_config, generate_dataset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def wrapped_names():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, attr) for module, attr, _name, _info in spans.WRAPPED]
+    return spans
+
+
+def wrapped_names():
+    return [(module, attr) for module, attr, _name, _info in load_spans().WRAPPED]
 
 
 def test_every_wrapped_name_resolves():
@@ -46,7 +51,7 @@ def test_kernel_calls_lead_with_one_row_per_kernel_row(monkeypatch, model):
     if model == estimate.MODEL_COV_TIMEVARYING:
         want = ds.n  # no rows collapse
     else:
-        want = estimate._collapse_rows(lik.build_c_matrix(ds, em), ds.covariates)[0].shape[0]
+        want = estimate._collapse_rows(lik.build_c_matrix(ds, em), ds.covariates, np.ones(ds.n))[0].shape[0]
         assert want < ds.n
     rows = []
     gradient = lik.loglik_and_gradient
@@ -58,3 +63,34 @@ def test_kernel_calls_lead_with_one_row_per_kernel_row(monkeypatch, model):
     monkeypatch.setattr(lik, "loglik_and_gradient", recording_gradient)
     assert estimate.fit(ds, em, model).converged
     assert rows and set(rows) == {want}
+
+
+def test_every_span_reads_its_call(tmp_path):
+    """Each wrapper's record of a real call: a CLI fit of a panel file, a
+    time-varying fit, a validation and a two-replicate scenario."""
+    spans = load_spans()
+    modules = {"cli": cli, "estimate": estimate, "likelihood": lik, "panel": panel, "simulate": simulate}
+    tracer = spans.Tracer(modules)
+    config = benchmark_config(0.75, 0.9, 0.5, n_replicates=2, seed=3)
+    config = type(config)(**{**config.__dict__, "n_subjects": 200})
+    ds = generate_dataset(config, 0)
+    path = tmp_path / "panel.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("subject_id,time,result,z1\n")
+        fh.writelines(f"{s.subject_id},{t},{r},{s.covariates[0]}\n" for s in ds.subjects for t, r in zip(s.times, s.results))
+    drifting = panel.build_dataset(
+        [panel.SubjectPanel(s.subject_id, s.times, s.results, covariate_path=((0.0, s.covariates), (2.0, (0.5,))))
+         for s in ds.subjects],
+        covariate_names=("z1",),
+    )
+    em = ErrorModel(0.75, 0.9)
+    argv = ["fit", str(path), "--phi1", "0.75", "--phi0", "0.9", "--out", str(tmp_path / "fit")]
+    tracer.run_op(0, lambda: cli.main(argv))
+    tracer.run_op(1, lambda: estimate.fit(drifting, em, estimate.MODEL_COV_TIMEVARYING))
+    tracer.run_op(2, lambda: panel.validate(panel.read_panel_csv(path).dataset))
+    tracer.run_op(3, lambda: simulate.run_scenario(config, "adjusted"))
+    recorded = {s.name for s in tracer.spans if s.attrs is not None}
+    assert recorded == {name for _module, _attr, name, info in spans.WRAPPED if info is not None}
+    rows = {s.name: s.attrs["rows"] for s in tracer.spans if s.attrs is not None and s.op == 0}
+    # the C-matrix span records the dataset's N, whatever rows it builds
+    assert rows["likelihood.build_c_matrix"] == rows["estimate.fit"] == rows["panel.read_panel_csv"] == ds.n

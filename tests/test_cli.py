@@ -356,6 +356,18 @@ class TestSensitivityCommand:
         assert main(["fit", str(panel), "--phi1", "0.8", "--phi0", "0.9", "--schedule", "predetermined",
                      "--out", str(tmp_path / "pre")]) == EXIT_OK
 
+    def test_time_varying_without_covariates_fails_like_fit(self, tmp_path, capsys):
+        panel = tmp_path / "pre.csv"
+        panel.write_text(PREDETERMINED_PANEL, encoding="utf-8")
+        common = [str(panel), "--schedule", "predetermined", "--time-varying"]
+        assert main(["fit", *common, "--phi1", "0.8", "--phi0", "0.9", "--out", str(tmp_path / "f")]) == EXIT_INPUT_ERROR
+        fit_err = capsys.readouterr().err
+        assert "time-varying model requires covariates" in fit_err
+        out = tmp_path / "g.csv"
+        assert main(["sensitivity", *common, "--grid", "phi1=0.8,0.9;phi0=0.9", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == fit_err
+        assert not out.exists()
+
     def test_bad_grid_spec(self, tmp_path):
         panel = write_panel(tmp_path, n=40, seed=3)
         code = main(

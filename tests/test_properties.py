@@ -27,6 +27,7 @@ from survreport.estimate import (
     ModelSpecError,
     _collapse_rows,
     _life_table_gamma,
+    _patterns,
     _projected_gradient,
     fit,
     interval_covariates,
@@ -53,6 +54,7 @@ from survreport.panel import (
 
 from oracles import (
     central_difference_gradient,
+    collapse_subject_rows,
     cumsum_loglik_and_gradient,
     cumsum_loglik_hessian,
     direct_pattern_probability,
@@ -140,6 +142,11 @@ def test_permuting_subjects_permutes_c_rows(case, random):
 @given(panels())
 def test_life_table_start_counts(case):
     dataset, _ = case
+    assert np.array_equal(_life_table_gamma(dataset), life_table_by_subject(dataset))
+
+
+def life_table_by_subject(dataset):
+    """The life-table start by a walk over the subjects' visits."""
     J = dataset.grid.J
     events = [0] * J
     at_risk = [0] * J
@@ -152,8 +159,7 @@ def test_life_table_start_counts(case):
         if positives:
             events[positives[0] - 1] += 1
     haz = np.array([e / a if a else 0.0 for e, a in zip(events, at_risk)])
-    expected = np.log(-np.log1p(-np.clip(haz, 5e-4, 0.95)))
-    assert np.array_equal(_life_table_gamma(dataset), expected)
+    return np.log(-np.log1p(-np.clip(haz, 5e-4, 0.95)))
 
 
 @PROPERTY_SETTINGS
@@ -372,6 +378,23 @@ def test_kernel_matches_cumsum_oracle(case, beta2, seed):
         assert np.array_equal(loglik_hessian(c_o, other, beta, **kw, memo=memo), loglik_hessian(c_o, other, beta, **kw))
 
 
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_one_sample_kernel_is_the_zero_covariate_kernel(case):
+    """Without covariates the kernel forms no linear predictor, yet its
+    value, lambda gradient and gamma Hessian keep the bits of a zero
+    covariate at beta = 0, whose exp(z'beta) is 1."""
+    c, lambdas, _, kwargs = case
+    kwargs = {k: v for k, v in kwargs.items() if k not in ("z", "z_intervals")}
+    assume(feasible(c, lambdas, None, kwargs))
+    zero = {**kwargs, "z": np.zeros((c.shape[0], 1))}
+    ll, g, _ = loglik_and_gradient(c, lambdas, None, **kwargs)
+    ll0, g0, _ = loglik_and_gradient(c, lambdas, [0.0], **zero)
+    assert ll == ll0 and g.tobytes() == g0.tobytes()
+    hess = loglik_hessian(c, lambdas, None, **kwargs)
+    assert hess.tobytes() == loglik_hessian(c, lambdas, [0.0], **zero)[: lambdas.size, : lambdas.size].tobytes()
+
+
 def collapse_rows_by_axis_unique(c, z):
     """Row collapse by ``np.unique(axis=0)``, which compares rows as floats."""
     key = c if z is None else np.hstack([c, z])
@@ -401,7 +424,7 @@ def collapse_cases(draw):
 @given(collapse_cases())
 def test_collapse_rows_matches_axis_unique(case):
     c, z = case
-    got = _collapse_rows(c, z)
+    got = _collapse_rows(c, z, np.ones(c.shape[0]))
     want = collapse_rows_by_axis_unique(c, z)
     for g, w in zip(got, want):
         if w is None:
@@ -409,6 +432,135 @@ def test_collapse_rows_matches_axis_unique(case):
         else:
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
     assert got[2].sum() == c.shape[0]
+
+
+@st.composite
+def pattern_panels(draw):
+    """(dataset, error model): array-held panels whose subjects share a few
+    report rows and covariate rows.  Grids of 1-4, 40-45 (a base-3 key of
+    more than 39 columns overflows int64), 127 or 128 points; both
+    schedules; subjects without visits; P = 0, 1 or 2 covariates with -0.0
+    next to 0.0; error models that rule some patterns out."""
+    J = draw(st.one_of(st.integers(1, 4), st.integers(40, 45), st.sampled_from((127, 128))))
+    schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
+
+    def report_row():
+        visited = draw(st.lists(st.booleans(), min_size=J, max_size=J))
+        if schedule == PREDETERMINED:
+            return [draw(st.integers(0, 1)) if v else -1 for v in visited]
+        row = [0 if v else -1 for v in visited]
+        if any(visited) and draw(st.booleans()):  # the last visit reports the event
+            row[max(k for k, v in enumerate(visited) if v)] = 1
+        return row
+
+    p = draw(st.integers(0, 2))
+    report_pool = [report_row() for _ in range(draw(st.integers(1, 4)))]
+    values = st.sampled_from((0.0, -0.0, 1.0, -0.5))
+    covariate_pool = draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=1, max_size=3))
+    n = draw(st.integers(1, 30))
+    picks = [(draw(st.sampled_from(report_pool)), draw(st.sampled_from(covariate_pool))) for _ in range(n)]
+    dataset = Dataset.from_arrays(
+        [f"s{i}" for i in range(n)], [r for r, _ in picks], StudyGrid(tuple(map(float, range(1, J + 1)))),
+        np.array([z for _, z in picks]).reshape(n, p), tuple(f"x{k}" for k in range(p)), schedule,
+    )
+    return dataset, ErrorModel(draw(st.sampled_from((0.6, 0.8, 1.0))), draw(st.sampled_from((0.7, 0.9, 1.0))))
+
+
+def patterns_by_dict(reports, z):
+    """First row and count of each distinct (report row, covariate row), by
+    a walk over the subjects."""
+    first, counts = {}, {}
+    for i, key in enumerate(zip(map(tuple, reports.tolist()), map(tuple, (z + 0.0).tolist()))):
+        first.setdefault(key, i)
+        counts[key] = counts.get(key, 0) + 1
+    return list(first.values()), list(counts.values())
+
+
+@PROPERTY_SETTINGS
+@given(pattern_panels())
+def test_pattern_rows_collapse_to_the_subject_row_collapse(case):
+    dataset, em = case
+    z = dataset.covariates
+    rows, counts = _patterns(dataset.reports, z)
+    assert (rows.tolist(), counts.tolist()) == patterns_by_dict(dataset.reports, z)
+    got = _collapse_rows(build_c_matrix(dataset, em, rows), z[rows], counts)
+    want = collapse_subject_rows(build_c_matrix(dataset, em), z)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got[0].T.flags.c_contiguous and got[1].T.flags.c_contiguous
+    if (dataset.reports >= 0).any(axis=1).all():
+        assert np.array_equal(_life_table_gamma(dataset, rows, counts), life_table_by_subject(dataset))
+
+
+@PROPERTY_SETTINGS
+@given(pattern_panels(), st.booleans())
+def test_fit_errors_name_the_first_subject_of_every_row(case, perfect):
+    """An impossible report pattern, else a subject without visits, is
+    named by its first subject, as a walk over every subject's row finds.
+    Perfect reports rule out every predetermined row that is not 0s then 1s."""
+    dataset, em = case
+    em = ErrorModel(1.0, 1.0) if perfect else em
+    impossible = np.flatnonzero(~build_c_matrix(dataset, em).any(axis=1))
+    empty = np.flatnonzero((dataset.reports < 0).all(axis=1))
+    if impossible.size:
+        error, message = ModelSpecError, f"subject {dataset.subject_id(impossible[0])}: report pattern is impossible"
+    elif empty.size:
+        error, message = ValueError, f"subject {dataset.subject_id(empty[0])} has no visits"
+    else:
+        return
+    with pytest.raises(error) as exc:
+        fit(dataset, em, check_valid=False)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("last, message", [([1, 0], "subject c: report pattern is impossible"),
+                                           ([-1, -1], "subject c has no visits")])
+def test_fit_errors_name_the_subject_not_the_pattern(last, message):
+    # a and b share a pattern, so c's pattern is the second one
+    dataset = Dataset.from_arrays(["a", "b", "c"], [[0, 0], [0, 0], last], StudyGrid((1.0, 2.0)),
+                                  schedule=PREDETERMINED)
+    with pytest.raises(ValueError, match=message):
+        fit(dataset, ErrorModel(1.0, 1.0), check_valid=False)
+
+
+def test_patterns_with_equal_c_rows_merge():
+    # under phi1 = phi0 = 1 a positive first report puts the event in the
+    # first interval whatever the second visit says
+    dataset = Dataset.from_arrays(["a", "b", "c"], [[1, -1], [1, 1], [1, -1]], StudyGrid((1.0, 2.0)),
+                                  schedule=PREDETERMINED)
+    em = ErrorModel(1.0, 1.0)
+    z = dataset.covariates
+    rows, counts = _patterns(dataset.reports, z)
+    assert rows.tolist() == [0, 1] and counts.tolist() == [2, 1]
+    got = _collapse_rows(build_c_matrix(dataset, em, rows), z[rows], counts)
+    assert got[0].tolist() == [[1.0, 0.0, 0.0]] and got[2].tolist() == [3.0]
+    for g, w in zip(got, collapse_subject_rows(build_c_matrix(dataset, em), z)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_pattern_key_does_not_wrap():
+    # 2**64 in base 3 takes 41 digits: as a wrapping int64 base-3 key this
+    # report row would collide with the row of no visits (all digits 0)
+    digits, v = [], 2**64
+    while v:
+        v, d = divmod(v, 3)
+        digits.append(d)
+    reports = np.array([digits[::-1], [0] * len(digits)]) - 1
+    dataset = Dataset.from_arrays(["a", "b"], reports, StudyGrid(tuple(map(float, range(1, len(digits) + 1)))),
+                                  schedule=PREDETERMINED)
+    rows, counts = _patterns(dataset.reports, dataset.covariates)
+    assert rows.tolist() == [0, 1] and counts.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("reports", [[[1, -1], [0, 0], [0, 0]], [[-1, -1], [0, 0], [0, 0]]],
+                         ids=["impossible-pattern", "no-visits"])
+def test_bad_covariate_is_reported_before_report_errors(reports):
+    # subject a's reports are impossible under phi1 = phi0 = 1 (or absent);
+    # subject b's covariate is not finite, and that error wins either way
+    dataset = Dataset.from_arrays(["a", "b", "c"], reports, StudyGrid((1.0, 2.0)), [[0.0], [np.inf], [1.0]],
+                                  ("x",), PREDETERMINED)
+    with pytest.raises(ModelSpecError, match="subject b has a non-finite covariate value"):
+        fit(dataset, ErrorModel(1.0, 1.0), check_valid=False)
 
 
 def projected_gradient_by_loop(grad, x, J):
@@ -573,6 +725,44 @@ def test_csv_round_trip_equals_built_dataset(case, style):
         # the reader's structural checks are the dataset's
         assert ds.violations == built.violations
         assert ds == built and tuple(ds.subjects) == built.subjects
+
+
+@PROPERTY_SETTINGS
+@given(csv_panels(), st.sampled_from(STYLES), st.booleans())
+def test_shuffled_file_reads_as_the_sorted_file(case, style, blank_first):
+    """A file whose rows run in subject, time order skips the sort; the
+    same rows in any order give its dataset, and an error names the line
+    that holds the same row."""
+    _, rows, names, schedule, rounding = case
+    rank = {sid: k for k, sid in enumerate(in_file_order(rows))}
+    ordered = sorted(rows, key=lambda row: (rank[row[0]], row[1]))
+    if names and blank_first:  # the first subject's first visit loses its value
+        sid, t, r, cells = ordered[0]
+        ordered[0] = (sid, t, r, ["", *cells[1:]])
+        rows = [ordered[0] if row[:2] == (sid, t) else row for row in rows]
+    outcomes = []
+    for lines in (ordered, rows):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            path = os.path.join(tmp, "panel.csv")
+            write_csv(lines, names, path, style)
+            try:
+                outcomes.append(read_panel_csv(path, schedule=schedule, rounding=rounding))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert lexsort.called == (lines != ordered)
+    got, want = outcomes[1], outcomes[0]
+    if isinstance(want, str):
+        if want.startswith("line 2: "):  # the blanked cell; the header is line 1
+            want = f"line {2 + rows.index(ordered[0])}: " + want[len("line 2: "):]
+        assert got == want
+        return
+    assert got.n_imputed == want.n_imputed and got.n_collisions_merged == want.n_collisions_merged
+    ds, ref = got.dataset, want.dataset
+    assert ds == ref and ds.reports.tobytes() == ref.reports.tobytes()
+    for a, b in zip((*ds.covariate_paths, *ds.visits), (*ref.covariate_paths, *ref.visits)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if ref.covariates is not None:
+        assert ds.covariates.tobytes() == ref.covariates.tobytes()
 
 
 def float_tokens(values):
