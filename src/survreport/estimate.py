@@ -157,16 +157,17 @@ def _patterns(reports: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _collapse_rows(c: np.ndarray, z: np.ndarray, counts):
     """Merge identical (C row, covariate) pairs into rows weighted by the
-    sum of their ``counts``."""
+    sum of their ``counts``, in the lexicographic order of their values, so
+    that the order of the subjects does not change the kernel's sums."""
     # +0.0 turns -0.0 into 0.0, so that equal rows have equal bytes
     key = np.ascontiguousarray(np.hstack([c, z + 0.0]) if z.shape[1] else c)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, idx, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    first_seen = np.argsort(idx)
-    order = idx[first_seen]
-    weights = np.bincount(inverse, counts)[first_seen]
+    by_value = np.lexsort(key[idx].T[::-1])  # column 0 first
+    order = idx[by_value]
+    weights = np.bincount(inverse, counts)[by_value]
     # Fortran order, so that the kernel's interval-major views are free
-    return np.asfortranarray(c[order]), np.asfortranarray(z[order]), weights
+    return np.asfortranarray(c[order]), np.asfortranarray(z[order] + 0.0), weights
 
 
 def _model_and_p(dataset: Dataset, model: str) -> tuple[str, int]:

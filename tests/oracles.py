@@ -248,17 +248,19 @@ def validate_by_subject(dataset):
 
 
 def collapse_subject_rows(c, z):
-    """The row collapse as ``estimate.fit`` made it over every subject's
-    C row before it grouped subjects by report pattern: one ``np.unique``
+    """The row collapse over every subject's C row, as ``estimate.fit``
+    made it before it grouped subjects by report pattern: one ``np.unique``
     over the bytes of each (C row, covariate row), ``z + 0.0`` so that
-    -0.0 and 0.0 group together, first appearances first, each kept row
-    weighted by its count.  Returns Fortran-ordered ``(c, z, weights)``."""
+    -0.0 and 0.0 group together and z is returned so, each kept row the
+    first appearance of its group and weighted by its count, the rows
+    sorted by value (column 0 first).  Returns Fortran-ordered
+    ``(c, z, weights)``."""
     key = np.ascontiguousarray(np.hstack([c, z + 0.0]) if z.shape[1] else c)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, idx, counts = np.unique(rows, return_index=True, return_counts=True)
-    first_seen = np.argsort(idx)
-    order = idx[first_seen]
-    return np.asfortranarray(c[order]), np.asfortranarray(z[order]), counts[first_seen].astype(float)
+    by_value = sorted(range(idx.size), key=lambda g: tuple(key[idx[g]]))
+    order = idx[by_value]
+    return np.asfortranarray(c[order]), np.asfortranarray(z[order] + 0.0), counts[by_value].astype(float)
 
 
 # The likelihood kernel as it was before its interval and subject sums
