@@ -11,9 +11,7 @@ from .panel import (
     StudyGrid,
     SubjectPanel,
     Violation,
-    apply_rounding,
     build_dataset,
-    build_grid,
     read_panel_csv,
     validate,
 )
@@ -22,7 +20,6 @@ from .likelihood import (
     loglik_and_gradient,
     loglik_hessian,
     survival_from_increments,
-    to_d_matrix,
 )
 from .estimate import (
     FitResult,

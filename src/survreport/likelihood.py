@@ -56,11 +56,6 @@ class NonPositiveLikelihoodError(ValueError):
         super().__init__(f"subject row {row} has non-positive likelihood")
 
 
-def to_d_matrix(c: np.ndarray) -> np.ndarray:
-    """Transformed coefficients D with sum_j C_ij theta_j == sum_j D_ij S_j."""
-    return np.diff(np.asarray(c, dtype=float), axis=1, prepend=0.0)  # D_ij = C_ij - C_i,j-1, exactly
-
-
 def build_c_matrix(dataset: Dataset, error_model: ErrorModel, rows=None) -> np.ndarray:
     """N x (J+1) coefficient matrix of per-interval report probabilities.
 

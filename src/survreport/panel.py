@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
 from itertools import chain, compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -120,21 +120,28 @@ class StudyGrid:
     def J(self) -> int:
         return len(self.taus)
 
-    def interval_index(self, time: float) -> int:
-        """1-based index j with tau_j == time; raises KeyError off grid."""
-        try:
-            return self._index_map[time]
-        except KeyError:
-            raise KeyError(f"visit time {time!r} is not a grid point") from None
-
-    @cached_property
-    def _index_map(self) -> dict[float, int]:
-        return {t: j + 1 for j, t in enumerate(self.taus)}
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated collection of subject panels sharing one study grid."""
+    """Subjects sharing one study grid, held as arrays, each made once:
+
+    - ``ids``, the subject ids, each appearing once;
+    - ``reports``, the read-only (N, J) int8 report matrix: column k holds
+      the report at tau_{k+1}, -1 a missed visit;
+    - ``covariates``, the read-only (N, P) time-fixed covariate matrix, or
+      None when a subject has no time-fixed vector (a path, or nothing);
+    - ``covariate_paths``, every subject's covariates in long form
+      ``(rows, times, values)`` in subject then time order: point k, of
+      the path of subject ``rows[k]``, holds the (P,) vector ``values[k]``
+      measured at ``times[k]``; a time-fixed vector is one point at time 0;
+    - ``violations``, every broken structural invariant (see :func:`validate`).
+
+    :meth:`from_arrays` sets the arrays and makes ``subjects`` from them
+    when it is read.  ``Dataset(subjects, grid, ...)`` keeps its
+    :class:`SubjectPanel` objects and makes the arrays from them in one walk
+    (:func:`_flatten`) when one is first read.  The two forms of the same
+    subjects are equal and hash alike.
+    """
 
     subjects: Sequence[SubjectPanel]
     grid: StudyGrid
@@ -142,10 +149,8 @@ class Dataset:
     schedule: str = ADAPTIVE
 
     def __post_init__(self):
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"schedule must be one of {_SCHEDULES}")
-        if len(self.subjects) < 1:
-            raise ValueError("dataset needs at least one subject")
+        subjects = tuple(self.subjects)
+        self._hold(tuple(map(attrgetter("subject_id"), subjects)), subjects=subjects)
 
     @classmethod
     def from_arrays(
@@ -157,15 +162,16 @@ class Dataset:
         covariate_names=(),
         schedule: str = ADAPTIVE,
         paths=None,
+        violations=None,
     ) -> Dataset:
         """Dataset held as its (N, J) report matrix (-1 a missed visit) and
         (N, P) time-fixed covariate matrix, or ``None`` without covariates.
         ``paths``, ``(rows, times, values)`` ordered by row then time, gives
         each subject in ``rows`` a covariate path in place of its row of
         ``covariates``; it is ``None`` when no subject has a path.
-
-        Its ``subjects`` become :class:`SubjectPanel` objects only when read;
-        the result equals the same subjects passed through
+        ``violations``, when given, is what :func:`validate` returns, from
+        checks the caller made that found the ids distinct (a reader passes
+        ``()``).  The result equals the same subjects passed through
         :func:`build_dataset`.
         """
         ids, names = tuple(subject_ids), tuple(covariate_names)
@@ -178,182 +184,147 @@ class Dataset:
             )
         if ((reports < -1) | (reports > 1)).any():
             raise ValueError("reports must be -1 (missed visit), 0 or 1")
+        rows, times, values = np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, len(names)))
         if paths is not None:
             rows, times, values = np.asarray(paths[0], np.intp), *(np.asarray(a, float) for a in paths[1:])
             if times.shape != rows.shape or values.shape != (rows.size, len(names)):
                 raise ValueError("covariate paths need one time and one covariate vector per row")
-            paths = rows, times, values
+        fixed = np.full(len(ids), bool(names))
+        fixed[rows] = False
+        first = np.flatnonzero(fixed)  # a time-fixed vector is one point at time 0
+        long_form = (first, rows), (np.zeros(first.size), times), (z[first], values)
+        order = np.argsort(np.concatenate(long_form[0]), kind="stable")
         reports.flags.writeable = z.flags.writeable = False
-        subjects = _ArraySubjects(ids, reports, grid.taus, z if names else None, paths)
-        dataset = cls(subjects, grid, names, schedule)
-        dataset.__dict__.update(reports=reports, covariates=z if paths is None else None)  # fill the caches
+        dataset = cls.__new__(cls)
+        vars(dataset).update(grid=grid, covariate_names=names, schedule=schedule)
+        dataset._hold(
+            ids,
+            reports=reports,
+            covariates=z if fixed.all() or not names else None,
+            covariate_paths=tuple(np.concatenate(a)[order] for a in long_form),
+            _fixed=fixed,
+            **({} if violations is None else {"violations": tuple(violations)}),
+        )
         return dataset
+
+    def _hold(self, ids, **members):
+        """Check the schedule and, unless ``members`` holds the violations
+        the caller found, that the ids are distinct; set them and ``members``."""
+        if self.schedule not in _SCHEDULES:
+            raise ValueError(f"schedule must be one of {_SCHEDULES}")
+        if not ids:
+            raise ValueError("dataset needs at least one subject")
+        if "violations" not in members and len(set(ids)) < len(ids):
+            seen = set()
+            raise ValueError(f"subject {next(s for s in ids if s in seen or seen.add(s))} appears twice")
+        vars(self).update(members, ids=ids, covariate_names=tuple(self.covariate_names))
+
+    def __getattr__(self, name):
+        # made when first read, and kept: the arrays of a dataset made from
+        # panels, the panels of one made from arrays, or its violations;
+        # ``_errors`` holds what reading one that cannot be made raises
+        members = vars(self)
+        if name in _FLATTENED and "_fixed" not in members:
+            members.update(_flatten(self))
+        elif name == "subjects":
+            members[name] = _panels(self)
+        elif name == "violations":
+            members[name] = tuple(_violations(self.ids, self.visits, self.grid.taus, self.schedule))
+        if name not in members:
+            raise members.get("_errors", {}).get(name) or AttributeError(f"'Dataset' object has no attribute {name!r}")
+        return members[name]
 
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
 
     @property
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
     def subject_id(self, i) -> str:
-        """Id of subject ``i``, read without making the other subjects."""
-        if isinstance(self.subjects, _ArraySubjects):
-            return self.subjects.ids[i]
-        return self.subjects[i].subject_id
+        return self.ids[i]
 
     def vectorless_subject_id(self) -> str:
-        """Id of the first subject with no time-fixed covariate vector; an
-        array-held dataset reads it from its path rows."""
-        if isinstance(self.subjects, _ArraySubjects):
-            return self.subject_id(self.subjects.paths[0][0])
-        return next(s.subject_id for s in self.subjects if s.covariates is None)
+        """Id of the first subject with no time-fixed covariate vector."""
+        return self.ids[int(np.argmin(self._fixed))]
 
     @property
     def visits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every visit in long form ``(rows, times, results)``, in subject
-        then visit order."""
-        if isinstance(self.subjects, _ArraySubjects):
-            rows, cols = np.nonzero(self.reports >= 0)
-            return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
-        counts = np.fromiter((len(s.times) for s in self.subjects), dtype=np.intp, count=self.n)
-        total = int(counts.sum())
-        times = np.fromiter(chain.from_iterable(s.times for s in self.subjects), dtype=float, count=total)
-        results = np.fromiter(
-            chain.from_iterable(s.results for s in self.subjects), dtype=np.int8, count=total
-        )
-        return np.repeat(np.arange(self.n), counts), times, results
+        """Every visit in long form ``(rows, times, results)``, in subject then visit order."""
+        rows, cols = np.nonzero(self.reports >= 0)
+        return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
 
-    @cached_property
-    def reports(self) -> np.ndarray:
-        """Read-only (N, J) int8 report matrix: column k holds the report
-        at tau_{k+1}, -1 a missed visit.  Built once per dataset."""
-        rows, times, results = self.visits
-        taus = np.asarray(self.grid.taus, dtype=float)
-        cols = np.searchsorted(taus, times)
-        off = taus[np.minimum(cols, self.grid.J - 1)] != times
-        if off.any():
-            raise KeyError(f"visit time {float(times[np.argmax(off)])!r} is not a grid point")
-        # each cell takes one visit: a repeated or out-of-order time would
-        # silently overwrite (or reorder) a subject's reports
-        unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
-        if unordered.any():
-            sid = self.subject_id(rows[1:][np.argmax(unordered)])
-            raise ValueError(f"subject {sid}: visit times not strictly increasing")
-        reports = np.full((self.n, self.grid.J), -1, dtype=np.int8)
+
+_FLATTENED = ("reports", "covariates", "covariate_paths", "_fixed", "violations")
+
+
+def _flatten(dataset) -> dict:
+    """The arrays of ``Dataset(subjects, ...)`` (see :data:`_FLATTENED`) in
+    one walk of its panels, each covariate path iterated once; the only
+    code that reads a panel's visits or covariates.  ``_errors`` holds the
+    error ``reports`` raises for a visit off the grid or out of order, and
+    the covariates' for a vector whose length is not P."""
+    ids, n, p = dataset.ids, dataset.n, dataset.n_covariates
+    taus = np.asarray(dataset.grid.taus, dtype=float)
+    fields = attrgetter("times", "results", "covariates", "covariate_path")
+    times, results, vectors, paths = zip(*map(fields, dataset.subjects))
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, times), np.intp, n))
+    times = np.fromiter(chain.from_iterable(times), float, rows.size)
+    results = np.fromiter(chain.from_iterable(results), np.int8, rows.size)
+    paths = [((0.0, v),) if v is not None else path or () for v, path in zip(vectors, paths)]
+    point_rows = np.repeat(np.arange(n), np.fromiter(map(len, paths), np.intp, n))
+    points = list(chain.from_iterable(paths))
+    widths = np.fromiter((len(v) for _, v in points), np.intp, len(points))
+    violations = _violations(ids, (rows, times, results), taus, dataset.schedule, (point_rows, widths), p)
+
+    cols = np.searchsorted(taus, times)
+    off = taus[np.minimum(cols, taus.size - 1)] != times
+    # each cell takes one visit: a repeated or out-of-order time would
+    # silently overwrite (or reorder) a subject's reports
+    unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+    fixed = np.fromiter((v is not None for v in vectors), bool, n)
+    errors = {}
+    made = {"_fixed": fixed, "violations": tuple(violations), "_errors": errors}
+    if off.any():
+        errors["reports"] = KeyError(f"visit time {float(times[np.argmax(off)])!r} is not a grid point")
+    elif unordered.any():
+        sid = ids[rows[1:][np.argmax(unordered)]]
+        errors["reports"] = ValueError(f"subject {sid}: visit times not strictly increasing")
+    else:
+        reports = made["reports"] = np.full((n, taus.size), -1, dtype=np.int8)
         reports[rows, cols] = results
         reports.flags.writeable = False
-        return reports
+    wrong = widths != p
+    if wrong.any():
+        sid = ids[point_rows[np.argmax(wrong)]]
+        errors["covariates"] = errors["covariate_paths"] = ValueError(f"subject {sid}: covariate length mismatch")
+    else:
+        values = np.fromiter(chain.from_iterable(v for _, v in points), float, int(widths.sum()))
+        values = values.reshape(len(points), p)
+        values.flags.writeable = False
+        made["covariate_paths"] = point_rows, np.fromiter((t for t, _ in points), float, len(points)), values
+        made["covariates"] = values if fixed.all() else None
+    if not p:  # the one-sample model reads no covariates
+        made["covariates"] = np.empty((n, 0))
+    return made
 
-    @cached_property
-    def covariates(self) -> np.ndarray | None:
-        """Read-only (N, P) time-fixed covariate matrix, built once per
-        dataset; ``None`` when a subject has no time-fixed vector (a
-        covariate path, or nothing)."""
-        if self.n_covariates == 0:
-            return np.empty((self.n, 0))
-        if any(s.covariates is None for s in self.subjects):
-            return None
-        z = np.array([s.covariates for s in self.subjects], dtype=float)
-        z.flags.writeable = False
-        return z
 
-    @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """Every broken structural invariant (see :func:`validate`), found
-        once per dataset."""
-        # an array-held subject's vectors have P values by construction
-        widths = None if isinstance(self.subjects, _ArraySubjects) else _path_points(self.subjects)[::2]
-        return tuple(
-            _violations(
-                self.subject_id, self.n, self.visits, self.grid.taus, self.schedule, widths, self.n_covariates
-            )
+def _panels(dataset) -> tuple[SubjectPanel, ...]:
+    """The :class:`SubjectPanel` objects of a dataset made from arrays."""
+    reports, taus, fixed = dataset.reports, dataset.grid.taus, dataset._fixed.tolist()
+    rows, times, values = dataset.covariate_paths
+    times, vectors = times.tolist(), list(map(tuple, values.tolist()))
+    bounds = np.searchsorted(rows, np.arange(dataset.n + 1)).tolist()  # of each subject's points
+    return tuple(
+        SubjectPanel(
+            sid, tuple(compress(taus, k)), tuple(compress(r, k)),
+            vectors[a] if f else None, None if f or a == b else tuple(zip(times[a:b], vectors[a:b])),
         )
-
-    @cached_property
-    def covariate_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every subject's covariates in long form ``(rows, times, values)``,
-        in subject then time order: point k, of the path of subject
-        ``rows[k]``, holds the (P,) vector ``values[k]`` measured at
-        ``times[k]``.  A time-fixed vector is one point at time 0.  Built
-        once per dataset; ValueError names a subject whose vectors do not
-        have P values."""
-        if isinstance(self.subjects, _ArraySubjects):
-            return self.subjects.covariate_paths(self.n_covariates)
-        rows, points, widths = _path_points(self.subjects)
-        wrong = widths != self.n_covariates
-        if wrong.any():
-            raise ValueError(f"subject {self.subject_id(rows[np.argmax(wrong)])}: covariate length mismatch")
-        times = np.fromiter((t for t, _ in points), dtype=float, count=len(points))
-        values = np.fromiter(chain.from_iterable(v for _, v in points), dtype=float, count=int(widths.sum()))
-        return rows, times, values.reshape(len(points), self.n_covariates)
-
-
-def _path_points(subjects):
-    """``(rows, points, widths)``: every subject's covariates as a list of
-    ``(time, vector)`` points, subject by subject (a time-fixed vector is
-    one point at time 0), with each point's subject and vector length."""
-    paths = [((0.0, s.covariates),) if s.covariates is not None else s.covariate_path or () for s in subjects]
-    counts = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
-    points = list(chain.from_iterable(paths))
-    widths = np.fromiter((len(v) for _, v in points), dtype=np.intp, count=len(points))
-    return np.repeat(np.arange(len(paths)), counts), points, widths
-
-
-class _ArraySubjects(Sequence):
-    """Read-only subjects of a :meth:`Dataset.from_arrays` dataset: the
-    :class:`SubjectPanel` objects are made on first access and kept."""
-
-    def __init__(self, ids, reports, taus, covariates, paths):
-        self.ids, self.paths = ids, paths
-        self._arrays = (reports, taus, covariates)
-
-    @cached_property
-    def _panels(self) -> tuple[SubjectPanel, ...]:
-        (reports, taus, z), paths = self._arrays, self.paths
-        kept = (reports >= 0).tolist()
-        covariates = [None] * len(self.ids) if z is None else list(map(tuple, z.tolist()))
-        path_of: dict[int, list] = {}
-        if paths is not None:
-            for i, t, v in zip(paths[0].tolist(), paths[1].tolist(), map(tuple, paths[2].tolist())):
-                path_of.setdefault(i, []).append((t, v))
-                covariates[i] = None
-        return tuple(
-            SubjectPanel(
-                sid, tuple(compress(taus, k)), tuple(compress(r, k)), zi,
-                tuple(path_of[i]) if i in path_of else None,
-            )
-            for i, (sid, r, k, zi) in enumerate(zip(self.ids, reports.tolist(), kept, covariates))
+        for sid, r, k, f, a, b in zip(
+            dataset.ids, reports.tolist(), (reports >= 0).tolist(), fixed, bounds, bounds[1:]
         )
-
-    def covariate_paths(self, p: int):
-        """:attr:`Dataset.covariate_paths` of these subjects."""
-        z, paths = self._arrays[2], self.paths
-        rows, times, values = paths or (np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, p)))
-        fixed = np.full(len(self.ids), z is not None)
-        fixed[rows] = False
-        first = np.flatnonzero(fixed)
-        if z is not None:
-            values = np.concatenate((z[first], values))
-        rows = np.concatenate((first, rows))
-        order = np.argsort(rows, kind="stable")
-        times = np.concatenate((np.zeros(first.size), times))
-        return rows[order], times[order], values[order]
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __getitem__(self, index):
-        return self._panels[index]
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _ArraySubjects)):
-            return self._panels == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._panels)
+    )
 
 
 @dataclass(frozen=True)
@@ -380,60 +351,17 @@ def round_to_granularity(time: float, granularity: float) -> float:
     return round(round(time / granularity) * granularity, decimals)
 
 
-def apply_rounding(subject: SubjectPanel, granularity: float) -> SubjectPanel:
-    """Round a subject's visit times; merge within-subject collisions.
-
-    When two visits collapse onto the same rounded time the later record's
-    result wins (a later self-report supersedes an earlier one within the
-    same period).  Covariate-path times are rounded the same way, keeping
-    the later measurement on collision.
-    """
-    merged: dict[float, int] = {}
-    order: list[float] = []
-    for t, r in zip(subject.times, subject.results):
-        rt = round_to_granularity(t, granularity)
-        if rt not in merged:
-            order.append(rt)
-        merged[rt] = r
-    order.sort()
-    path = subject.covariate_path
-    if path is not None:  # a later measurement replaces an earlier one
-        path = tuple(sorted({round_to_granularity(t, granularity): vec for t, vec in path}.items()))
-    return replace(subject, times=tuple(order), results=tuple(merged[t] for t in order), covariate_path=path)
-
-
-def build_grid(subjects, rounding: float | None = None) -> StudyGrid:
-    """Collect the sorted distinct (optionally rounded) visit times."""
-    subjects = list(subjects)
-    if not subjects or all(s.n_visits == 0 for s in subjects):
-        raise ValueError("cannot build a grid from subjects with no visits")
-    times = set(chain.from_iterable(s.times for s in subjects))
-    if rounding is not None:
-        times = {round_to_granularity(t, rounding) for t in times}
-    return StudyGrid(taus=tuple(sorted(times)))
-
-
-def build_dataset(
-    subjects,
-    covariate_names=(),
-    schedule: str = ADAPTIVE,
-    rounding: float | None = None,
-) -> Dataset:
-    """Round (optionally), build the grid and assemble a Dataset.
+def build_dataset(subjects, covariate_names=(), schedule: str = ADAPTIVE) -> Dataset:
+    """Assemble a Dataset on the sorted distinct visit times of ``subjects``.
 
     The result is not validated; call :func:`validate` to obtain the list
     of invariant violations.
     """
-    subjects = list(subjects)
-    if rounding is not None:
-        subjects = [apply_rounding(s, rounding) for s in subjects]
-    grid = build_grid(subjects)
-    return Dataset(
-        subjects=tuple(subjects),
-        grid=grid,
-        covariate_names=tuple(covariate_names),
-        schedule=schedule,
-    )
+    subjects = tuple(subjects)
+    taus = tuple(sorted(set(chain.from_iterable(s.times for s in subjects))))
+    if not taus:
+        raise ValueError("cannot build a grid from subjects with no visits")
+    return Dataset(subjects, StudyGrid(taus), tuple(covariate_names), schedule)
 
 
 _RULES = (
@@ -451,13 +379,13 @@ _RULES = (
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every structural invariant; violations are data, not errors.
 
-    The checks are array reductions over the dataset's long-form
-    ``visits`` and ``covariate_paths``, made once per dataset.
+    The checks are array reductions over the dataset's visits and
+    covariate vectors in long form, made once per dataset.
     """
     return list(dataset.violations)
 
 
-def _violations(subject_id, n, visits, taus, schedule, widths=None, p=0) -> list[Violation]:
+def _violations(ids, visits, taus, schedule, widths=None, p=0) -> list[Violation]:
     """One :class:`Violation` per subject and broken rule of ``_RULES``, in
     subject then rule order; a subject with no visits gets only that one.
 
@@ -466,7 +394,7 @@ def _violations(subject_id, n, visits, taus, schedule, widths=None, p=0) -> list
     vector, or is None where the covariate rules cannot break.
     """
     rows, times, results = visits
-    taus = np.asarray(taus, dtype=float)
+    taus, n = np.asarray(taus, dtype=float), len(ids)
 
     def per_subject(flags, where=rows):
         return np.bincount(where[flags], minlength=n) > 0
@@ -498,7 +426,7 @@ def _violations(subject_id, n, visits, taus, schedule, widths=None, p=0) -> list
             detail = f"times {times[(rows == i) & off].tolist()}"
         elif k == 6:
             detail = f"expected {p}, got {width[i]}"
-        out.append(Violation(subject_id(int(i)), _RULES[k], detail))
+        out.append(Violation(ids[i], _RULES[k], detail))
     return out
 
 
@@ -712,13 +640,12 @@ def read_panel_csv(
         rows, times, results, values = rows[later], times[later], results[later], values[later]
 
     grid = StudyGrid(tuple(np.unique(times).tolist()))
-    violations = _violations(subject_ids.__getitem__, len(subject_ids), (rows, times, results), grid.taus, schedule)
+    violations = _violations(subject_ids, (rows, times, results), grid.taus, schedule)
     if violations:
         raise PanelValidationError(violations)
     reports = np.full((len(subject_ids), grid.J), -1, dtype=np.int8)
     reports[rows, np.searchsorted(grid.taus, times)] = results
     on_path = varying[rows]
     paths = (rows[on_path], times[on_path], values[on_path]) if on_path.any() else None
-    dataset = Dataset.from_arrays(subject_ids, reports, grid, covariates, names, schedule, paths)
-    dataset.__dict__.update(violations=())  # checked above
+    dataset = Dataset.from_arrays(subject_ids, reports, grid, covariates, names, schedule, paths, violations=())
     return LoadedPanel(dataset=dataset, n_imputed=n_imputed, n_collisions_merged=n_collisions)

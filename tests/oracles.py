@@ -7,12 +7,14 @@ separately derived computation paths.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
 from survreport.likelihood import LINEAR_PREDICTOR_CLAMP, NonPositiveLikelihoodError
+from survreport.panel import round_to_granularity
 
 
 BEFORE_EVENT_INTERVAL = "before_event_interval"
@@ -209,6 +211,25 @@ def central_difference_gradient(f, x, step=1e-5):
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
+
+
+def apply_rounding(subject, granularity: float):
+    """A ``SubjectPanel`` with its visit times rounded to ``granularity``,
+    visits that meet merged subject by subject.
+
+    When two visits collapse onto the same rounded time the later record's
+    result wins (a later self-report supersedes an earlier one within the
+    same period).  Covariate-path times are rounded the same way, keeping
+    the later measurement on collision.
+    """
+    merged: dict[float, int] = {}
+    for t, r in zip(subject.times, subject.results):
+        merged[round_to_granularity(t, granularity)] = r
+    times = tuple(sorted(merged))
+    path = subject.covariate_path
+    if path is not None:  # a later measurement replaces an earlier one
+        path = tuple(sorted({round_to_granularity(t, granularity): vec for t, vec in path}.items()))
+    return dataclasses.replace(subject, times=times, results=tuple(merged[t] for t in times), covariate_path=path)
 
 
 def validate_by_subject(dataset):

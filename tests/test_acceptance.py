@@ -165,7 +165,7 @@ class TestCriterion5PerfectTestNpmle:
             res = fit(ds, ErrorModel(1.0, 1.0), MODEL_ONESAMPLE)
             grid = ds.grid
             subjects_idx = [
-                ([grid.interval_index(t) for t in s.times], list(s.results))
+                ([grid.taus.index(t) + 1 for t in s.times], list(s.results))
                 for s in ds.subjects
             ]
             _, oracle_ll = npmle_grid_search(subjects_idx, grid.J + 1)

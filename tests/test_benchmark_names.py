@@ -8,6 +8,7 @@ here, not in a traced benchmark run."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,20 @@ from survreport import cli, estimate, likelihood as lik, panel, simulate
 from survreport.panel import ErrorModel
 from survreport.simulate import benchmark_config, generate_dataset
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return load("spans")
 
 
 def wrapped_names():
@@ -94,3 +101,22 @@ def test_every_span_reads_its_call(tmp_path):
     rows = {s.name: s.attrs["rows"] for s in tracer.spans if s.attrs is not None and s.op == 0}
     # the C-matrix span records the dataset's N, whatever rows it builds
     assert rows["likelihood.build_c_matrix"] == rows["estimate.fit"] == rows["panel.read_panel_csv"] == ds.n
+
+
+def test_benchmark_builds_and_fits_an_in_memory_cohort():
+    # the tv-cohort set-up: SubjectPanels with covariate paths through build_dataset
+    inputs = load("inputs")
+    ds = inputs.to_dataset(inputs.drifting_cohort(1, 200))
+    em = ErrorModel(inputs.PHI1, inputs.PHI0, inputs.ETA)
+    assert ds.n > 0 and estimate.fit(ds, em, estimate.MODEL_COV_TIMEVARYING).converged
+
+
+def test_generated_subjects_read_as_the_benchmark_reads_them(monkeypatch):
+    # the sim-table check turns a generated dataset's subjects into its own
+    monkeypatch.setitem(sys.modules, "inputs", load("inputs"))
+    workloads = load("workloads")
+    config = benchmark_config(0.75, 0.9, 0.5, n_replicates=1, seed=3)
+    ds = generate_dataset(type(config)(**{**config.__dict__, "n_subjects": 50}), 0)
+    subjects = workloads._as_subjects(ds)
+    assert [s.sid for s in subjects] == list(ds.ids)
+    assert all(len(s.visits) == len(s.results) > 0 and len(s.path) == 1 for s in subjects)

@@ -338,7 +338,7 @@ class TestPerfectTestReduction:
     def subjects_idx(self, ds):
         grid = ds.grid
         return [
-            ([grid.interval_index(t) for t in s.times], list(s.results))
+            ([grid.taus.index(t) + 1 for t in s.times], list(s.results))
             for s in ds.subjects
         ]
 

@@ -7,7 +7,6 @@ from survreport.likelihood import (
     loglik_and_gradient,
     loglik_hessian,
     survival_from_increments,
-    to_d_matrix,
 )
 from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
 
@@ -18,6 +17,7 @@ from oracles import (
     central_difference_gradient,
     direct_pattern_probability,
     report_probability,
+    to_d_matrix,
     transform_matrix,
 )
 
@@ -132,7 +132,7 @@ class TestCMatrix:
         c = build_c_matrix(ds, em)
         grid = ds.grid
         for i, s in enumerate(ds.subjects):
-            idx = [grid.interval_index(t) for t in s.times]
+            idx = [grid.taus.index(t) + 1 for t in s.times]
             for j in range(1, grid.J + 2):
                 theta = np.zeros(grid.J + 1)
                 theta[j - 1] = 1.0
@@ -260,7 +260,7 @@ class TestLoglikVariants:
         got = loglik(self.c, self.lambdas, beta, z=z, eta=eta)
         want = 0.0
         for i, subj in enumerate(self.ds.subjects):
-            idx = [grid.interval_index(t) for t in subj.times]
+            idx = [grid.taus.index(t) + 1 for t in subj.times]
             want += np.log(
                 direct_pattern_probability(
                     idx, subj.results, self.theta, self.em.phi1, self.em.phi0, eta=eta

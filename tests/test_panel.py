@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from survreport import panel
+from survreport.estimate import MODEL_COV_TIMEVARYING, fit
 from survreport.panel import (
     ADAPTIVE,
     PREDETERMINED,
@@ -18,9 +19,7 @@ from survreport.panel import (
     PanelValidationError,
     StudyGrid,
     SubjectPanel,
-    apply_rounding,
     build_dataset,
-    build_grid,
     read_panel_csv,
     round_to_granularity,
     validate,
@@ -56,38 +55,41 @@ class TestErrorModel:
             ErrorModel(phi1=0.3, phi0=0.6)
 
 
+def panel_file(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestBuildGrid:
     def test_union_of_times(self):
-        grid = build_grid([subj("a", [1.0, 2.0], [0, 0]), subj("b", [2.0, 3.0], [0, 0])])
+        grid = build_dataset([subj("a", [1.0, 2.0], [0, 0]), subj("b", [2.0, 3.0], [0, 0])]).grid
         assert grid.taus == (1.0, 2.0, 3.0)
         assert grid.J == 3
 
-    def test_rounding_to_granularity(self):
-        grid = build_grid([subj("a", [0.9, 2.1], [0, 0])], rounding=1.0)
-        assert grid.taus == (1.0, 2.0)
+    def test_rounding_to_granularity(self, tmp_path):
+        path = panel_file(tmp_path, "subject_id,time,result\na,0.9,0\na,2.1,0\n")
+        assert read_panel_csv(path, rounding=1.0).dataset.grid.taus == (1.0, 2.0)
 
     def test_annual_schedule(self):
         subs = [subj(f"s{i}", [float(k) for k in range(1, 9)], [0] * 8) for i in range(3)]
-        grid = build_grid(subs)
+        grid = build_dataset(subs).grid
         assert grid.taus == tuple(float(k) for k in range(1, 9))
         assert grid.J == 8  # nine intervals including the open tail
 
-    def test_idempotent_on_rounded_data(self):
-        subs = [subj("a", [1.0, 2.0, 5.0], [0, 0, 1])]
-        grid1 = build_grid(subs, rounding=1.0)
-        rounded = [apply_rounding(s, 1.0) for s in subs]
-        assert build_grid(rounded, rounding=1.0) == grid1
-        assert build_grid(rounded) == grid1
+    def test_idempotent_on_rounded_data(self, tmp_path):
+        path = panel_file(tmp_path, "subject_id,time,result\na,1,0\na,2,0\na,5,1\n")
+        assert read_panel_csv(path, rounding=1.0).dataset == read_panel_csv(path).dataset
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([])
+            build_dataset([])
         with pytest.raises(ValueError):
-            build_grid([subj("a", [], [])])
+            build_dataset([subj("a", [], [])])
 
-    def test_bad_granularity(self):
+    def test_bad_granularity(self, tmp_path):
         with pytest.raises(ValueError):
-            build_grid([subj("a", [1.0], [0])], rounding=0.0)
+            read_panel_csv(panel_file(tmp_path, "subject_id,time,result\na,1,0\n"), rounding=0.0)
 
     def test_in_memory_nan_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -112,13 +114,15 @@ class TestRounding:
         with pytest.raises(ValueError, match="rounding granularity must be positive"):
             round_to_granularity(1.0, granularity)
 
-    def test_collision_keeps_later_record(self):
-        s = apply_rounding(subj("a", [1.9, 2.1], [1, 0]), 1.0)
+    def test_collision_keeps_later_record(self, tmp_path):
+        path = panel_file(tmp_path, "subject_id,time,result\na,1.9,1\na,2.1,0\n")
+        s = read_panel_csv(path, rounding=1.0).dataset.subjects[0]
         assert s.times == (2.0,)
         assert s.results == (0,)
 
-    def test_no_collision_preserves_order(self):
-        s = apply_rounding(subj("a", [0.9, 2.2], [0, 1]), 1.0)
+    def test_no_collision_preserves_order(self, tmp_path):
+        path = panel_file(tmp_path, "subject_id,time,result\na,0.9,0\na,2.2,1\n")
+        s = read_panel_csv(path, rounding=1.0).dataset.subjects[0]
         assert s.times == (1.0, 2.0)
         assert s.results == (0, 1)
 
@@ -179,6 +183,16 @@ class TestValidate:
         with pytest.raises(ValueError, match="subject b"):
             ds.reports
 
+    def test_unmade_arrays_raise_on_every_read(self):
+        ds = Dataset((subj("a", [2.0, 1.0], [0, 0], cov=(1.0, 2.0)),), self.grid(), covariate_names=("x",))
+        assert [v.rule for v in validate(ds)] == ["visit times not strictly increasing", "covariate length mismatch"]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="subject a: visit times not strictly increasing"):
+                ds.reports
+            for member in ("covariates", "covariate_paths"):
+                with pytest.raises(ValueError, match="subject a: covariate length mismatch"):
+                    getattr(ds, member)
+
     def test_covariate_matrix(self):
         ds = Dataset((subj("a", [1.0], [0], cov=(1.0, -2.0)), subj("b", [2.0], [0], cov=(0.5, 3.0))),
                      self.grid(), covariate_names=("x", "y"))
@@ -221,11 +235,32 @@ class TestValidate:
         with pytest.raises(ValueError):
             Dataset.from_arrays(["a"], reports, self.grid(), covariates, names)
 
-    def test_interval_index_unique(self):
-        grid = self.grid()
-        assert [grid.interval_index(t) for t in grid.taus] == [1, 2, 3]
-        with pytest.raises(KeyError):
-            grid.interval_index(2.5)
+    @pytest.mark.parametrize("form", ["panels", "arrays"])
+    def test_repeated_subject_id_rejected(self, form):
+        with pytest.raises(ValueError, match="subject a appears twice"):
+            if form == "panels":
+                build_dataset([subj("a", [1.0, 2.0], [0, 1]), subj("a", [1.0], [0]), subj("b", [2.0], [1])])
+            else:
+                Dataset.from_arrays(["a", "b", "a"], [[0, 1, -1], [0, -1, -1], [1, -1, -1]], self.grid())
+
+    def test_each_covariate_path_walked_once(self):
+        walks = []
+
+        class CountedPath(tuple):
+            def __iter__(self):
+                walks.append(self)
+                return super().__iter__()
+
+        subjects = [
+            SubjectPanel(sid, (1.0, 2.0), (0, 0), covariate_path=CountedPath(((0.0, (x,)), (1.0, (x + 1,)))))
+            for sid, x in (("a", 0.5), ("b", 1.5))
+        ]
+        ds = build_dataset(subjects, covariate_names=("x",))
+        for member in ("n", "visits", "reports", "covariate_paths", "violations"):
+            getattr(ds, member)
+        assert ds.covariates is None and ds.vectorless_subject_id() == "a" and ds.subject_id(1) == "b"
+        assert fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING, check_valid=False).beta.size == 1
+        assert len(walks) == len(subjects)
 
 
 class TestReadPanelCsv(object):
