@@ -13,8 +13,8 @@ S_j^(i) = S_j ** exp(z_i' beta).  Baseline misclassification mixes in a
 prevalent-case term weighted by 1 - eta.
 
 Values are evaluated in the survival-difference (theta) form, whose terms
-are all non-negative; the equivalent coefficient transform D = C @ T_r is
-exposed for callers who want the compact linear form.  One kernel,
+are all non-negative; the equivalent linear form in S, D = C @ T_r, is
+built only by the test oracle ``tests/oracles.to_d_matrix``.  One kernel,
 ``loglik_and_gradient``, serves every model variant, and
 ``loglik_hessian`` gives its exact second derivatives, reusing the front
 half of a gradient at the same point through the caller's ``memo``.

@@ -10,6 +10,7 @@ carried by :class:`ErrorModel`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from collections.abc import Sequence
@@ -139,8 +140,8 @@ class Dataset:
     :meth:`from_arrays` sets the arrays and makes ``subjects`` from them
     when it is read.  ``Dataset(subjects, grid, ...)`` keeps its
     :class:`SubjectPanel` objects and makes the arrays from them in one walk
-    (:func:`_flatten`) when one is first read.  The two forms of the same
-    subjects are equal and hash alike.
+    (:func:`_flatten`) when one is first read.  Equality and the hash read
+    the arrays (the panels if those cannot be made), alike in both forms.
     """
 
     subjects: Sequence[SubjectPanel]
@@ -153,17 +154,8 @@ class Dataset:
         self._hold(tuple(map(attrgetter("subject_id"), subjects)), subjects=subjects)
 
     @classmethod
-    def from_arrays(
-        cls,
-        subject_ids,
-        reports,
-        grid: StudyGrid,
-        covariates=None,
-        covariate_names=(),
-        schedule: str = ADAPTIVE,
-        paths=None,
-        violations=None,
-    ) -> Dataset:
+    def from_arrays(cls, subject_ids, reports, grid: StudyGrid, covariates=None, covariate_names=(),
+                    schedule: str = ADAPTIVE, paths=None, violations=None) -> Dataset:
         """Dataset held as its (N, J) report matrix (-1 a missed visit) and
         (N, P) time-fixed covariate matrix, or ``None`` without covariates.
         ``paths``, ``(rows, times, values)`` ordered by row then time, gives
@@ -229,10 +221,21 @@ class Dataset:
         elif name == "subjects":
             members[name] = _panels(self)
         elif name == "violations":
-            members[name] = tuple(_violations(self.ids, self.visits, self.grid.taus, self.schedule))
+            members[name] = tuple(_violations(self.ids, self.visits, None, self.schedule))
         if name not in members:
             raise members.get("_errors", {}).get(name) or AttributeError(f"'Dataset' object has no attribute {name!r}")
         return members[name]
+
+    def _key(self):  # the arrays, or the panels of a dataset whose arrays cannot be made
+        head = (self.ids, self.grid, self.covariate_names, self.schedule, self._fixed.tobytes())
+        rest = (self.subjects,) if vars(self).get("_errors") else (a.tobytes() for a in (self.reports, *self.covariate_paths))
+        return (*head, *rest)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Dataset) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -276,10 +279,10 @@ def _flatten(dataset) -> dict:
     point_rows = np.repeat(np.arange(n), np.fromiter(map(len, paths), np.intp, n))
     points = list(chain.from_iterable(paths))
     widths = np.fromiter((len(v) for _, v in points), np.intp, len(points))
-    violations = _violations(ids, (rows, times, results), taus, dataset.schedule, (point_rows, widths), p)
-
     cols = np.searchsorted(taus, times)
     off = taus[np.minimum(cols, taus.size - 1)] != times
+    violations = _violations(ids, (rows, times, results), off, dataset.schedule, (point_rows, widths), p)
+
     # each cell takes one visit: a repeated or out-of-order time would
     # silently overwrite (or reorder) a subject's reports
     unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
@@ -385,26 +388,26 @@ def validate(dataset: Dataset) -> list[Violation]:
     return list(dataset.violations)
 
 
-def _violations(ids, visits, taus, schedule, widths=None, p=0) -> list[Violation]:
+def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]:
     """One :class:`Violation` per subject and broken rule of ``_RULES``, in
     subject then rule order; a subject with no visits gets only that one.
 
-    ``visits`` is long form as in :attr:`Dataset.visits`; ``widths``,
-    ``(rows, lengths)``, gives the subject and length of every covariate
-    vector, or is None where the covariate rules cannot break.
+    ``visits`` is long form as in :attr:`Dataset.visits` and ``off`` flags those
+    off the grid (None: none is); ``widths``, ``(rows, lengths)``, gives the subject and
+    length of every covariate vector, or is None where the covariate rules cannot break.
     """
     rows, times, results = visits
-    taus, n = np.asarray(taus, dtype=float), len(ids)
+    n = len(ids)
 
     def per_subject(flags, where=rows):
         return np.bincount(where[flags], minlength=n) > 0
 
     counts = np.bincount(rows, minlength=n)
-    off = taus[np.minimum(np.searchsorted(taus, times), taus.size - 1)] != times
     broken = np.zeros((n, len(_RULES)), dtype=bool)
     broken[:, 1] = per_subject(times <= 0.0)
     broken[:, 2] = per_subject((rows[1:] == rows[:-1]) & (times[1:] <= times[:-1]), rows[1:])
-    broken[:, 3] = per_subject(off)
+    if off is not None:
+        broken[:, 3] = per_subject(off)
     if schedule == ADAPTIVE:
         positives = np.bincount(rows, weights=results == 1, minlength=n)
         last_positive = np.zeros(n, dtype=bool)
@@ -439,23 +442,10 @@ class LoadedPanel:
     n_collisions_merged: int = 0
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise PanelFormatError(
-            f"line {line_no}: column {column!r} has non-numeric value {token!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise PanelFormatError(f"line {line_no}: column {column!r} has non-finite value {token!r}")
-    return value
-
-
 def _read_csv(path, first_columns, what=""):
-    """Header, line numbers and cells end to end of the non-blank rows of a
-    CSV file whose header starts with ``first_columns``; every row must
-    have one cell per column and a subject id first.  ``what`` starts the
-    messages."""
+    """Header, line numbers and cells end to end of the non-blank rows of a CSV
+    file whose header starts with ``first_columns``; each row must have one
+    cell per column and a subject id first.  ``what`` starts the messages."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -463,20 +453,15 @@ def _read_csv(path, first_columns, what=""):
         except StopIteration:
             raise PanelFormatError(f"empty {what}file: header row required") from None
         if header[: len(first_columns)] != list(first_columns):
-            raise PanelFormatError(
-                f"{what}header must start with {','.join(first_columns)}; got {','.join(header)}"
-            )
-        # the cells end to end: a list of row lists would cost the garbage
-        # collector more than the parsing
+            raise PanelFormatError(f"{what}header must start with {','.join(first_columns)}; got {','.join(header)}")
+        # the cells end to end: a list of row lists costs the garbage collector more than parsing
         lines, cells = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header) or not row[0].strip():
                 if all(not c.strip() for c in row):
                     continue
                 if len(row) != len(header):
-                    raise PanelFormatError(
-                        f"{what}line {line_no}: expected {len(header)} fields, got {len(row)}"
-                    )
+                    raise PanelFormatError(f"{what}line {line_no}: expected {len(header)} fields, got {len(row)}")
                 raise PanelFormatError(f"{what}line {line_no}: empty subject_id")
             lines.append(line_no)
             cells += row
@@ -490,128 +475,147 @@ def _float_columns(cells, lines, header, columns, optional=False):
     out = np.empty((len(lines), len(columns)))
     for k, j in enumerate(columns):
         column = cells[j :: len(header)]
-        try:
+        with contextlib.suppress(ValueError):  # then find the cell float() fails on
             out[:, k] = np.fromiter(map(float, column), dtype=float, count=len(column))
             if np.isfinite(out[:, k]).all():
                 continue
-        except ValueError:
-            pass
-        out[:, k] = [
-            _parse_float(c.strip(), line, header[j]) if c.strip() or not optional else math.nan
-            for c, line in zip(column, lines)
-        ]
+        for i, token in enumerate(c.strip() for c in column):
+            try:
+                out[i, k] = float(token) if token or not optional else math.nan
+            except ValueError:
+                raise PanelFormatError(f"line {lines[i]}: column {header[j]!r} has non-numeric value {token!r}") from None
+            if token and not math.isfinite(out[i, k]):
+                raise PanelFormatError(f"line {lines[i]}: column {header[j]!r} has non-finite value {token!r}")
     return out
+
+
+def _code(ids):
+    """The distinct ``ids`` (each whole 4-byte words) in first-appearance order, as a
+    list, and each row's index; neighbours compare as words, only interleaved ids sort."""
+    words = np.ascontiguousarray(ids).view(np.uint64 if ids.itemsize % 8 == 0 else np.uint32)
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = np.any([w[1:] != w[:-1] for w in words.reshape(len(ids), -1).T], axis=0)
+    codes, distinct = np.cumsum(new) - 1, ids[new].tolist()
+    if len(set(distinct)) < len(distinct):
+        _, first, inverse = np.unique(ids[new], return_index=True, return_inverse=True)
+        rank = np.argsort(first)  # the distinct ids in first-appearance order
+        distinct, codes = [distinct[k] for k in first[rank].tolist()], np.argsort(rank)[inverse][codes]
+    return distinct, codes
+
+
+# the bytes of a file with no cell to strip or decode, but "\r"; a '"' fails every
+# parse but that of an id, whose quotes are checked after the pass
+_ARRAY_BYTES = bytes(range(33, 127)) + b"\n"
+
+
+def _read_array(path, first_columns):
+    """Header, subject ids, each row's index into them and the other columns
+    (``result`` 0 or 1, the covariates one matrix) of a file parsed in one
+    ``np.loadtxt`` pass; None for a file the cell reader might read otherwise or reject."""
+    with open(path, "rb") as fh:
+        data = b"\n" + fh.read() + b"\n"  # each line, the first and last too, lies between two newlines
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    lengths, cr = np.diff(ends), raw[ends[1:] - 1] == 13  # each line's length with its newline; a "\r" ends it
+    if data.translate(None, _ARRAY_BYTES) != b"\r" * int(np.count_nonzero(cr)) or data.endswith(b"\r\n"):
+        return None
+    line = data[1 : ends[1]].rstrip(b"\r")
+    header = [h.strip() for h in next(csv.reader([line.decode("ascii")]), [])]
+    filled = ((lengths > 2) | (lengths == 2) & ~cr)[1:]  # non-blank lines; loadtxt would warn on none
+    if header[: len(first_columns)] != list(first_columns) or line.count(b'"') % 2 or not filled.any():
+        return None
+    # the id fits a line less a comma and a character per other column, in whole words for _code
+    width = -(-max(int(lengths.max()) - 2 * len(header) + 1, 1) // 8) * 8
+    fields = [(name, "S2" if name == "result" else float) for name in first_columns[1:]]  # "10" read whole
+    dtype = [("id", f"S{width}"), *fields, ("values", float, (len(header) - len(first_columns),))]
+    del data, raw, ends, lengths, cr, filled  # the scan's arrays: no memory for them at the peak
+    try:  # a '"' outside the ids is read as a character, so a quoted number fails
+        table = np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except ValueError:  # a wrong field count, an empty cell, or a token only float() takes
+        return None
+    columns = [table[name] for name in table.dtype.names[1:]]
+    if "result" in first_columns:  # the tokens 0 and 1 read 48 and 49, any other more
+        columns[1] = np.minimum(columns[1].view("<u2") - np.uint16(48), 2).astype(np.int8)
+    distinct, codes = _code(table["id"])
+    ids = b" ".join(distinct)  # no id holds a space
+    if b'"' in ids:  # then each id must be quoted, as write.csv quotes them: "a" "b" ...
+        bare = ids[1:-1].replace(b'" "', b" ")
+        if ids[:1] != b'"' or ids[-1:] != b'"' or b'"' in bare or len(ids) - len(bare) != 2 * len(distinct):
+            return None
+        ids = bare
+    ids = ids.decode("ascii").split(" ")
+    finite = all(np.isfinite(c).all() for c in columns if c.dtype.kind == "f")
+    if "" in ids or not finite or "result" in first_columns and (columns[1] > 1).any():
+        return None
+    return header, ids, codes, *columns
 
 
 def _read_baseline(path, subject_ids):
     """Covariate names and (N, P) matrix, in the order of ``subject_ids``,
     from a ``subject_id,cov1,...`` file with one row per subject."""
-    header, lines, cells = _read_csv(path, ("subject_id",), "baseline ")
-    row_of: dict[str, int] = {}
-    for k, sid in enumerate(map(str.strip, cells[:: len(header)])):
-        if sid in row_of:
-            raise PanelFormatError(f"baseline lines {lines[row_of[sid]]} and {lines[k]}: subject {sid} appears twice")
-        row_of[sid] = k
-    missing = next((sid for sid in subject_ids if sid not in row_of), None)
-    if missing is not None:
-        raise PanelFormatError(f"subject {missing}: missing baseline covariate row")
-    z = _float_columns(cells, lines, header, range(1, len(header)))
-    return tuple(header[1:]), z[[row_of[sid] for sid in subject_ids]]
+    read = _read_array(path, ("subject_id",))
+    if read is None or len(read[1]) < len(read[2]):  # the cell reader names a repeated id's lines
+        header, lines, cells = _read_csv(path, ("subject_id",), "baseline ")
+        read = header, [c.strip() for c in cells[:: len(header)]], None, None
+    header, ids, _, values = read
+    keys = np.array([*ids, ""])  # "" is no subject's id, and one past the last row
+    order = np.argsort(keys, kind="stable")  # an id's rows in file order
+    ranked = keys[order]
+    twice = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if twice.size:  # the first row to repeat an id, and the row before it with that id
+        k = twice[np.argmin(order[twice + 1])]
+        raise PanelFormatError(f"baseline lines {lines[order[k]]} and {lines[order[k + 1]]}: "
+                               f"subject {ranked[k]} appears twice")
+    wanted = np.array(subject_ids)
+    rows = order[np.minimum(np.searchsorted(ranked, wanted), len(ids))]
+    missing = keys[rows] != wanted
+    if missing.any():
+        raise PanelFormatError(f"subject {subject_ids[int(np.argmax(missing))]}: missing baseline covariate row")
+    if values is None:
+        values = _float_columns(cells, lines, header, range(1, len(header)))
+    return tuple(header[1:]), values[rows]
 
 
-_PLAIN_BYTES = bytes(b for b in range(33, 127) if b != 34) + b"\n"  # no cell to unquote or strip
-
-
-def _read_plain(path):
-    """Header, no line numbers, ids, codes, times, results and covariates of a
-    plain file (only ``_PLAIN_BYTES``, each row full, every result 0 or 1 and
-    number finite) parsed in one ``np.loadtxt`` pass; None for any other file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = data.partition(b"\n")[0].decode("latin-1").split(",")
-    # a row's id runs from a newline to a comma that comes first on its line
-    raw = np.frombuffer(data, dtype=np.uint8)
-    marks = np.flatnonzero((raw == 10) | (raw == 44))
-    ends = np.flatnonzero(raw[marks[:-1]] == 10)
-    ends = ends[raw[marks[ends + 1]] == 44]
-    if data.translate(None, _PLAIN_BYTES) or header[:3] != ["subject_id", "time", "result"] or not ends.size:
-        return None  # also a file with no row, on which loadtxt would warn
-    # the id field fits the longest id; the result field holds a token like 10 whole
-    width = max(int((marks[ends + 1] - marks[ends]).max()) - 1, 1)
-    dtype = [("id", f"S{width}"), ("time", float), ("result", "S2"), ("values", float, (len(header) - 3,))]
-    try:
-        table = np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
-    except ValueError:  # a wrong field count, an empty cell, or a token only float() takes
-        return None
-    ids, times, tokens, values = (table[f] for f in ("id", "time", "result", "values"))
-    finite = np.isfinite(times).all() and np.isfinite(values).all()
-    if not finite or (ids == b"").any() or not ((tokens == b"0") | (tokens == b"1")).all():
-        return None
-    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rank = np.argsort(first)  # the distinct ids in first-appearance order
-    subject_ids = tuple(distinct[rank].astype(str).tolist())
-    return header, None, subject_ids, np.argsort(rank)[inverse], times, (tokens == b"1").view(np.int8), values
-
-
-def read_panel_csv(
-    path,
-    *,
-    baseline_csv=None,
-    schedule: str = ADAPTIVE,
-    rounding: float | None = None,
-) -> LoadedPanel:
+def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, rounding: float | None = None) -> LoadedPanel:
     """Read a long-format panel CSV into a validated :class:`Dataset`.
 
     Expected header: ``subject_id,time,result[,cov1,cov2,...]``; every row
-    names its subject.  A subject's rows are taken in time order, ties in
-    file order (a file in that order is not sorted).  Empty covariate cells
-    are imputed by carrying the last observed value forward; an empty cell
-    at a subject's first visit with no earlier value is an error.  A subject
-    whose covariates never change gets them as a time-fixed vector, any
-    other a covariate path.  With ``rounding``, visit times are rounded to
-    its multiples and, of two visits that meet, the later record is kept.
-    When ``baseline_csv`` is given (``subject_id,cov1,...``, one row per
-    subject) its columns become time-fixed covariates and any covariate
-    columns in the panel file are rejected.  A plain file (see
-    :func:`_read_plain`) is parsed in one pass, any other cell by cell: both
-    give the same dataset, or the same error naming its line.  The dataset's
-    :func:`validate` checks have been run.
+    names its subject, and a subject's rows are taken in time order, ties in
+    file order.  An empty covariate cell takes the subject's last observed
+    value (an error at its first visit).  A subject whose covariates never
+    change gets them as a time-fixed vector, any other a covariate path.
+    With ``rounding``, visit times are rounded to its multiples and, of two
+    visits that meet, the later record is kept.  A ``baseline_csv``
+    (``subject_id,cov1,...``, one row per subject) gives the time-fixed
+    covariates of a panel file with none.  Either file is read cell by cell
+    only if :func:`_read_array` declines it, to the same dataset or error.
+    The dataset's :func:`validate` checks have been run.
     """
-    plain = _read_plain(path)
-    if plain is None:
+    read = _read_array(path, ("subject_id", "time", "result"))
+    if read is None:
         header, lines, cells = _read_csv(path, ("subject_id", "time", "result"))
         if not cells:
             raise ValueError("cannot build a grid from subjects with no visits")
         times = _float_columns(cells, lines, header, [1])[:, 0]
-        tokens = cells[2 :: len(header)]
-        if not set(tokens) <= {"0", "1"}:
-            tokens = [c.strip() for c in tokens]
-            k = next((k for k, c in enumerate(tokens) if c not in ("0", "1")), None)
-            if k is not None:
-                raise PanelFormatError(f"line {lines[k]}: result must be 0 or 1, got {tokens[k]!r}")
+        tokens = [c.strip() for c in cells[2 :: len(header)]]
+        k = next((k for k, c in enumerate(tokens) if c not in ("0", "1")), None)
+        if k is not None:
+            raise PanelFormatError(f"line {lines[k]}: result must be 0 or 1, got {tokens[k]!r}")
         results = np.fromiter(map("1".__eq__, tokens), dtype=bool, count=len(lines)).view(np.int8)
         values = _float_columns(cells, lines, header, range(3, len(header)), optional=True)
-        code_of: dict[str, int] = {}
-        coded = (code_of.setdefault(s, len(code_of)) for s in map(str.strip, cells[:: len(header)]))
-        codes = np.fromiter(coded, dtype=np.intp, count=len(lines))
-        subject_ids = tuple(code_of)
+        subject_ids, codes = _code(np.array([c.strip() for c in cells[:: len(header)]]))
     else:
-        header, lines, subject_ids, codes, times, results, values = plain
+        header, subject_ids, codes, times, results, values, lines = *read, None
     names = tuple(header[3:])
+    if baseline_csv is not None and names:
+        raise PanelFormatError("panel file carries covariate columns; a separate baseline "
+                               "covariate file is not allowed in addition")
     missing = np.isnan(values)  # empty cells, imputed below
-    if baseline_csv is not None:
-        if names:
-            raise PanelFormatError(
-                "panel file carries covariate columns; a separate baseline "
-                "covariate file is not allowed in addition"
-            )
-        names, baseline = _read_baseline(baseline_csv, subject_ids)
     order, rows, step = range(codes.size), codes, np.diff(codes)
     if not ((step > 0) | (step == 0) & (np.diff(times) >= 0)).all():  # not in subject, time order
         order = np.lexsort((times, codes))
         rows, times, results, values, missing = (a[order] for a in (codes, times, results, values, missing))
     first = np.flatnonzero(np.diff(rows, prepend=-1))  # each subject's first row
-
     n_imputed = int(missing.sum())
     if n_imputed:  # carry the last value forward, never across subjects
         source = np.where(missing, 0, np.arange(rows.size)[:, None])
@@ -620,31 +624,27 @@ def read_panel_csv(
         lost = np.isnan(values)
         if lost.any():
             k = int(np.argmax(lost.any(axis=1)))
-            raise PanelFormatError(
-                f"line {lines[order[k]]}: covariate {names[int(np.argmax(lost[k]))]!r} missing at "
-                f"subject {subject_ids[rows[k]]}'s first visit with no prior value"
-            )
-    varying = np.zeros(len(subject_ids), dtype=bool)
-    if baseline_csv is not None:
-        covariates = baseline
-    else:
-        covariates = values[first]
-        varying[rows[(values != covariates[rows]).any(axis=1)]] = True
-
+            raise PanelFormatError(f"line {lines[order[k]]}: covariate {names[int(np.argmax(lost[k]))]!r} missing at "
+                                   f"subject {subject_ids[rows[k]]}'s first visit with no prior value")
+    covariates, varying = values[first], np.zeros(len(subject_ids), dtype=bool)
+    varying[rows[(values != covariates[rows]).any(axis=1)]] = True
+    if baseline_csv is not None:  # the panel has no covariate columns, so no error above
+        names, covariates = _read_baseline(baseline_csv, subject_ids)
+    taus, cols = np.unique(times, return_inverse=True)  # the grid, and each visit's column in it
     n_collisions = 0
     if rounding is not None:
-        distinct, inverse = np.unique(times, return_inverse=True)
-        times = np.array([round_to_granularity(t, rounding) for t in distinct.tolist()])[inverse]
-        later = np.append((rows[1:] != rows[:-1]) | (times[1:] != times[:-1]), True)
+        taus, merged = np.unique([round_to_granularity(t, rounding) for t in taus.tolist()], return_inverse=True)
+        cols = merged[cols]
+        later = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True)
         n_collisions = int(later.size - np.count_nonzero(later))
-        rows, times, results, values = rows[later], times[later], results[later], values[later]
-
-    grid = StudyGrid(tuple(np.unique(times).tolist()))
-    violations = _violations(subject_ids, (rows, times, results), grid.taus, schedule)
+        rows, cols, results, values = rows[later], cols[later], results[later], values[later]
+        times = taus[cols]
+    grid = StudyGrid(tuple(taus.tolist()))
+    violations = _violations(subject_ids, (rows, times, results), None, schedule)
     if violations:
         raise PanelValidationError(violations)
     reports = np.full((len(subject_ids), grid.J), -1, dtype=np.int8)
-    reports[rows, np.searchsorted(grid.taus, times)] = results
+    reports[rows, cols] = results
     on_path = varying[rows]
     paths = (rows[on_path], times[on_path], values[on_path]) if on_path.any() else None
     dataset = Dataset.from_arrays(subject_ids, reports, grid, covariates, names, schedule, paths, violations=())

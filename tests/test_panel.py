@@ -193,6 +193,27 @@ class TestValidate:
                 with pytest.raises(ValueError, match="subject a: covariate length mismatch"):
                     getattr(ds, member)
 
+    def test_dataset_whose_arrays_cannot_be_made_compares_by_panels(self):
+        def made(*times):
+            return Dataset((subj("a", times, [0] * len(times)),), self.grid())
+
+        assert made(2.0, 1.0) == made(2.0, 1.0) and hash(made(2.0, 1.0)) == hash(made(2.0, 1.0))
+        assert made(2.0, 1.0) != made(2.0, 0.5) and made(2.0, 1.0) != made(1.0, 2.0)
+
+    def test_datasets_differing_in_one_member_are_unequal(self):
+        a, b = subj("a", [1.0, 2.0], [0, 1], cov=(1.0,)), subj("b", [1.0], [0], cov=(2.0,))
+        ds = build_dataset([a, b], covariate_names=("x",))
+        for subjects in (
+            [subj("a", [1.0, 2.0], [0, 0], cov=(1.0,)), b],  # a report
+            [subj("a", [1.0, 2.0], [0, 1], cov=(1.5,)), b],  # a covariate
+            [SubjectPanel("a", (1.0, 2.0), (0, 1), covariate_path=((0.0, (1.0,)),)), b],  # a path, not a vector
+            [a, subj("c", [1.0], [0], cov=(2.0,))],  # an id
+        ):
+            assert build_dataset(subjects, covariate_names=("x",)) != ds
+        assert build_dataset([a, b], covariate_names=("y",)) != ds
+        assert build_dataset([a, b], covariate_names=("x",), schedule=PREDETERMINED) != ds
+        assert Dataset.from_arrays(["a", "b"], ds.reports, ds.grid, ds.covariates, ("x",)) == ds
+
     def test_covariate_matrix(self):
         ds = Dataset((subj("a", [1.0], [0], cov=(1.0, -2.0)), subj("b", [2.0], [0], cov=(0.5, 3.0))),
                      self.grid(), covariate_names=("x", "y"))
@@ -333,6 +354,12 @@ class TestReadPanelCsv(object):
         with pytest.raises(PanelFormatError, match="baseline lines 3 and 5: subject A appears twice"):
             read_panel_csv(panel, baseline_csv=base)
 
+    def test_baseline_file_names_the_first_repeat(self, tmp_path):
+        panel = self.write(tmp_path, "subject_id,time,result\nA,1,0\nB,1,0\n")
+        base = self.write(tmp_path, "subject_id,z1\nB,0\nA,0\nB,1\nA,5\n", name="base.csv")
+        with pytest.raises(PanelFormatError, match="baseline lines 2 and 4: subject B appears twice"):
+            read_panel_csv(panel, baseline_csv=base)
+
     def test_baseline_file_missing_subject(self, tmp_path):
         panel = self.write(tmp_path, "subject_id,time,result\nA,1,0\n")
         base = self.write(tmp_path, "subject_id,age\nZ,40\n", name="base.csv")
@@ -398,11 +425,12 @@ def benchmark_inputs():
 
 
 class TestPlainAndCellReaders:
-    """A plain file is parsed in one pass; any other goes cell by cell, to
-    the same dataset or the same error."""
+    """A well-formed file, R-written ones included, is parsed in one array
+    pass; any other goes cell by cell, to the same dataset or the same
+    error."""
 
-    def write(self, tmp_path, text):
-        path = tmp_path / "panel.csv"
+    def write(self, tmp_path, text, name="panel.csv"):
+        path = tmp_path / name
         path.write_bytes(text.encode("utf-8"))
         return path
 
@@ -422,6 +450,9 @@ class TestPlainAndCellReaders:
             "subject_id,time,result,x,\na#'1,1,0,1.5,7\na#'1,2,1,1.5,7\nB,1,0,2,7\n",  # odd ids, no name
             "subject_id,time,result,x,y\nA,+1,0,.5,5.\nA,1E1,1,.5,5.\nB,1e0,0,-2.5e-3,0\n",
             "subject_id,time,result\nA,1,0\n",
+            PLAIN.replace("A,", '"A",').replace("B,", '"B",'),  # quoted as R's write.csv quotes
+            PLAIN.replace("\n", "\r\n"),
+            '"subject_id","time","result","x"\r\n"A",1,0,1.5\r\n\r\n"A",2,1,1.5\r\n"B",1,0,2',
         ],
     )
     def test_plain_file_is_never_read_cell_by_cell(self, tmp_path, monkeypatch, text):
@@ -429,11 +460,48 @@ class TestPlainAndCellReaders:
         monkeypatch.setattr(panel, "_read_csv", lambda *args: pytest.fail("read cell by cell"))
         plain = read_panel_csv(path)
         monkeypatch.undo()
-        monkeypatch.setattr(panel, "_read_plain", lambda path: None)
+        monkeypatch.setattr(panel, "_read_array", lambda *args: None)
         cells = read_panel_csv(path)
         assert plain.dataset == cells.dataset and plain.n_imputed == cells.n_imputed == 0
         assert np.array_equal(plain.dataset.reports, cells.dataset.reports)
         assert plain.dataset.covariates.tobytes() == cells.dataset.covariates.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, ids, array_pass",
+        [
+            ("A,1,0\nB,1,0\nA,2,1\n", ("A", "B"), True),  # A's rows in two runs
+            ("s1,1,0\ns10,1,0\ns1x,1,0\ns1,2,0\ns10,2,1\n", ("s1", "s10", "s1x"), True),
+            ("subject_01,1,0\nsubject_02,1,0\nsubject_01,2,1\n", ("subject_01", "subject_02"), True),  # 2 words
+            ('"a,b",1,0\n"a,b",2,1\n"a",1,0\n', ("a,b", "a"), False),  # a comma in a quoted id
+            ('"a""b",1,0\n"a""b",2,1\n"a",1,0\n', ('a"b', "a"), False),  # a doubled quote
+        ],
+    )
+    def test_ids_read_as_the_cell_reader_reads_them(self, tmp_path, monkeypatch, cell_reads, rows, ids, array_pass):
+        path = self.write(tmp_path, "subject_id,time,result\n" + rows)
+        ds = read_panel_csv(path).dataset
+        assert cell_reads == ([] if array_pass else [path])
+        monkeypatch.setattr(panel, "_read_array", lambda *args: None)
+        cells = read_panel_csv(path).dataset
+        assert ds.ids == cells.ids == ids
+        assert ds.reports.tobytes() == cells.reports.tobytes() and ds.grid == cells.grid and ds == cells
+
+    def test_r_style_baseline_file_in_another_order(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, '"subject_id","time","result"\r\n"A",1,0\r\n"B",1,1\r\n"C",2,0\r\n')
+        base = self.write(tmp_path, '"subject_id","age","z"\r\n"C",40,1\r\n"A",63,0\r\n"B",55.5,1\r\n', "b.csv")
+        monkeypatch.setattr(panel, "_read_csv", lambda *args: pytest.fail("read cell by cell"))
+        ds = read_panel_csv(path, baseline_csv=base).dataset
+        monkeypatch.undo()
+        monkeypatch.setattr(panel, "_read_array", lambda *args: None)
+        cells = read_panel_csv(path, baseline_csv=base).dataset
+        assert ds.covariate_names == cells.covariate_names == ("age", "z")
+        assert ds.covariates.tolist() == [[63.0, 0.0], [55.5, 1.0], [40.0, 1.0]]
+        assert ds.covariates.tobytes() == cells.covariates.tobytes() and ds == cells
+
+    def test_comparing_read_datasets_makes_no_panels(self, tmp_path):
+        path = self.write(tmp_path, PLAIN)
+        a, b = read_panel_csv(path).dataset, read_panel_csv(path).dataset
+        assert a == b and hash(a) == hash(b)
+        assert "subjects" not in vars(a) and "subjects" not in vars(b)
 
     def test_benchmark_panel_file_is_plain(self, tmp_path, monkeypatch):
         inputs = benchmark_inputs()
@@ -449,9 +517,12 @@ class TestPlainAndCellReaders:
     @pytest.mark.parametrize(
         "text, ids, n_imputed",
         [
-            (PLAIN.replace("A,", '"A",').replace("B,", '"B",'), "AB", 0),  # quoted as R's write.csv quotes
-            (PLAIN.replace("\n", "\r\n"), "AB", 0),
             (PLAIN.replace(",", " , "), "AB", 0),
+            (PLAIN.replace("A,1,", '"A",1,').replace("A,2,1,1.5", '"A","2",1,"1.5"'), "AB", 0),  # quoted numbers
+            (PLAIN.replace("A,2,", '"A",2,'), "AB", 0),  # only some ids quoted
+            (PLAIN.replace("A,", '"A",').replace("B,", 'B",'), ("A", 'B"'), 0),  # a quote only after an id
+            (PLAIN.replace("\nA,2", "\rA,2"), "AB", 0),  # a "\r" not before "\n"
+            (PLAIN.rstrip("\n") + "\r", "AB", 0),  # nor at the end of the file
             (PLAIN.replace(",1.5", "\t,1.5"), "AB", 0),
             (PLAIN.replace("B", "\u00e9"), "A\u00e9", 0),
             (PLAIN.replace("A,2,1,1.5", "A,2,1,"), "AB", 1),  # an empty cell, imputed
@@ -480,6 +551,7 @@ class TestPlainAndCellReaders:
             ("subject_id,time,result,x\nA,1,0,-Infinity\n", "line 2: column 'x' has non-finite value '-Infinity'"),
             ("subject_id,time,result\nA,1,0\nA,1e400,0\n", "line 3: column 'time' has non-finite value '1e400'"),
             ("subject_id,time,result\n", "cannot build a grid"),
+            ('subject_id,time,result,"x\nA,1,0,1.5\n', "cannot build a grid"),  # the header's quote never closes
             ("subject_id,time,result\n\n\n", "cannot build a grid"),
             ("", "empty file"),
             ("subject_id,when,result\nA,1,0\n", "header must start with"),
