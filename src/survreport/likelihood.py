@@ -15,27 +15,26 @@ prevalent-case term weighted by 1 - eta.
 Values are evaluated in the survival-difference (theta) form, whose terms
 are all non-negative; the equivalent linear form in S, D = C @ T_r, is
 built only by the test oracle ``tests/oracles.to_d_matrix``.  One kernel,
-``loglik_and_gradient``, serves every model variant, and
-``loglik_hessian`` gives its exact second derivatives, reusing the front
-half of a gradient at the same point through the caller's ``memo``.
+``loglik_and_gradient``, serves every model variant.  It forms each
+point's front half and a (J+P, N) matrix G of per-subject scores once,
+and ``loglik_hessian``, the exact second derivatives, reads both and the
+gradient from the caller's ``memo``.
 
-The kernel works interval-major: per-subject arrays are (J, N) or
-(J+1, N) with subjects contiguous, so that a per-interval scalar
-broadcasts along a whole row.  Every model reaches it through one
-covariate-major (P, K, N) array: ``z_intervals.T`` (K = J) for
-time-varying covariates, a time-fixed ``z`` as one interval (K = 1) that
-applies to every interval, and no covariates as P = 0.  The transposes are
-views that are free for the Fortran-ordered arrays of ``build_c_matrix``,
-``estimate.interval_covariates`` and the row collapse.  Sums over
-intervals are 0/1 triangular matrices on the left and sums over subjects
-products with a vector: numpy loops over short rows, or reductions along a
-short axis, cost several times as much.  The log-likelihood is one
-pairwise ``np.sum``, whose rounding error is O(eps log N) relative to
-sum_i |log L_i|.
+The kernel works interval-major: per-subject arrays are (J, N) with
+subjects contiguous, so that a per-interval scalar broadcasts along a
+whole row.  Every model reaches it through one covariate-major (P, K, N)
+array: ``z_intervals.T`` (K = J), a time-fixed ``z`` as one interval
+(K = 1) that applies to every interval, or P = 0 without covariates.
+Sums over intervals are 0/1 triangular matrices on the left and sums over
+subjects products with a vector: numpy loops over short rows, or
+reductions along a short axis, cost several times as much.  The
+log-likelihood is one pairwise ``np.sum``, whose rounding error is
+O(eps log N) relative to sum_i |log L_i|.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -98,37 +97,43 @@ def _interval_major(x) -> np.ndarray:
 
 
 def _clamped_exp_lp(zk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp of the clamped (K, N) linear predictor of covariate-major ``zk``
-    (P, K, N), and the same with 0 where it is clamped."""
+    """``zk`` (P, K, N), covariate-major, with 0 where the linear predictor
+    is clamped (|z'beta| >= LINEAR_PREDICTOR_CLAMP: no beta-derivative), and
+    exp of the clamped (K, N) linear predictor."""
     p, k, n = zk.shape
     if not p:  # exp(0) = 1 everywhere and nothing is clamped: no predictor to form
-        return (np.ones((1, n)),) * 2
+        return zk, np.ones((1, n))
     # np.dot: matmul of a vector with a matrix is four times slower
-    u = np.dot(beta, zk.reshape(p, k * n)).reshape(k, n)
-    lp = np.exp(np.clip(u, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))
-    free = np.abs(u) < LINEAR_PREDICTOR_CLAMP
-    return lp, lp if free.all() else np.where(free, lp, 0.0)
+    lin = np.dot(beta, zk.reshape(p, k * n)).reshape(k, n)
+    if -LINEAR_PREDICTOR_CLAMP < lin.min() and lin.max() < LINEAR_PREDICTOR_CLAMP:
+        return zk, np.exp(lin, out=lin)
+    free = np.abs(lin) < LINEAR_PREDICTOR_CLAMP
+    return np.where(free, zk, 0.0), np.exp(np.clip(lin, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))
 
 
 @lru_cache(maxsize=None)
 def _before(J: int) -> np.ndarray:
-    """Read-only (J, J+1) 0/1 matrix, [k, j] = 1 when interval k precedes
-    S_j: ``_before(J) @ y`` sums the rows of y after k into row k,
-    ``_before(J).T @ x`` the first j of x's J rows into row j."""
-    before = np.triu(np.ones((J, J + 1)), 1)
+    """Read-only (J, J) 0/1 upper triangle, [k, j] = 1 when interval k
+    precedes S_{j+2}: ``_before(J) @ y`` sums the rows of y from k on into
+    row k, ``_before(J).T @ x`` the first j+1 rows of x into row j."""
+    before = np.triu(np.ones((J, J)))
     before.setflags(write=False)
     return before
 
 
-def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
-    """Front half shared by the value, the gradient and the Hessian.
+def _hazard_sums(lambdas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(J, N) -sum_{k<=j} lambda_k x_ki of a (J, N) ``x``, or of a (1, N) one
+    that applies to every interval, with -lambda folded into the triangle."""
+    neg = _before(lambdas.size).T * -lambdas
+    return (neg if x.shape[0] == lambdas.size else neg.sum(axis=1, keepdims=True)) @ x
 
-    Returns interval-major ``(zk, lp, lp_free, rows, q, tail, scale)``: the
-    (P, K, N) covariates, exp of the clamped (K, N) linear predictor and
-    the same with 0 where clamped, the per-subject likelihoods, the
-    (J+1, N) q_ji = D_ij S_j^(i), the (J, N) tail sums T_ki = sum_{j>k}
-    q_ji, and the (weighted) eta / rows.
-    """
+
+def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
+    """Front half shared by the value, the gradient and the Hessian:
+    interval-major ``(zf, lp, rows, q, scale)``, the (P, K, N) covariates
+    with 0 where clamped, exp of the clamped (K, N) linear predictor, the
+    likelihoods, the (J, N) q_ki = D_i(k+1) S_(k+1)^(i) and the (weighted)
+    eta / rows."""
     if z is not None and z_intervals is not None:
         raise ValueError("pass either z or z_intervals, not both")
     if not (0.0 < eta <= 1.0):
@@ -138,35 +143,50 @@ def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
     ct = _interval_major(c)  # (J+1, N)
     if z_intervals is None:  # a time-fixed z is one interval that applies to all; none is P = 0
         z_intervals = np.empty((ct.shape[1], 1, 0)) if z is None else np.asarray(z, dtype=float)[:, None, :]
-    zk = _interval_major(z_intervals)  # (P, K, N)
-    before = _before(lambdas.size)
-    lp, lp_free = _clamped_exp_lp(zk, beta)
-    ss = np.exp(before.T @ (-lambdas[:, None] * lp))  # negation is exact
-
+    zf, lp = _clamped_exp_lp(_interval_major(z_intervals), beta)
+    ss = _hazard_sums(lambdas, lp)
+    np.exp(ss, out=ss)  # S_2 .. S_{J+1}; S_1 = 1
     # rows: eta * sum_j C_ij theta_j + (1-eta) C_i1, with theta_j = S_j -
     # S_{j+1} exact and non-negative
-    theta = ss.copy()
-    theta[:-1] -= ss[1:]
+    theta = np.empty_like(ct)
+    np.subtract(1.0, ss[0], out=theta[0])
+    np.subtract(ss[:-1], ss[1:], out=theta[1:-1])
+    theta[-1] = ss[-1]
     rows = np.einsum("ji,ji->i", ct, theta)
     if eta != 1.0:
         rows = eta * rows + (1.0 - eta) * ct[0]
-    bad = np.flatnonzero(rows <= 0.0)
-    if bad.size:
-        raise NonPositiveLikelihoodError(int(bad[0]))
-    q = np.empty_like(ct)  # D S; sum_j q_ji == rows pre-mixture
-    q[0] = ct[0]
-    np.subtract(ct[1:], ct[:-1], out=q[1:])
+    if (rows <= 0.0).any():
+        raise NonPositiveLikelihoodError(int(np.argmax(rows <= 0.0)))
+    q = ct[1:] - ct[:-1]
     q *= ss
-    scale = eta / rows
-    if weights is not None:
-        scale = scale * np.asarray(weights, dtype=float)
-    return zk, lp, lp_free, rows, q, before @ q, scale
+    scale = eta / rows * (1.0 if weights is None else np.asarray(weights, dtype=float))
+    return zf, lp, rows, q, scale
 
 
-def _as_params(lambdas, beta):
-    lambdas = np.asarray(lambdas, dtype=float)
-    beta = np.asarray(beta, dtype=float) if beta is not None else np.zeros(0)
-    return lambdas, beta
+def _scores(c, lambdas, beta, z, z_intervals, eta, weights, memo):
+    """``(terms, G, lz, G_gamma @ scale, G_beta @ scale)`` at one point, from ``memo``
+    when it holds them for this point and data (see ``loglik_hessian``).
+    With u_ik = lambda_k lp_ik, S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} u_ik:
+    d log L_i = -scale_i G_i, G_i = sum_j q_ij dA_ij, per unit lambda in the
+    gamma rows, G_ki = lp_ki T_ki, and G_(J+p)i = sum_k lambda_k lz_pki."""
+    lambdas, beta = np.asarray(lambdas, dtype=float), np.asarray(() if beta is None else beta, dtype=float)
+    key = (lambdas.tobytes(), beta.tobytes(), eta), (c, z, z_intervals, weights)
+    if memo and memo.get("key", (None,))[0] == key[0] and all(map(operator.is_, memo["key"][1], key[1])):
+        return memo["point"]
+    terms = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    zf, lp, rows, q, scale = terms
+    J = lambdas.size
+    G = np.empty((J + zf.shape[0], rows.size))
+    np.matmul(_before(J), q, out=G[:J])  # the tail sums T_ki = sum_{j>=k} q_ji
+    G[:J] *= lp
+    lz = G[:J] * zf
+    for a in range(zf.shape[0]):
+        np.dot(lambdas, lz[a], out=G[J + a])
+    # gamma from its own J rows, so that a one-sample fit keeps its bits
+    point = terms, G, lz, G[:J] @ scale, G[J:] @ scale
+    if memo is not None:
+        memo["key"], memo["point"] = key, point
+    return point
 
 
 def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
@@ -176,26 +196,14 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
     Covers every variant: pass ``z`` (N x P) for time-fixed covariates,
     ``z_intervals`` (N x J x P) for time-varying ones, neither for the
     one-sample model, and ``eta < 1`` for baseline misclassification.
-    A caller-owned ``memo`` dict keeps this point's front half for a
-    ``loglik_hessian`` at the same point and data.
+    A caller-owned ``memo`` dict keeps this point's front half, scores and
+    gradient for a ``loglik_hessian`` at the same point and data.
     Returns ``(loglik, grad_lambda, grad_beta)``.
     """
-    lambdas, beta = _as_params(lambdas, beta)
-    terms = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
-    if memo is not None:
-        memo["at"], memo["terms"] = (lambdas.tobytes(), beta.tobytes()), terms
-    zk, lp, lp_free, rows, q, tail, scale = terms
-    logs = np.log(rows)
-    if weights is not None:
-        logs *= np.asarray(weights, dtype=float)
+    (_, _, rows, _, _), _, _, sum_lambda, sum_beta = _scores(c, lambdas, beta, z, z_intervals, eta, weights, memo)
+    logs = np.log(rows) * (1.0 if weights is None else np.asarray(weights, dtype=float))
     ll = float(np.sum(logs))  # pairwise: error O(eps log N) relative to sum |log L_i|
-
-    lt = lp * tail
-    grad_lambda = -(lt @ scale)
-    # d w_ki / d beta_p = w_ki z_ikp (zero where clamped; lp_free is lp when nothing is)
-    lz = (lt if lp_free is lp else lp_free * tail) * zk  # (P, J, N)
-    grad_beta = -((lz.reshape(-1, tail.shape[1]) @ scale).reshape(-1, lambdas.size) @ lambdas)
-    return ll, grad_lambda, grad_beta
+    return ll, -sum_lambda, -sum_beta
 
 
 def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
@@ -203,41 +211,30 @@ def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0,
     """Hessian of the log-likelihood w.r.t. the working parameters
     (gamma = log lambda, beta), gamma first.
 
-    Takes the arguments of ``loglik_and_gradient``, and reuses the front
-    half a ``memo`` holds from a gradient at the same point.  With
-    u_ik = lambda_k w_ik the hazard increment of interval k and
-    A_ij = sum_{k<j} u_ik, S_j^(i) = exp(-A_ij), so each row's likelihood
-    L_i has second derivative eta * sum_j q_ij (dA_ij dA_ij' - d2A_ij), and
-    d2 log L_i = d2 L_i / L_i - dL_i dL_i' / L_i^2.  Clamped linear
-    predictors get no beta-curvature, as in the gradient.
-    """
-    lambdas, beta = _as_params(lambdas, beta)
-    p = beta.size
-    hit = memo is not None and memo.get("at") == (lambdas.tobytes(), beta.tobytes())
-    terms = memo["terms"] if hit else _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
-    zk, lp, lp_free, rows, q, tail, scale = terms
-    J, n = tail.shape
-    before = _before(J)
-    u = lambdas[:, None] * lp  # (J, N)
-    # g_i = sum_j q_ij dA_ij, so that d log L_i = -(eta / L_i) g_i; outer
-    # products of dL_i are weighted by eta^2 / L_i^2 (times the row weight)
-    g = u * tail
-    outer = scale * eta / rows
-    gs = g * outer
+    Takes the arguments of ``loglik_and_gradient``.  A ``memo`` filled at
+    the same parameter values and eta, with the same c, z, z_intervals and
+    weights objects (by identity: an array changed in place goes
+    unnoticed), gives the front half, the scores G and the gradient; any
+    other is refilled.  d2 L_i = eta sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
+    d2 log L_i = d2 L_i / L_i - G_i G_i' (eta / L_i)^2.  A clamped
+    predictor has no beta-curvature."""
+    (zf, lp, rows, q, scale), G, lz, sum_lambda, _ = _scores(
+        c, lambdas, beta, z, z_intervals, eta, weights, memo)
+    lambdas = np.asarray(lambdas, dtype=float)
+    J, p, before = lambdas.size, zf.shape[0], _before(lambdas.size)
     hess = np.zeros((J + p, J + p))
-    # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)]; exact on and above
-    # the diagonal, mirrored below at the end
-    hess[:J, :J] = (u * scale) @ g.T - np.diag(g @ scale) - gs @ g.T
-    w = (u if lp_free is lp else lambdas[:, None] * lp_free) * zk  # (P, J, N), w[a, k] = d u_k / d beta_a
-    v = before.T @ w  # dA_j / d beta_a
-    dg = np.empty((p, n))  # dg[a] = sum_j q_j dA_j / d beta_a
+    ls = lp * scale
+    # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)] - [a = b] u_ia T_ia;
+    # exact on and above the diagonal, mirrored below at the end
+    hess[:J, :J] = ls @ G[:J].T * np.outer(lambdas, lambdas) - np.diag(lambdas * sum_lambda)
+    v = [_hazard_sums(lambdas, lp * za) for za in zf]  # -dA_ij / d beta_a
     for a in range(p):
         qv = q * v[a]
-        r = before @ qv  # r[k] = sum_{j > k} q_j dA_j / d beta_a
-        dg[a] = r[0]
-        tw = tail * w[a]
-        hess[:J, J + a] = (u * r - tw) @ scale - gs @ dg[a]
+        # u_ik (sum_{j>k} q_ij dA_ij / d beta_a - z_ika T_ik), summed over i
+        hess[:J, J + a] = -lambdas * (np.sum(before * (ls @ qv.T), axis=1) + lz[a] @ scale)
         for b in range(a, p):
-            hess[J + a, J + b] = np.sum((qv * v[b]) @ scale) - np.sum((tw * zk[b]) @ scale)
-    hess[J:, J:] -= (dg * outer) @ dg.T
+            hess[J + a, J + b] = np.einsum("ji,ji->i", qv, v[b]) @ scale - lambdas @ ((lz[a] * zf[b]) @ scale)
+    # outer products of dL_i, weighted by eta^2 / L_i^2 (times the row weight)
+    lift = np.concatenate((lambdas, np.ones(p)))
+    hess -= np.outer(lift, lift) * ((G * (scale * eta / rows)) @ G.T)
     return np.where(np.tri(J + p, k=-1, dtype=bool), hess.T, hess)

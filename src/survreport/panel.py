@@ -279,9 +279,10 @@ def _flatten(dataset) -> dict:
     point_rows = np.repeat(np.arange(n), np.fromiter(map(len, paths), np.intp, n))
     points = list(chain.from_iterable(paths))
     widths = np.fromiter((len(v) for _, v in points), np.intp, len(points))
+    point_times = np.fromiter((t for t, _ in points), float, len(points))
     cols = np.searchsorted(taus, times)
     off = taus[np.minimum(cols, taus.size - 1)] != times
-    violations = _violations(ids, (rows, times, results), off, dataset.schedule, (point_rows, widths), p)
+    violations = _violations(ids, (rows, times, results), off, dataset.schedule, (point_rows, widths, point_times), p)
 
     # each cell takes one visit: a repeated or out-of-order time would
     # silently overwrite (or reorder) a subject's reports
@@ -306,7 +307,7 @@ def _flatten(dataset) -> dict:
         values = np.fromiter(chain.from_iterable(v for _, v in points), float, int(widths.sum()))
         values = values.reshape(len(points), p)
         values.flags.writeable = False
-        made["covariate_paths"] = point_rows, np.fromiter((t for t, _ in points), float, len(points)), values
+        made["covariate_paths"] = point_rows, point_times, values
         made["covariates"] = values if fixed.all() else None
     if not p:  # the one-sample model reads no covariates
         made["covariates"] = np.empty((n, 0))
@@ -376,6 +377,7 @@ _RULES = (
     "positive not terminal",
     "covariate length mismatch",
     "ragged covariate path",
+    "non-finite covariate path time",
 )
 
 
@@ -393,8 +395,8 @@ def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]
     subject then rule order; a subject with no visits gets only that one.
 
     ``visits`` is long form as in :attr:`Dataset.visits` and ``off`` flags those
-    off the grid (None: none is); ``widths``, ``(rows, lengths)``, gives the subject and
-    length of every covariate vector, or is None where the covariate rules cannot break.
+    off the grid (None: none is); ``widths``, ``(rows, lengths, times)``, gives the subject,
+    length and time of every covariate vector, or is None where the covariate rules cannot break.
     """
     rows, times, results = visits
     n = len(ids)
@@ -415,12 +417,13 @@ def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]
         broken[:, 4] = positives > 1
         broken[:, 5] = (positives == 1) & ~last_positive
     if widths is not None:
-        path_rows, lengths = widths
+        path_rows, lengths, path_times = widths
         points = np.bincount(path_rows, minlength=n)
         width = np.zeros(n, dtype=np.intp)  # of each subject's first vector
         width[points > 0] = lengths[(np.cumsum(points) - points)[points > 0]]
         broken[:, 6] = width != p
         broken[:, 7] = per_subject(lengths != width[path_rows], path_rows)
+        broken[:, 8] = per_subject(~np.isfinite(path_times), path_rows)
     broken[counts == 0] = np.arange(len(_RULES)) == 0
     out = []
     for i, k in zip(*np.nonzero(broken)):  # subject then rule order

@@ -265,6 +265,8 @@ def validate_by_subject(dataset):
             out.append((sid, "covariate length mismatch", f"expected {p}, got {width}"))
         if s.covariate_path is not None and len({len(v) for _, v in s.covariate_path}) > 1:
             out.append((sid, "ragged covariate path", ""))
+        if s.covariate_path is not None and not all(math.isfinite(t) for t, _ in s.covariate_path):
+            out.append((sid, "non-finite covariate path time", ""))
     return out
 
 

@@ -408,6 +408,25 @@ class TestTimeVarying:
         with pytest.raises(ValueError, match="subject a"):
             interval_covariates(ds)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_path_time_rejected(self, bad):
+        # nan compares false with every interval start and inf is past all
+        # of them: the measurement would silently never be in effect
+        fine = SubjectPanel("b", (1.0, 2.0), (0, 0), covariate_path=((0.0, (2.0,)),))
+        s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((0.0, (1.0,)), (bad, (5.0,))))
+        ds = build_dataset([fine, s], covariate_names=("x",))
+        assert [(v.subject_id, v.rule) for v in panel.validate(ds)] == [("a", "non-finite covariate path time")]
+        with pytest.raises(ModelSpecError, match="subject a has a non-finite covariate path time"):
+            interval_covariates(ds)
+        with pytest.raises(panel.PanelValidationError, match="a: non-finite covariate path time"):
+            fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING)
+
+    def test_negative_path_time_is_legal(self):
+        s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((-1.0, (1.0,)), (1.0, (5.0,))))
+        ds = build_dataset([s], covariate_names=("x",))
+        assert panel.validate(ds) == []
+        assert interval_covariates(ds)[0, :, 0].tolist() == [1.0, 5.0]
+
     def test_constant_path_matches_fixed_fit(self):
         _, ds = simulated(seed=4, n=200)
         res_fixed = fit(ds, ErrorModel(0.75, 0.9), MODEL_COV_FIXED)

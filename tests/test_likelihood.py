@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from survreport.likelihood import (
+    LINEAR_PREDICTOR_CLAMP,
     NonPositiveLikelihoodError,
     build_c_matrix,
     loglik_and_gradient,
@@ -334,6 +335,33 @@ class TestReductions:
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
             loglik(self.c, self.lambdas, np.zeros(1), z=self.z, eta=0.0)
+
+
+class TestClampBoundary:
+    """A linear predictor at exactly +-LINEAR_PREDICTOR_CLAMP is clamped: it
+    has no beta-derivative, as one beyond the clamp has none."""
+
+    c = build_c_matrix(make_dataset([((1.0, 2.0), (0, 1))]), ErrorModel(0.8, 0.9))
+    beta = np.array([0.5])  # a power of two: z * beta is exact
+
+    def kernel(self, z, time_varying):
+        # one subject, whose hazard increments lambda exp(z beta) stay near
+        # 0.3 and 0.6 at the clamp, so that its derivatives do not vanish
+        lambdas = np.array([0.3, 0.6]) * np.exp(-np.sign(z) * LINEAR_PREDICTOR_CLAMP)
+        kw = {"z_intervals": np.full((1, 2, 1), z)} if time_varying else {"z": np.full((1, 1), z)}
+        return (*loglik_and_gradient(self.c, lambdas, self.beta, **kw), loglik_hessian(self.c, lambdas, self.beta, **kw))
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_predictor_at_the_clamp_gets_no_beta_derivative(self, sign, time_varying):
+        at = sign * LINEAR_PREDICTOR_CLAMP / self.beta[0]
+        assert at * self.beta[0] == sign * LINEAR_PREDICTOR_CLAMP
+        on = self.kernel(at, time_varying)
+        assert on[2].tolist() == [0.0] and not on[3][2].any() and not on[3][:, 2].any()
+        for got, want in zip(on, self.kernel(2.0 * at, time_varying)):
+            assert np.array_equal(got, want)
+        inside = self.kernel(np.nextafter(at, 0.0), time_varying)
+        assert inside[2][0] != 0.0 and inside[3][2, 2] != 0.0
 
 
 class TestGradient:

@@ -372,11 +372,19 @@ def test_kernel_matches_cumsum_oracle(case, beta2, seed):
         layouts.append((c_o, kw, memo))
     # both layouts give the same bits
     assert all(np.array_equal(a, b) for a, b in zip(*results))
-    # and the memo is not used at another point
+    # and the memo is not used at another point, nor for other data at
+    # this point: other c, eta, weights or covariates
     other = 1.5 * lambdas
     assume(feasible(c, other, beta, kwargs))
     for c_o, kw, memo in layouts:
-        assert np.array_equal(loglik_hessian(c_o, other, beta, **kw, memo=memo), loglik_hessian(c_o, other, beta, **kw))
+        variants = [(c_o, other, kw), (c_o**2, lambdas, kw), (c_o, lambdas, {**kw, "eta": kw["eta"] / 2}),
+                    (c_o, lambdas, {**kw, "weights": np.arange(1.0, c.shape[0] + 1)})]
+        if key in kw:
+            variants.append((c_o, lambdas, {**kw, key: kw[key] + 1.0}))
+        for c_v, lambdas_v, kw_v in variants:
+            if feasible(c_v, lambdas_v, beta, kw_v):
+                want = loglik_hessian(c_v, lambdas_v, beta, **kw_v)
+                assert np.array_equal(loglik_hessian(c_v, lambdas_v, beta, **kw_v, memo=memo), want)
 
 
 @PROPERTY_SETTINGS
@@ -826,7 +834,7 @@ def test_plain_file_reads_numbers_as_float_does(time, value):
 def broken_datasets(draw):
     """Datasets breaking several structural rules at once: subjects on a
     fixed grid with visits in any order, repeated, off the grid or not
-    positive, covariate vectors of any length; or array-held datasets
+    positive, covariate vectors of any length at any time; or array-held datasets
     whose reports break the adaptive rules or hold no visit."""
     grid = StudyGrid((1.0, 2.0, 3.0))
     schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
@@ -843,7 +851,9 @@ def broken_datasets(draw):
         results = tuple(draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times))))
         kind = draw(st.sampled_from(("none", "fixed", "path")))
         covariates = draw(vector) if kind == "fixed" else None
-        path = tuple((float(k), draw(vector)) for k in range(draw(st.integers(0, 3)))) if kind == "path" else None
+        # a negative path time is legal, a nan or infinite one is not
+        time = st.sampled_from((0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf))
+        path = tuple((draw(time), draw(vector)) for _ in range(draw(st.integers(0, 3)))) if kind == "path" else None
         subjects.append(SubjectPanel(f"s{i}", times, results, covariates, path))
     return Dataset(tuple(subjects), grid, names, schedule)
 
