@@ -225,23 +225,21 @@ def fit(
     if rows is not None:  # patterns whose C rows coincide merge
         c, z, weights = _collapse_rows(c, z[rows], counts)
 
-    # the memo holds the last point's front half and scores, for its Hessian
-    kernel_args = {"z": z, "z_intervals": z_int, "eta": eta, "weights": weights, "memo": {}}
+    kernel_args = {"z": z, "z_intervals": z_int, "eta": eta, "weights": weights, "hessian": True}
 
-    def negloglik_and_grad(x):
+    def evaluate(x):  # the negative log-likelihood in the working parameters
         lambdas = np.exp(x[:J])
         try:
-            ll, g_lambda, g_beta = lik.loglik_and_gradient(c, lambdas, x[J:], **kernel_args)
+            ll, g_lambda, g_beta, hessian = lik.loglik_and_gradient(c, lambdas, x[J:], **kernel_args)
         except lik.NonPositiveLikelihoodError:
+            if x is x0:  # an infeasible start has no step to back off from
+                raise
             # a line-search point put zero mass on some subject's only
             # admissible intervals; report +inf so the search backtracks
-            return np.inf, np.zeros(x.size)
-        return -ll, -np.concatenate([g_lambda * lambdas, g_beta])
+            return np.inf, np.zeros(x.size), None
+        return -ll, -np.concatenate([g_lambda * lambdas, g_beta]), lambda: -hessian()
 
-    def hessian(x):  # of the negative log-likelihood, in the working parameters
-        return -lik.loglik_hessian(c, np.exp(x[:J]), x[J:], **kernel_args)
-
-    x_hat, f_hat, steps, stopped = _newton(negloglik_and_grad, hessian, x0, J, grad_tol)
+    x_hat, f_hat, hessian_hat, steps, stopped = _newton(evaluate, x0, J, grad_tol)
     converged = stopped is None
     gamma_hat = x_hat[:J]
     beta_hat = x_hat[J:]
@@ -257,7 +255,7 @@ def fit(
 
     beta_se = np.full(p, np.nan)
     survival_se = np.full(J + 1, np.nan)
-    cov_working, cov_transformed = _covariances(hessian(x_hat), J, p, lambdas_hat, survival, frozen)
+    cov_working, cov_transformed = _covariances(hessian_hat(), J, p, lambdas_hat, survival, frozen)
     if cov_working is not None:
         beta_se = np.sqrt(np.maximum(np.diag(cov_working)[J:], 0.0))
         survival_se = np.concatenate(([0.0], np.sqrt(np.maximum(np.diag(cov_transformed)[p:], 0.0))))
@@ -305,30 +303,33 @@ def _projected_gradient(grad, x, J):
     return proj
 
 
-def _newton(negloglik_and_grad, hessian, x, J, grad_tol):
+def _newton(evaluate, x, J, grad_tol):
     """Projected damped Newton (Nocedal and Wright 2006, ch. 3-4) from
-    ``x``, gamma kept inside its bounds, with Armijo backtracking.  The
+    ``x``, gamma kept inside its bounds, with Armijo backtracking.
+    ``evaluate(x)`` gives the objective, its gradient and a function of no
+    arguments that forms its Hessian, called once per accepted point.  The
     Hessian's eigenvalues enter in absolute value, so an indefinite one
     still gives a descent direction.  Returns ``(x, objective value at x,
-    steps taken, None)`` once the projected gradient is at most
-    ``grad_tol``, else with the reason for stopping in place of None.
+    its Hessian function, steps taken, None)`` once the projected gradient
+    is at most ``grad_tol``, else with the reason for stopping in place of
+    None.
     """
-    f, g = negloglik_and_grad(x)
+    f, g, hessian = evaluate(x)
     for steps in range(MAX_NEWTON_STEPS + 1):
         proj = _projected_gradient(g, x, J)
         if np.max(np.abs(proj)) <= grad_tol:
-            return x, f, steps, None
+            return x, f, hessian, steps, None
         if steps == MAX_NEWTON_STEPS:
-            return x, f, steps, "it reached the step limit"
+            return x, f, hessian, steps, "it reached the step limit"
         free = proj == g  # all but the components pinned at a bound
-        h = hessian(x)
+        h = hessian()
         # near-zero-mass intervals contribute no curvature (and a matching
         # near-zero gradient); drop them so the Newton system stays regular
         free[:J] &= np.abs(np.diag(h)[:J]) > 1e-6
         w, v = np.linalg.eigh(h if free.all() else h[np.ix_(free, free)])
         w = np.abs(w)
         if w.max(initial=0.0) == 0.0:
-            return x, f, steps, "no free parameter has curvature"
+            return x, f, hessian, steps, "no free parameter has curvature"
         direction = v @ ((v.T @ -g[free]) / np.maximum(w, 1e-8 * w.max()))
         slope = float(g[free] @ direction)
         # a near-flat direction would otherwise throw the point onto the
@@ -338,14 +339,14 @@ def _newton(negloglik_and_grad, hessian, x, J, grad_tol):
             x_new = x.copy()
             x_new[free] += t * direction
             x_new[:J] = np.clip(x_new[:J], GAMMA_LOWER, GAMMA_UPPER)
-            f_new, g_new = negloglik_and_grad(x_new)
+            f_new, g_new, hessian_new = evaluate(x_new)
             # an infeasible point reports f = inf with a zero gradient
             if np.isfinite(f_new) and f_new <= f + 1e-4 * t * slope + 1e-12 * max(1.0, abs(f)):
                 break
             t *= 0.5
         else:
-            return x, f, steps, "no step lowered the objective"
-        x, f, g = x_new, f_new, g_new
+            return x, f, hessian, steps, "no step lowered the objective"
+        x, f, g, hessian = x_new, f_new, g_new, hessian_new
 
 
 def _covariances(hessian, J, p, lambdas, survival, frozen):
@@ -390,30 +391,34 @@ def _two_sided_p(z: float) -> float:
 
 
 def wald_test(fit_result: FitResult, contrast) -> tuple[float, float]:
-    """Wald z-test for one coefficient index or a linear contrast on beta."""
+    """Wald z-test for one coefficient index (0 to p-1; not a bool) or a
+    linear contrast on beta, whose variance must be positive."""
     if not fit_result.has_covariance:
         raise ValueError("fit has no covariance; Wald test unavailable")
     beta = fit_result.beta
     p = beta.size
     J = fit_result.gamma.size
     cov_beta = fit_result.cov_working[J:, J:]
-    if np.isscalar(contrast) and isinstance(contrast, (int, np.integer)):
+    if isinstance(contrast, (int, np.integer)) and not isinstance(contrast, bool):
+        if not 0 <= contrast < p:
+            raise ValueError(f"coefficient index {contrast} is out of range for {p} coefficient(s)")
         vec = np.zeros(p)
-        vec[int(contrast)] = 1.0
+        vec[contrast] = 1.0
     else:
         vec = np.asarray(contrast, dtype=float)
         if vec.shape != (p,):
-            raise ValueError(f"contrast must have length {p}")
-    est = float(vec @ beta)
-    se = math.sqrt(float(vec @ cov_beta @ vec))
-    z = est / se
+            raise ValueError(f"contrast must be a coefficient index or have length {p}, got {contrast!r}")
+    var = float(vec @ cov_beta @ vec)
+    if not var > 0.0:
+        raise ValueError(f"contrast has variance {var:g}; the Wald test needs a positive one")
+    z = float(vec @ beta) / math.sqrt(var)
     return z, _two_sided_p(z)
 
 
 def lr_test(fit_full: FitResult, fit_reduced: FitResult, df: int) -> tuple[float, float]:
     """Likelihood-ratio test of nested fits against chi-square(df), df a
     positive integer."""
-    if not isinstance(df, (int, np.integer)) or df < 1:
+    if isinstance(df, bool) or not isinstance(df, (int, np.integer)) or df < 1:
         raise ValueError(f"df must be a positive integer, got {df!r}")
     stat = 2.0 * (fit_full.loglik - fit_reduced.loglik)
     if stat < -1e-8:

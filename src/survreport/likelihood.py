@@ -16,9 +16,10 @@ Values are evaluated in the survival-difference (theta) form, whose terms
 are all non-negative; the equivalent linear form in S, D = C @ T_r, is
 built only by the test oracle ``tests/oracles.to_d_matrix``.  One kernel,
 ``loglik_and_gradient``, serves every model variant.  It forms each
-point's front half and a (J+P, N) matrix G of per-subject scores once,
-and ``loglik_hessian``, the exact second derivatives, reads both and the
-gradient from the caller's ``memo``.
+point's front half and a (J+P, N) matrix G of per-subject scores once;
+with ``hessian=True`` it also returns a function that forms the exact
+second derivatives from those arrays when called.  The function is tied
+to its call's arrays: call it before changing them in place.
 
 The kernel works interval-major: per-subject arrays are (J, N) with
 subjects contiguous, so that a per-interval scalar broadcasts along a
@@ -34,7 +35,6 @@ O(eps log N) relative to sum_i |log L_i|.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -163,18 +163,22 @@ def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
     return zf, lp, rows, q, scale
 
 
-def _scores(c, lambdas, beta, z, z_intervals, eta, weights, memo):
-    """``(terms, G, lz, G_gamma @ scale, G_beta @ scale)`` at one point, from ``memo``
-    when it holds them for this point and data (see ``loglik_hessian``).
+def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
+                        hessian: bool = False):
+    """Log-likelihood and its gradient w.r.t. (lambda, beta).
+
+    Covers every variant: pass ``z`` (N x P) for time-fixed covariates,
+    ``z_intervals`` (N x J x P) for time-varying ones, neither for the
+    one-sample model, and ``eta < 1`` for baseline misclassification.
+    Returns ``(loglik, grad_lambda, grad_beta)``, and with ``hessian=True``
+    also ``hessian_of_point``, a function of no arguments that returns
+    ``loglik_hessian`` here from this call's arrays and the ``lambdas`` and
+    covariates it was given: call it before changing those in place.
     With u_ik = lambda_k lp_ik, S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} u_ik:
     d log L_i = -scale_i G_i, G_i = sum_j q_ij dA_ij, per unit lambda in the
     gamma rows, G_ki = lp_ki T_ki, and G_(J+p)i = sum_k lambda_k lz_pki."""
     lambdas, beta = np.asarray(lambdas, dtype=float), np.asarray(() if beta is None else beta, dtype=float)
-    key = (lambdas.tobytes(), beta.tobytes(), eta), (c, z, z_intervals, weights)
-    if memo and memo.get("key", (None,))[0] == key[0] and all(map(operator.is_, memo["key"][1], key[1])):
-        return memo["point"]
-    terms = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
-    zf, lp, rows, q, scale = terms
+    zf, lp, rows, q, scale = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
     J = lambdas.size
     G = np.empty((J + zf.shape[0], rows.size))
     np.matmul(_before(J), q, out=G[:J])  # the tail sums T_ki = sum_{j>=k} q_ji
@@ -183,44 +187,26 @@ def _scores(c, lambdas, beta, z, z_intervals, eta, weights, memo):
     for a in range(zf.shape[0]):
         np.dot(lambdas, lz[a], out=G[J + a])
     # gamma from its own J rows, so that a one-sample fit keeps its bits
-    point = terms, G, lz, G[:J] @ scale, G[J:] @ scale
-    if memo is not None:
-        memo["key"], memo["point"] = key, point
-    return point
-
-
-def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
-                        memo: dict | None = None):
-    """Log-likelihood and its gradient w.r.t. (lambda, beta).
-
-    Covers every variant: pass ``z`` (N x P) for time-fixed covariates,
-    ``z_intervals`` (N x J x P) for time-varying ones, neither for the
-    one-sample model, and ``eta < 1`` for baseline misclassification.
-    A caller-owned ``memo`` dict keeps this point's front half, scores and
-    gradient for a ``loglik_hessian`` at the same point and data.
-    Returns ``(loglik, grad_lambda, grad_beta)``.
-    """
-    (_, _, rows, _, _), _, _, sum_lambda, sum_beta = _scores(c, lambdas, beta, z, z_intervals, eta, weights, memo)
+    sum_lambda, sum_beta = G[:J] @ scale, G[J:] @ scale
     logs = np.log(rows) * (1.0 if weights is None else np.asarray(weights, dtype=float))
     ll = float(np.sum(logs))  # pairwise: error O(eps log N) relative to sum |log L_i|
-    return ll, -sum_lambda, -sum_beta
+    if not hessian:
+        return ll, -sum_lambda, -sum_beta
+    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, eta, zf, lp, rows, q, scale, G, lz, sum_lambda)
 
 
-def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
-                   memo: dict | None = None):
+def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
     """Hessian of the log-likelihood w.r.t. the working parameters
-    (gamma = log lambda, beta), gamma first.
+    (gamma = log lambda, beta), gamma first; takes the arguments of
+    ``loglik_and_gradient``."""
+    return loglik_and_gradient(c, lambdas, beta, z, z_intervals, eta, weights, hessian=True)[3]()
 
-    Takes the arguments of ``loglik_and_gradient``.  A ``memo`` filled at
-    the same parameter values and eta, with the same c, z, z_intervals and
-    weights objects (by identity: an array changed in place goes
-    unnoticed), gives the front half, the scores G and the gradient; any
-    other is refilled.  d2 L_i = eta sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
+
+def _hessian(lambdas, eta, zf, lp, rows, q, scale, G, lz, sum_lambda):
+    """``loglik_hessian`` from one point's front half, scores G and lambda
+    gradient.  d2 L_i = eta sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
     d2 log L_i = d2 L_i / L_i - G_i G_i' (eta / L_i)^2.  A clamped
     predictor has no beta-curvature."""
-    (zf, lp, rows, q, scale), G, lz, sum_lambda, _ = _scores(
-        c, lambdas, beta, z, z_intervals, eta, weights, memo)
-    lambdas = np.asarray(lambdas, dtype=float)
     J, p, before = lambdas.size, zf.shape[0], _before(lambdas.size)
     hess = np.zeros((J + p, J + p))
     ls = lp * scale

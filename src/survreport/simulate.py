@@ -425,39 +425,60 @@ def table_report_records(rows: list[TableRow]) -> list[dict]:
     return out
 
 
-def scenario_from_dict(spec: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from the documented key-value schema."""
+def _scenario_value(obj: dict, path: str, convert, *default):
+    """``convert`` of the scenario value at ``path`` (its last part the key
+    in ``obj``; ``dict`` takes only an object), or ``default`` if given and
+    the key is absent; a missing key, or a value ``convert`` rejects, is a
+    ValueError naming the path."""
+    key = path.rpartition(".")[2]
+    if key not in obj and default:
+        return default[0]
     try:
-        event = spec["event_dist"]
-        dist = EventDist(
-            kind=event["kind"],
-            rate=float(event.get("rate", 0.0)),
-            shape=float(event.get("shape", 0.0)),
-            scale=float(event.get("scale", 0.0)),
+        if convert is dict and not isinstance(obj[key], dict):
+            raise TypeError
+        return convert(obj[key])
+    except KeyError:
+        raise ValueError(f"scenario config missing key {path!r}") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"scenario config key {path!r} has invalid value {json.dumps(obj[key], default=repr)}") from None
+
+
+def scenario_from_dict(spec: dict) -> ScenarioConfig:
+    """Build a ScenarioConfig from the documented key-value schema; a
+    missing key, a section that is not an object or a value of the wrong
+    type (``null`` for a number) is a ValueError that names the key."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"scenario config must be a JSON object, not {json.dumps(spec, default=repr)}")
+    get = _scenario_value
+    event = get(spec, "event_dist", dict)
+    dist = EventDist(
+        kind=get(event, "event_dist.kind", str),
+        rate=get(event, "event_dist.rate", float, 0.0),
+        shape=get(event, "event_dist.shape", float, 0.0),
+        scale=get(event, "event_dist.scale", float, 0.0),
+    )
+    gen = None
+    if spec.get("covariate_gen") is not None:
+        cov = get(spec, "covariate_gen", dict)
+        gen = CovariateGen(
+            kind=get(cov, "covariate_gen.kind", str),
+            p=get(cov, "covariate_gen.p", float, 0.5),
+            table=get(cov, "covariate_gen.table", lambda rows: tuple(tuple(map(float, row)) for row in rows), ()),
         )
-        cov = spec.get("covariate_gen")
-        gen = None
-        if cov is not None:
-            gen = CovariateGen(
-                kind=cov["kind"],
-                p=float(cov.get("p", 0.5)),
-                table=tuple(tuple(map(float, row)) for row in cov.get("table", ())),
-            )
-        err = spec["error_model"]
-        return ScenarioConfig(
-            n_subjects=int(spec["n_subjects"]),
-            n_visits=int(spec["n_visits"]),
-            visit_spacing=float(spec["visit_spacing"]),
-            missing_prob=float(spec["missing_prob"]),
-            event_dist=dist,
-            beta_true=tuple(map(float, spec.get("beta_true", ()))),
-            covariate_gen=gen,
-            error_model=ErrorModel(float(err["phi1"]), float(err["phi0"]), float(err.get("eta", 1.0))),
-            n_replicates=int(spec["n_replicates"]),
-            seed=int(spec.get("seed", DEFAULT_SEED)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"scenario config missing key {exc.args[0]!r}") from None
+    err = get(spec, "error_model", dict)
+    return ScenarioConfig(
+        n_subjects=get(spec, "n_subjects", int),
+        n_visits=get(spec, "n_visits", int),
+        visit_spacing=get(spec, "visit_spacing", float),
+        missing_prob=get(spec, "missing_prob", float),
+        event_dist=dist,
+        beta_true=get(spec, "beta_true", lambda beta: tuple(map(float, beta)), ()),
+        covariate_gen=gen,
+        error_model=ErrorModel(get(err, "error_model.phi1", float), get(err, "error_model.phi0", float),
+                               get(err, "error_model.eta", float, 1.0)),
+        n_replicates=get(spec, "n_replicates", int),
+        seed=get(spec, "seed", int, DEFAULT_SEED),
+    )
 
 
 def scenario_from_json(path) -> ScenarioConfig:

@@ -257,19 +257,20 @@ class TestFitCommand:
 
 
 class TestSimulateCommand:
+    SPEC = {
+        "n_subjects": 120,
+        "n_visits": 4,
+        "visit_spacing": 1.0,
+        "missing_prob": 0.2,
+        "event_dist": {"kind": "exponential", "rate": 0.15},
+        "beta_true": [1.0],
+        "covariate_gen": {"kind": "bernoulli", "p": 0.5},
+        "error_model": {"phi1": 0.8, "phi0": 0.95},
+        "n_replicates": 4,
+    }
+
     def scenario(self, tmp_path, seed=21):
-        spec = {
-            "n_subjects": 120,
-            "n_visits": 4,
-            "visit_spacing": 1.0,
-            "missing_prob": 0.2,
-            "event_dist": {"kind": "exponential", "rate": 0.15},
-            "beta_true": [1.0],
-            "covariate_gen": {"kind": "bernoulli", "p": 0.5},
-            "error_model": {"phi1": 0.8, "phi0": 0.95},
-            "n_replicates": 4,
-            "seed": seed,
-        }
+        spec = {**self.SPEC, "seed": seed}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         return path
@@ -296,6 +297,33 @@ class TestSimulateCommand:
         path = tmp_path / "bad.json"
         path.write_text("{}", encoding="utf-8")
         assert main(["simulate", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda spec: [1, 2], "scenario config must be a JSON object, not [1, 2]"),
+            (lambda spec: {**spec, "event_dist": [1, 2]}, "scenario config key 'event_dist' has invalid value [1, 2]"),
+            (lambda spec: {**spec, "error_model": 0.8}, "scenario config key 'error_model' has invalid value 0.8"),
+            (lambda spec: {**spec, "covariate_gen": "bernoulli"},
+             'scenario config key \'covariate_gen\' has invalid value "bernoulli"'),
+            (lambda spec: {**spec, "n_subjects": None}, "scenario config key 'n_subjects' has invalid value null"),
+            (lambda spec: {**spec, "visit_spacing": None}, "scenario config key 'visit_spacing' has invalid value null"),
+            (lambda spec: {**spec, "event_dist": {"kind": "exponential", "rate": None}},
+             "scenario config key 'event_dist.rate' has invalid value null"),
+            (lambda spec: {**spec, "error_model": {"phi1": 0.8, "phi0": None}},
+             "scenario config key 'error_model.phi0' has invalid value null"),
+            (lambda spec: {**spec, "beta_true": None}, "scenario config key 'beta_true' has invalid value null"),
+        ],
+        ids=["array", "event_dist", "error_model", "covariate_gen", "n_subjects", "visit_spacing", "event_dist.rate",
+             "error_model.phi0", "beta_true"],
+    )
+    def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, change, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(self.SPEC)), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"survreport: error: {message}\n"
+        assert not out.exists()
 
 
 class TestReproduceCommand:

@@ -111,13 +111,13 @@ class TestFitBasics:
 
     def test_iterations_count_newton_steps(self, monkeypatch):
         calls = []
-        hessian = lik.loglik_hessian
+        hessian = lik._hessian
 
-        def counting_hessian(*args, **kwargs):
+        def counting_hessian(*args):
             calls.append(None)
-            return hessian(*args, **kwargs)
+            return hessian(*args)
 
-        monkeypatch.setattr(lik, "loglik_hessian", counting_hessian)
+        monkeypatch.setattr(lik, "_hessian", counting_hessian)
         res = fit(self.ds, self.em)
         assert res.converged
         assert res.iterations >= 1
@@ -153,25 +153,23 @@ class TestFitBasics:
     def test_newton_rejects_infeasible_step(self):
         # -log-likelihood (x - 1)^2, infeasible (f = inf, zero gradient, as
         # fit reports it) beyond x = 0.75: the full Newton step lands there
-        def negloglik_and_grad(x):
+        def evaluate(x):
             if x[0] > 0.75:
-                return np.inf, np.zeros(1)
-            return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
+                return np.inf, np.zeros(1), None
+            return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0), lambda: np.array([[2.0]])
 
-        x, _, steps, _ = _newton(negloglik_and_grad, lambda x: np.array([[2.0]]), np.zeros(1), 0, 1e-5)
+        x, _, _, steps, _ = _newton(evaluate, np.zeros(1), 0, 1e-5)
         assert steps >= 1
-        assert np.isfinite(negloglik_and_grad(x)[0])
+        assert np.isfinite(evaluate(x)[0])
 
     def test_newton_descends_on_indefinite_hessian(self):
         # f = x^4 - x^2 + y^2 at (0.1, 0): f_xx = -1.88, so a plain Newton
         # solve steps toward the saddle at the origin (slope +0.020)
-        def f_and_grad(x):
-            return x[0] ** 4 - x[0] ** 2 + x[1] ** 2, np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]])
+        def evaluate(x):
+            hessian = np.array([[12 * x[0] ** 2 - 2.0, 0.0], [0.0, 2.0]])
+            return x[0] ** 4 - x[0] ** 2 + x[1] ** 2, np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]]), lambda: hessian
 
-        def hess(x):
-            return np.array([[12 * x[0] ** 2 - 2.0, 0.0], [0.0, 2.0]])
-
-        x, f, steps, stopped = _newton(f_and_grad, hess, np.array([0.1, 0.0]), 0, 1e-10)
+        x, f, _, steps, stopped = _newton(evaluate, np.array([0.1, 0.0]), 0, 1e-10)
         assert stopped is None
         assert steps <= 10
         assert x == pytest.approx([1 / np.sqrt(2), 0.0], abs=1e-9)
@@ -462,6 +460,20 @@ class TestInference:
         with pytest.raises(ValueError):
             wald_test(self.res, np.array([1.0, 0.0]))
 
+    def test_wald_rejects_zero_variance_contrast(self):
+        with pytest.raises(ValueError, match="contrast has variance 0; the Wald test needs a positive one"):
+            wald_test(self.res, [0.0])
+
+    def test_wald_rejects_index_past_the_last_coefficient(self):
+        for index in (1, np.int64(7), -1):
+            with pytest.raises(ValueError, match=f"coefficient index {index} is out of range for 1 coefficient"):
+                wald_test(self.res, index)
+
+    def test_wald_rejects_bool_index(self):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="contrast must be a coefficient index or have length 1, got"):
+                wald_test(self.res, flag)
+
     def test_lr_identical_models(self):
         stat, p = lr_test(self.res, self.res, df=1)
         assert stat == 0.0
@@ -480,7 +492,7 @@ class TestInference:
                 lr_test(reduced, self.res, df=1)
 
     def test_lr_rejects_df_that_is_not_a_positive_integer(self):
-        for df in (0, -1, 1.5, 2.0, "1"):
+        for df in (0, -1, 1.5, 2.0, "1", True):
             with pytest.raises(ValueError, match="df must be a positive integer"):
                 lr_test(self.res, self.res, df=df)
 

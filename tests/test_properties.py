@@ -354,37 +354,45 @@ def test_kernel_matches_cumsum_oracle(case, beta2, seed):
     assume(feasible(c, lambdas, beta, kwargs))
     want_ll, *want_grad = cumsum_loglik_and_gradient(c, lambdas, beta, **kwargs)
     want_hessian = cumsum_loglik_hessian(c, lambdas, beta, **kwargs)
-    results, layouts = [], []
+    results = []
     # the kernel reads c, z and z_intervals transposed: a view of a
     # Fortran-ordered array, a copy of a C-ordered one
     for order in (np.ascontiguousarray, np.asfortranarray):
         c_o = order(c)
         kw = {k: order(v) if k in ("z", "z_intervals") else v for k, v in kwargs.items()}
-        memo = {}
-        ll, *grad = loglik_and_gradient(c_o, lambdas, beta, **kw, memo=memo)
+        ll, *grad = loglik_and_gradient(c_o, lambdas, beta, **kw)
         assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
         assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-10
-        hessian = loglik_hessian(c_o, lambdas, beta, **kw, memo=memo)
+        hessian = loglik_hessian(c_o, lambdas, beta, **kw)
         assert norm_relative_error(hessian, want_hessian) < 1e-10
-        # the memo's front half gives the Hessian computed afresh, bit for bit
-        assert np.array_equal(hessian, loglik_hessian(c_o, lambdas, beta, **kw))
         results.append((ll, *grad, hessian))
-        layouts.append((c_o, kw, memo))
     # both layouts give the same bits
     assert all(np.array_equal(a, b) for a, b in zip(*results))
-    # and the memo is not used at another point, nor for other data at
-    # this point: other c, eta, weights or covariates
-    other = 1.5 * lambdas
-    assume(feasible(c, other, beta, kwargs))
-    for c_o, kw, memo in layouts:
-        variants = [(c_o, other, kw), (c_o**2, lambdas, kw), (c_o, lambdas, {**kw, "eta": kw["eta"] / 2}),
-                    (c_o, lambdas, {**kw, "weights": np.arange(1.0, c.shape[0] + 1)})]
-        if key in kw:
-            variants.append((c_o, lambdas, {**kw, key: kw[key] + 1.0}))
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_hessian_of_point_outlives_later_kernel_calls(case):
+    """A point's ``hessian_of_point``, called only after the kernel has run
+    at another lambda and on other data, is that point's Hessian, bit for
+    bit, for C- and Fortran-ordered inputs alike."""
+    c, lambdas, beta, kwargs = case
+    assume(feasible(c, lambdas, beta, kwargs))
+    variants = [(c, 1.5 * lambdas, kwargs), (c**2, lambdas, kwargs), (c, lambdas, {**kwargs, "eta": kwargs["eta"] / 2}),
+                (c, lambdas, {**kwargs, "weights": np.arange(1.0, c.shape[0] + 1)})]
+    for key in ("z", "z_intervals"):
+        if key in kwargs:
+            variants.append((c, lambdas, {**kwargs, key: kwargs[key] + 1.0}))
+    variants = [v for v in variants if feasible(v[0], v[1], beta, v[2])]
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        c_o = order(c)
+        kw = {k: order(v) if k in ("z", "z_intervals") else v for k, v in kwargs.items()}
+        *point, hessian_of_point = loglik_and_gradient(c_o, lambdas, beta, **kw, hessian=True)
+        # hessian=True leaves the value and the gradient as they are
+        assert all(np.array_equal(a, b) for a, b in zip(point, loglik_and_gradient(c_o, lambdas, beta, **kw)))
         for c_v, lambdas_v, kw_v in variants:
-            if feasible(c_v, lambdas_v, beta, kw_v):
-                want = loglik_hessian(c_v, lambdas_v, beta, **kw_v)
-                assert np.array_equal(loglik_hessian(c_v, lambdas_v, beta, **kw_v, memo=memo), want)
+            loglik_and_gradient(order(c_v), lambdas_v, beta, **kw_v, hessian=True)[3]()
+        assert np.array_equal(hessian_of_point(), loglik_hessian(c_o, lambdas, beta, **kw))
 
 
 @PROPERTY_SETTINGS
