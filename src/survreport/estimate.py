@@ -123,9 +123,9 @@ def _life_table_gamma(dataset: Dataset, rows=None, counts=None) -> np.ndarray:
     J = rt.shape[0]
     up = np.arange(1, J + 1, dtype=np.min_scalar_type(-J - 1))[:, None]  # 1..J, smallest signed type
     last_visit = ((rt >= 0) * up).max(axis=0) - 1
-    if (last_visit < 0).any():
-        i = int(np.argmax(last_visit < 0))
-        raise ValueError(f"subject {dataset.subject_id(i if rows is None else rows[i])} has no visits")
+    if (last_visit < 0).any():  # named by its first subject in file order
+        i = (np.flatnonzero(last_visit < 0) if rows is None else rows[last_visit < 0]).min()
+        raise ValueError(f"subject {dataset.subject_id(i)} has no visits")
     event = J - ((rt == 1) * up[::-1]).max(axis=0)  # the first positive report; J if none
     # a subject is at risk on intervals 1..(first positive, else last visit)
     last = np.minimum(event, last_visit)
@@ -138,10 +138,11 @@ def _life_table_gamma(dataset: Dataset, rows=None, counts=None) -> np.ndarray:
 
 
 def _patterns(reports: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First row and count of each distinct (report row, covariate row), in
-    first-appearance order.  The integer key holds a base-3 digit per report
-    and the rank of each covariate value (-0.0 ranks as 0.0); it is re-coded
-    to dense ranks before a digit could overflow int64, and for the count."""
+    """Lowest subject index and count of each distinct (report row, covariate
+    row), in key order: the lexicographic order of a base-3 digit per report
+    and the rank of each covariate value (-0.0 ranks as 0.0), whatever the
+    subjects' order.  The key is re-coded to dense ranks before a digit
+    could overflow int64, and for the count."""
     n = reports.shape[0]
     digits = [(r, 3) for r in np.ascontiguousarray(reports.T) + 1]
     digits += [(inverse, values.size) for values, inverse in (np.unique(x, return_inverse=True) for x in z.T)]
@@ -154,23 +155,7 @@ def _patterns(reports: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     key = np.unique(key, return_inverse=True)[1]
     first = np.full(int(key.max()) + 1, n)
     np.minimum.at(first, key, np.arange(n))
-    rows = np.flatnonzero(first[key] == np.arange(n))
-    return rows, np.bincount(key)[key[rows]]
-
-
-def _collapse_rows(c: np.ndarray, z: np.ndarray, counts):
-    """Merge identical (C row, covariate) pairs into rows weighted by the
-    sum of their ``counts``, in the lexicographic order of their values, so
-    that the order of the subjects does not change the kernel's sums."""
-    # +0.0 turns -0.0 into 0.0, so that equal rows have equal bytes
-    key = np.ascontiguousarray(np.hstack([c, z + 0.0]) if z.shape[1] else c)
-    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, idx, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    by_value = np.lexsort(key[idx].T[::-1])  # column 0 first
-    order = idx[by_value]
-    weights = np.bincount(inverse, counts)[by_value]
-    # Fortran order, so that the kernel's interval-major views are free
-    return np.asfortranarray(c[order]), np.asfortranarray(z[order] + 0.0), weights
+    return first, np.bincount(key)
 
 
 def _model_and_p(dataset: Dataset, model: str) -> tuple[str, int]:
@@ -206,26 +191,22 @@ def fit(
             raise PanelValidationError(violations)
 
     J = dataset.grid.J
-    eta = error_model.eta
-    z = z_int = rows = counts = weights = None
+    z = z_int = rows = weights = None
     if model == MODEL_COV_TIMEVARYING:
         z_int = interval_covariates(dataset)
-    else:  # one row per distinct (report row, covariate row), counted
+    else:  # one row per distinct (report row, covariate row), weighted by its count
         z = _fixed_covariate_matrix(dataset, p)
         rows, counts = _patterns(dataset.reports, z)
+        z, weights = np.asfortranarray(z[rows] + 0.0), counts.astype(float)
     c = lik.build_c_matrix(dataset, error_model, rows)
     impossible = ~c.any(axis=1)
-    if impossible.any():
-        i = int(np.argmax(impossible))
-        raise ModelSpecError(
-            f"subject {dataset.subject_id(i if rows is None else rows[i])}: report pattern is "
-            f"impossible under phi1={error_model.phi1:g}, phi0={error_model.phi0:g}"
-        )
-    x0 = np.concatenate([_life_table_gamma(dataset, rows, counts), np.zeros(p)])
-    if rows is not None:  # patterns whose C rows coincide merge
-        c, z, weights = _collapse_rows(c, z[rows], counts)
+    if impossible.any():  # named by its first subject in file order
+        i = (np.flatnonzero(impossible) if rows is None else rows[impossible]).min()
+        raise ModelSpecError(f"subject {dataset.subject_id(i)}: report pattern is impossible under "
+                             f"phi1={error_model.phi1:g}, phi0={error_model.phi0:g}")
+    x0 = np.concatenate([_life_table_gamma(dataset, rows, weights), np.zeros(p)])
 
-    kernel_args = {"z": z, "z_intervals": z_int, "eta": eta, "weights": weights, "hessian": True}
+    kernel_args = {"z": z, "z_intervals": z_int, "eta": error_model.eta, "weights": weights, "hessian": True}
 
     def evaluate(x):  # the negative log-likelihood in the working parameters
         lambdas = np.exp(x[:J])

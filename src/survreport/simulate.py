@@ -350,11 +350,10 @@ def reproduce_tables(which: str, scale: int, seed: int = DEFAULT_SEED) -> list[T
     for phi1, phi0, eta, s_end, arm, bias, se, rmse, coverage in specs:
         config = benchmark_config(phi1, phi0, s_end, eta=eta, n_replicates=scale, seed=seed)
         summary = run_scenario(config, arm)
-        n = max(summary.n_converged, 1)
-        sd = summary.empirical_sd if math.isfinite(summary.empirical_sd) else 0.0
-        bias_se = 100.0 * sd / math.sqrt(n) / abs(summary.beta_true)
+        n = summary.n_converged  # one estimate has no spread: its SD and both error bars are nan, not 0
+        bias_se = 100.0 * summary.empirical_sd / math.sqrt(n) / abs(summary.beta_true)
         cov_frac = summary.coverage_pct / 100.0
-        cov_se = 100.0 * math.sqrt(max(cov_frac * (1.0 - cov_frac), 0.0) / n)
+        cov_se = 100.0 * math.sqrt(max(cov_frac * (1.0 - cov_frac), 0.0) / n) if n > 1 else math.nan
         rows.append(
             TableRow(
                 phi1=phi1,
@@ -425,6 +424,14 @@ def table_report_records(rows: list[TableRow]) -> list[dict]:
     return out
 
 
+def _number(value, kinds=(int, float), least=-math.inf):
+    """A finite JSON number whose type is one of ``kinds`` (a bool's is
+    not), at least ``least``, converted to the last kind."""
+    if type(value) not in kinds or not math.isfinite(value) or value < least:
+        raise ValueError
+    return kinds[-1](value)
+
+
 def _scenario_value(obj: dict, path: str, convert, *default):
     """``convert`` of the scenario value at ``path`` (its last part the key
     in ``obj``; ``dict`` takes only an object), or ``default`` if given and
@@ -444,40 +451,40 @@ def _scenario_value(obj: dict, path: str, convert, *default):
 
 
 def scenario_from_dict(spec: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from the documented key-value schema; a
-    missing key, a section that is not an object or a value of the wrong
-    type (``null`` for a number) is a ValueError that names the key."""
+    """Build a ScenarioConfig from the documented key-value schema; a missing
+    key, a section that is not an object, a number that is not a finite JSON
+    one, or a count (seed) not a JSON integer >= 1 (0) is a ValueError naming the key."""
     if not isinstance(spec, dict):
         raise ValueError(f"scenario config must be a JSON object, not {json.dumps(spec, default=repr)}")
     get = _scenario_value
     event = get(spec, "event_dist", dict)
     dist = EventDist(
         kind=get(event, "event_dist.kind", str),
-        rate=get(event, "event_dist.rate", float, 0.0),
-        shape=get(event, "event_dist.shape", float, 0.0),
-        scale=get(event, "event_dist.scale", float, 0.0),
+        rate=get(event, "event_dist.rate", _number, 0.0),
+        shape=get(event, "event_dist.shape", _number, 0.0),
+        scale=get(event, "event_dist.scale", _number, 0.0),
     )
     gen = None
     if spec.get("covariate_gen") is not None:
         cov = get(spec, "covariate_gen", dict)
         gen = CovariateGen(
             kind=get(cov, "covariate_gen.kind", str),
-            p=get(cov, "covariate_gen.p", float, 0.5),
-            table=get(cov, "covariate_gen.table", lambda rows: tuple(tuple(map(float, row)) for row in rows), ()),
+            p=get(cov, "covariate_gen.p", _number, 0.5),
+            table=get(cov, "covariate_gen.table", lambda rows: tuple(tuple(map(_number, row)) for row in rows), ()),
         )
     err = get(spec, "error_model", dict)
     return ScenarioConfig(
-        n_subjects=get(spec, "n_subjects", int),
-        n_visits=get(spec, "n_visits", int),
-        visit_spacing=get(spec, "visit_spacing", float),
-        missing_prob=get(spec, "missing_prob", float),
+        n_subjects=get(spec, "n_subjects", lambda v: _number(v, (int,), 1)),
+        n_visits=get(spec, "n_visits", lambda v: _number(v, (int,), 1)),
+        visit_spacing=get(spec, "visit_spacing", _number),
+        missing_prob=get(spec, "missing_prob", _number),
         event_dist=dist,
-        beta_true=get(spec, "beta_true", lambda beta: tuple(map(float, beta)), ()),
+        beta_true=get(spec, "beta_true", lambda beta: tuple(map(_number, beta)), ()),
         covariate_gen=gen,
-        error_model=ErrorModel(get(err, "error_model.phi1", float), get(err, "error_model.phi0", float),
-                               get(err, "error_model.eta", float, 1.0)),
-        n_replicates=get(spec, "n_replicates", int),
-        seed=get(spec, "seed", int, DEFAULT_SEED),
+        error_model=ErrorModel(get(err, "error_model.phi1", _number), get(err, "error_model.phi0", _number),
+                               get(err, "error_model.eta", _number, 1.0)),
+        n_replicates=get(spec, "n_replicates", lambda v: _number(v, (int,), 1)),
+        seed=get(spec, "seed", lambda v: _number(v, (int,), 0), DEFAULT_SEED),
     )
 
 

@@ -270,20 +270,24 @@ def validate_by_subject(dataset):
     return out
 
 
-def collapse_subject_rows(c, z):
-    """The row collapse over every subject's C row, as ``estimate.fit``
-    made it before it grouped subjects by report pattern: one ``np.unique``
-    over the bytes of each (C row, covariate row), ``z + 0.0`` so that
-    -0.0 and 0.0 group together and z is returned so, each kept row the
-    first appearance of its group and weighted by its count, the rows
-    sorted by value (column 0 first).  Returns Fortran-ordered
+def patterns_by_dict(reports, z):
+    """First row and count of each distinct (report row, covariate row), by
+    a walk over the subjects with ``z + 0.0`` so that -0.0 and 0.0 group
+    together, sorted by (report row, covariate row)."""
+    first, counts = {}, {}
+    for i, key in enumerate(zip(map(tuple, reports.tolist()), map(tuple, (z + 0.0).tolist()))):
+        first.setdefault(key, i)
+        counts[key] = counts.get(key, 0) + 1
+    return [first[k] for k in sorted(first)], [counts[k] for k in sorted(first)]
+
+
+def collapse_subject_rows(reports, c, z):
+    """The kernel rows of a time-fixed fit, from every subject's C row: the
+    row of the first subject of each pattern of ``patterns_by_dict``, z with
+    -0.0 as 0.0, weighted by the pattern's count.  Returns Fortran-ordered
     ``(c, z, weights)``."""
-    key = np.ascontiguousarray(np.hstack([c, z + 0.0]) if z.shape[1] else c)
-    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, idx, counts = np.unique(rows, return_index=True, return_counts=True)
-    by_value = sorted(range(idx.size), key=lambda g: tuple(key[idx[g]]))
-    order = idx[by_value]
-    return np.asfortranarray(c[order]), np.asfortranarray(z[order] + 0.0), counts[by_value].astype(float)
+    first, counts = patterns_by_dict(reports, z)
+    return np.asfortranarray(c[first]), np.asfortranarray(z[first] + 0.0), np.array(counts, dtype=float)
 
 
 # The likelihood kernel as it was before its interval and subject sums

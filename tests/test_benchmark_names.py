@@ -58,7 +58,7 @@ def test_kernel_calls_lead_with_one_row_per_kernel_row(monkeypatch, model):
     if model == estimate.MODEL_COV_TIMEVARYING:
         want = ds.n  # no rows collapse
     else:
-        want = estimate._collapse_rows(lik.build_c_matrix(ds, em), ds.covariates, np.ones(ds.n))[0].shape[0]
+        want = estimate._patterns(ds.reports, ds.covariates)[0].size
         assert want < ds.n
     rows = []
     gradient = lik.loglik_and_gradient

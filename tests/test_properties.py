@@ -25,7 +25,6 @@ from survreport.estimate import (
     MODEL_COV_FIXED,
     MODEL_COV_TIMEVARYING,
     ModelSpecError,
-    _collapse_rows,
     _life_table_gamma,
     _patterns,
     _projected_gradient,
@@ -59,6 +58,7 @@ from oracles import (
     cumsum_loglik_and_gradient,
     cumsum_loglik_hessian,
     direct_pattern_probability,
+    patterns_by_dict,
     validate_by_subject,
 )
 
@@ -412,44 +412,6 @@ def test_one_sample_kernel_is_the_zero_covariate_kernel(case):
     assert hess.tobytes() == loglik_hessian(c, lambdas, [0.0], **zero)[: lambdas.size, : lambdas.size].tobytes()
 
 
-def collapse_rows_by_axis_unique(c, z):
-    """Row collapse by ``np.unique(axis=0)``, which compares rows as floats
-    and returns them in lexicographic order."""
-    key = c if z is None else np.hstack([c, z])
-    _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    return c[idx], None if z is None else z[idx] + 0.0, counts.astype(float)
-
-
-@st.composite
-def collapse_cases(draw):
-    """(C, z): rows drawn from a small pool so that many repeat; z holds
-    -0.0 next to 0.0 and has zero, one or two columns."""
-    J = draw(st.integers(1, 4))
-    pool = draw(st.lists(
-        st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.1 + 0.2)), min_size=J, max_size=J),
-        min_size=1, max_size=4,
-    ))
-    n = draw(st.integers(1, 20))
-    c = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
-    p = draw(st.integers(0, 2))
-    values = st.sampled_from((0.0, -0.0, 1.0, -0.5))
-    return c, np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=n, max_size=n)))
-
-
-@PROPERTY_SETTINGS
-@given(collapse_cases())
-def test_collapse_rows_matches_axis_unique(case):
-    c, z = case
-    got = _collapse_rows(c, z, np.ones(c.shape[0]))
-    want = collapse_rows_by_axis_unique(c, z)
-    for g, w in zip(got, want):
-        if w is None:
-            assert g is None
-        else:
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert got[2].sum() == c.shape[0]
-
-
 @st.composite
 def pattern_panels(draw):
     """(dataset, error model): array-held panels whose subjects share a few
@@ -482,14 +444,24 @@ def pattern_panels(draw):
     return dataset, ErrorModel(draw(st.sampled_from((0.6, 0.8, 1.0))), draw(st.sampled_from((0.7, 0.9, 1.0))))
 
 
-def patterns_by_dict(reports, z):
-    """First row and count of each distinct (report row, covariate row), by
-    a walk over the subjects."""
-    first, counts = {}, {}
-    for i, key in enumerate(zip(map(tuple, reports.tolist()), map(tuple, (z + 0.0).tolist()))):
-        first.setdefault(key, i)
-        counts[key] = counts.get(key, 0) + 1
-    return list(first.values()), list(counts.values())
+class KernelReached(Exception):
+    pass
+
+
+def kernel_rows(dataset, em):
+    """``(c, z, weights)`` of a time-fixed fit's first kernel call, or None
+    if the fit raises ``ValueError`` before it."""
+    def record(c, lambdas, beta, z=None, weights=None, **kwargs):
+        raise KernelReached(c, z, weights)
+
+    with mock.patch("survreport.likelihood.loglik_and_gradient", record):
+        try:
+            fit(dataset, em, MODEL_COV_FIXED, check_valid=False)
+        except KernelReached as reached:
+            return reached.args
+        except ValueError:
+            return None
+    raise AssertionError("the fit returned without a kernel call")
 
 
 @PROPERTY_SETTINGS
@@ -499,11 +471,13 @@ def test_pattern_rows_collapse_to_the_subject_row_collapse(case):
     z = dataset.covariates
     rows, counts = _patterns(dataset.reports, z)
     assert (rows.tolist(), counts.tolist()) == patterns_by_dict(dataset.reports, z)
-    got = _collapse_rows(build_c_matrix(dataset, em, rows), z[rows], counts)
-    want = collapse_subject_rows(build_c_matrix(dataset, em), z)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert got[0].T.flags.c_contiguous and got[1].T.flags.c_contiguous
+    want = collapse_subject_rows(dataset.reports, build_c_matrix(dataset, em), z)
+    assert build_c_matrix(dataset, em, rows).tobytes() == want[0].tobytes()
+    got = kernel_rows(dataset, em)
+    if got is not None:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert got[0].T.flags.c_contiguous and got[1].T.flags.c_contiguous
     if (dataset.reports >= 0).any(axis=1).all():
         assert np.array_equal(_life_table_gamma(dataset, rows, counts), life_table_by_subject(dataset))
 
@@ -529,29 +503,35 @@ def test_fit_errors_name_the_first_subject_of_every_row(case, perfect):
     assert str(exc.value).startswith(message)
 
 
-@pytest.mark.parametrize("last, message", [([1, 0], "subject c: report pattern is impossible"),
-                                           ([-1, -1], "subject c has no visits")])
-def test_fit_errors_name_the_subject_not_the_pattern(last, message):
+@pytest.mark.parametrize("reports, z, message", [
     # a and b share a pattern, so c's pattern is the second one
-    dataset = Dataset.from_arrays(["a", "b", "c"], [[0, 0], [0, 0], last], StudyGrid((1.0, 2.0)),
-                                  schedule=PREDETERMINED)
+    ([[0, 0], [0, 0], [1, 0]], None, "subject c: report pattern is impossible"),
+    ([[0, 0], [0, 0], [-1, -1]], None, "subject c has no visits"),
+    # b's pattern sorts first in key order, yet a comes first in the file
+    ([[-1, -1], [-1, -1]], [[1.0], [0.0]], "subject a has no visits"),
+    ([[1, 1, 0], [1, 0, 0]], None, "subject a: report pattern is impossible"),
+], ids=["impossible-pattern", "no-visits", "no-visits-b-sorts-first", "impossible-pattern-b-sorts-first"])
+def test_fit_errors_name_the_subject_not_the_pattern(reports, z, message):
+    ids = ["a", "b", "c"][: len(reports)]
+    grid = StudyGrid(tuple(map(float, range(1, len(reports[0]) + 1))))
+    dataset = Dataset.from_arrays(ids, reports, grid, z, ("x",) if z else (), PREDETERMINED)
     with pytest.raises(ValueError, match=message):
         fit(dataset, ErrorModel(1.0, 1.0), check_valid=False)
 
 
-def test_patterns_with_equal_c_rows_merge():
+def test_patterns_with_equal_c_rows_fit_as_their_subjects():
     # under phi1 = phi0 = 1 a positive first report puts the event in the
-    # first interval whatever the second visit says
+    # first interval whatever the second visit says: two patterns, one C row
     dataset = Dataset.from_arrays(["a", "b", "c"], [[1, -1], [1, 1], [1, -1]], StudyGrid((1.0, 2.0)),
                                   schedule=PREDETERMINED)
     em = ErrorModel(1.0, 1.0)
-    z = dataset.covariates
-    rows, counts = _patterns(dataset.reports, z)
+    rows, counts = _patterns(dataset.reports, dataset.covariates)
     assert rows.tolist() == [0, 1] and counts.tolist() == [2, 1]
-    got = _collapse_rows(build_c_matrix(dataset, em, rows), z[rows], counts)
-    assert got[0].tolist() == [[1.0, 0.0, 0.0]] and got[2].tolist() == [3.0]
-    for g, w in zip(got, collapse_subject_rows(build_c_matrix(dataset, em), z)):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    c, _, weights = kernel_rows(dataset, em)
+    assert c.tolist() == [[1.0, 0.0, 0.0]] * 2 and weights.tolist() == [2.0, 1.0]
+    result = fit(dataset, em, check_valid=False)
+    want = cumsum_loglik_and_gradient(build_c_matrix(dataset, em), result.lambdas, None)[0]
+    assert result.loglik == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_pattern_key_does_not_wrap():
@@ -565,7 +545,7 @@ def test_pattern_key_does_not_wrap():
     dataset = Dataset.from_arrays(["a", "b"], reports, StudyGrid(tuple(map(float, range(1, len(digits) + 1)))),
                                   schedule=PREDETERMINED)
     rows, counts = _patterns(dataset.reports, dataset.covariates)
-    assert rows.tolist() == [0, 1] and counts.tolist() == [1, 1]
+    assert rows.tolist() == [1, 0] and counts.tolist() == [1, 1]  # b's row of no visits sorts first
 
 
 @pytest.mark.parametrize("reports", [[[1, -1], [0, 0], [0, 0]], [[-1, -1], [0, 0], [0, 0]]],
@@ -651,9 +631,10 @@ def test_permuting_subjects_leaves_fit_unchanged(case, random):
 @PROPERTY_SETTINGS
 @given(panels(max_subjects=12), st.randoms(use_true_random=False))
 def test_permuting_subjects_leaves_fixed_fit_bits_unchanged(case, random):
-    """The time-fixed kernel sees the collapsed rows in the order of their
-    values, so the subjects in another order give the same fit, bit for bit,
-    even where the likelihood is flat."""
+    """The time-fixed kernel sees the distinct patterns in the order of
+    their key, which the subjects' order does not change, so the subjects
+    in another order give the same fit, bit for bit, even where the
+    likelihood is flat."""
     dataset, em = case
     perm = list(range(dataset.n))
     random.shuffle(perm)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from survreport import panel
+from survreport.cli import EXIT_INPUT_ERROR, main
 from survreport.estimate import ModelSpecError, fit
 from survreport.panel import PREDETERMINED, Dataset, ErrorModel, build_dataset, validate
 from survreport.simulate import (
@@ -341,6 +342,18 @@ class TestReproduceTables:
         assert arms == {ADJUSTED, UNADJUSTED}
         again = reproduce_tables("table1", scale=2, seed=11)
         assert [r.summary for r in again] == [r.summary for r in rows]
+        for r in rows:
+            if r.summary.n_converged == 2:
+                assert math.isfinite(r.bias_mc_se_pct) and math.isfinite(r.coverage_mc_se_pct)
+
+    def test_one_replicate_gives_no_error_bar(self):
+        # one converged estimate has no spread: a zero error bar would claim
+        # an exact reproduction
+        rows = reproduce_tables("table1", scale=1, seed=11)
+        assert [r.summary.n_converged for r in rows] == [1] * 12
+        assert all(math.isnan(r.bias_mc_se_pct) and math.isnan(r.coverage_mc_se_pct) for r in rows)
+        assert all(line.split()[7] == "nan" and line.split()[15] == "nan"
+                   for line in format_table_report(rows).splitlines()[2:])
 
     def test_report_formats(self):
         rows = reproduce_tables("table2", scale=2, seed=11)
@@ -393,6 +406,40 @@ class TestScenarioSerialization:
         del spec["event_dist"]
         with pytest.raises(ValueError, match="event_dist"):
             scenario_from_dict(spec)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_subjects", 120.9),
+        ("n_visits", 4.5),
+        ("n_replicates", True),
+        ("seed", 3.7),
+        ("seed", -1),
+        ("n_subjects", "120"),
+        ("n_subjects", 0),
+        ("missing_prob", False),
+        ("visit_spacing", True),
+        ("visit_spacing", float("nan")),
+        ("error_model.phi1", True),
+        ("event_dist.rate", "0.08"),
+        ("beta_true", [True]),
+        ("covariate_gen.table", [["1"]]),
+    ])
+    def test_value_of_the_wrong_kind_is_rejected_naming_the_key(self, tmp_path, capsys, key, value):
+        spec = self.spec()
+        section, _, name = key.rpartition(".")
+        (spec[section] if section else spec)[name] = value
+        message = f"scenario config key {key!r} has invalid value {json.dumps(value)}"
+        with pytest.raises(ValueError) as exc:
+            scenario_from_dict(spec)
+        assert str(exc.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"survreport: error: {message}\n"
+
+    def test_zero_seed_and_integral_numbers_are_taken(self):
+        config = scenario_from_dict({**self.spec(), "seed": 0, "visit_spacing": 2, "missing_prob": 0})
+        assert (config.seed, config.visit_spacing, config.missing_prob) == (0, 2.0, 0.0)
+        assert isinstance(config.visit_spacing, float)
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "scenario.json"
