@@ -184,6 +184,8 @@ def fit(
     convergence requires the largest free working-scale gradient component
     to fall to ``grad_tol``, within ``MAX_NEWTON_STEPS`` steps.
     """
+    if not 0.0 <= grad_tol < math.inf:  # a nan fails too
+        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol!r}")
     model, p = _model_and_p(dataset, model)
     if check_valid:
         violations = validate(dataset)
@@ -197,7 +199,7 @@ def fit(
     else:  # one row per distinct (report row, covariate row), weighted by its count
         z = _fixed_covariate_matrix(dataset, p)
         rows, counts = _patterns(dataset.reports, z)
-        z, weights = np.asfortranarray(z[rows] + 0.0), counts.astype(float)
+        z, weights = z[rows] + 0.0, counts.astype(float)
     c = lik.build_c_matrix(dataset, error_model, rows)
     impossible = ~c.any(axis=1)
     if impossible.any():  # named by its first subject in file order
@@ -206,12 +208,12 @@ def fit(
                              f"phi1={error_model.phi1:g}, phi0={error_model.phi0:g}")
     x0 = np.concatenate([_life_table_gamma(dataset, rows, weights), np.zeros(p)])
 
-    kernel_args = {"z": z, "z_intervals": z_int, "eta": error_model.eta, "weights": weights, "hessian": True}
+    kernel_rows = lik.KernelRows(c, z, z_int, error_model.eta, weights)
 
     def evaluate(x):  # the negative log-likelihood in the working parameters
         lambdas = np.exp(x[:J])
         try:
-            ll, g_lambda, g_beta, hessian = lik.loglik_and_gradient(c, lambdas, x[J:], **kernel_args)
+            ll, g_lambda, g_beta, hessian = lik.loglik_and_gradient(kernel_rows, lambdas, x[J:], hessian=True)
         except lik.NonPositiveLikelihoodError:
             if x is x0:  # an infeasible start has no step to back off from
                 raise
@@ -221,17 +223,11 @@ def fit(
         return -ll, -np.concatenate([g_lambda * lambdas, g_beta]), lambda: -hessian()
 
     x_hat, f_hat, hessian_hat, steps, stopped = _newton(evaluate, x0, J, grad_tol)
-    converged = stopped is None
-    gamma_hat = x_hat[:J]
-    beta_hat = x_hat[J:]
+    gamma_hat, beta_hat = x_hat[:J], x_hat[J:]
     lambdas_hat = np.exp(gamma_hat)
     survival = lik.survival_from_increments(lambdas_hat)
-    loglik_hat = -f_hat
-    if converged:
-        message = f"converged after {steps} Newton step(s)"
-    else:
-        message = f"not converged: stopped after {steps} Newton step(s) because {stopped}"
-
+    message = (f"converged after {steps} Newton step(s)" if stopped is None
+               else f"not converged: stopped after {steps} Newton step(s) because {stopped}")
     frozen = tuple(int(j + 1) for j in np.flatnonzero(gamma_hat <= GAMMA_LOWER + 1e-6))
 
     beta_se = np.full(p, np.nan)
@@ -260,8 +256,8 @@ def fit(
         lambdas=lambdas_hat,
         survival=survival,
         survival_se=survival_se,
-        loglik=loglik_hat,
-        converged=converged,
+        loglik=-f_hat,
+        converged=stopped is None,
         iterations=steps,
         message=message,
         frozen_intervals=frozen,
@@ -335,22 +331,21 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     closed-form Hessian of the negative log-likelihood at the estimate, and
     the delta-method covariance of (beta, S_2..S_{J+1}).  Frozen and
     no-curvature intervals get zero rows; ``(None, None)`` if the rest is
-    numerically singular (its inverse would be rounding noise) or gives a
-    negative variance."""
+    numerically singular (its inverse would be rounding noise: the
+    |eigenvalues| are the singular values) or gives a negative variance."""
     k = hessian.shape[0]
-
     free = np.ones(k, dtype=bool)
     free[[j - 1 for j in frozen]] = False
     free[:J] &= np.diag(hessian)[:J] > 1e-6  # no-curvature intervals carry no mass
     idx = np.flatnonzero(free)
     sub = hessian[np.ix_(idx, idx)]
     try:
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if sv.size and sv[-1] <= 1e-12 * sv[0]:
-            return None, None
-        cov_free = np.linalg.inv(sub)
+        w, v = np.linalg.eigh(sub)
     except np.linalg.LinAlgError:
         return None, None
+    if w.size and np.abs(w).min() <= 1e-12 * np.abs(w).max():
+        return None, None
+    cov_free = (v / w) @ v.T
     if not np.all(np.isfinite(cov_free)) or np.any(np.diag(cov_free) < -1e-8):
         return None, None
     cov = np.zeros((k, k))
@@ -359,11 +354,8 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     # delta method: rows are beta then S_2..S_{J+1}; columns gamma then beta
     jac = np.zeros((p + J, k))
     jac[:p, J:] = np.eye(p)
-    for j in range(2, J + 2):  # S_j depends on gamma_1..gamma_{j-1}
-        s_j = survival[j - 1]
-        jac[p + j - 2, : j - 1] = -s_j * lambdas[: j - 1]
-    cov_transformed = jac @ cov @ jac.T
-    return cov, cov_transformed
+    jac[p:, :J] = np.tril(-survival[1:, None] * lambdas)  # S_j depends on gamma_1..gamma_{j-1}
+    return cov, jac @ cov @ jac.T
 
 
 def _two_sided_p(z: float) -> float:

@@ -10,16 +10,18 @@ lies in interval j.  With proportional hazards the subject-specific
 survival is built from per-interval cumulative hazard increments
 lambda_k exp(z_ik' beta); a time-fixed covariate has z_ik = z_i, so that
 S_j^(i) = S_j ** exp(z_i' beta).  Baseline misclassification mixes in a
-prevalent-case term weighted by 1 - eta.
+prevalent-case term weighted by 1 - eta: as the theta_j sum to 1, that is
+the same sum over C' = eta C + (1 - eta) C[:, 0].
 
-Values are evaluated in the survival-difference (theta) form, whose terms
-are all non-negative; the equivalent linear form in S, D = C @ T_r, is
-built only by the test oracle ``tests/oracles.to_d_matrix``.  One kernel,
-``loglik_and_gradient``, serves every model variant.  It forms each
-point's front half and a (J+P, N) matrix G of per-subject scores once;
-with ``hessian=True`` it also returns a function that forms the exact
-second derivatives from those arrays when called.  The function is tied
-to its call's arrays: call it before changing them in place.
+One kernel, ``loglik_and_gradient``, serves every model variant in the
+theta form, whose terms are all non-negative (the linear form in S is
+built only by the oracle ``tests/oracles.to_d_matrix``).  It takes raw
+arrays, or the :class:`KernelRows` a fit prepares once: C', its
+differences C'[1:] - C'[:-1] and the covariates, laid out as the kernel
+reads them.  Each point forms its front half and a (J+P, N) matrix G of
+per-subject scores once; with ``hessian=True`` the kernel also returns a
+function that forms the exact second derivatives from those arrays:
+call it before changing them in place.
 
 The kernel works interval-major: per-subject arrays are (J, N) with
 subjects contiguous, so that a per-interval scalar broadcasts along a
@@ -83,17 +85,39 @@ def build_c_matrix(dataset: Dataset, error_model: ErrorModel, rows=None) -> np.n
     return ct.T
 
 
+def _increments(lambdas) -> np.ndarray:
+    """``lambdas`` as a float array; a negative, nan or infinite one is an error."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if not (lambdas.min(initial=np.inf) >= 0.0 and lambdas.max(initial=0.0) < np.inf):  # a nan fails both
+        raise ValueError("hazard increments lambdas must be finite and non-negative")
+    return lambdas
+
+
 def survival_from_increments(lambdas: np.ndarray) -> np.ndarray:
     """Baseline survival (S_1=1, ..., S_{J+1}) from cumulative-hazard increments."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0):
-        raise ValueError("hazard increments must be non-negative")
-    return np.exp(-np.concatenate(([0.0], np.cumsum(lambdas))))
+    return np.exp(-np.concatenate(([0.0], np.cumsum(_increments(lambdas)))))
 
 
-def _interval_major(x) -> np.ndarray:
-    """``x.T`` as a C-contiguous float array: a view for a Fortran-ordered ``x``."""
-    return np.ascontiguousarray(np.asarray(x, dtype=float).T)
+class KernelRows:
+    """The kernel's data, checked and laid out once per fit: ``ct``, the
+    interval-major (J+1, N) C' = eta C + (1 - eta) C[:, 0] (exact, as the
+    theta_j sum to 1), its differences ``d`` = C'[1:] - C'[:-1], the
+    covariate-major (P, K, N) ``zk`` (views of Fortran-ordered inputs), the
+    float ``weights`` (1.0 for none) and ``shape``, that of C: (N, J+1)."""
+
+    def __init__(self, c, z=None, z_intervals=None, eta: float = 1.0, weights=None):
+        if z is not None and z_intervals is not None:
+            raise ValueError("pass either z or z_intervals, not both")
+        if not (0.0 < eta <= 1.0):
+            raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+        ct = np.ascontiguousarray(np.asarray(c, dtype=float).T)
+        self.ct = ct if eta == 1.0 else eta * ct + (1.0 - eta) * ct[0]
+        self.d = self.ct[1:] - self.ct[:-1]
+        if z_intervals is None:  # a time-fixed z is one interval that applies to all; none is P = 0
+            z_intervals = np.empty((ct.shape[1], 1, 0)) if z is None else np.asarray(z, dtype=float)[:, None, :]
+        self.zk = np.ascontiguousarray(np.asarray(z_intervals, dtype=float).T)
+        self.weights = 1.0 if weights is None else np.asarray(weights, dtype=float)
+        self.shape = ct.shape[::-1]
 
 
 def _clamped_exp_lp(zk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,52 +139,37 @@ def _clamped_exp_lp(zk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.nd
 def _before(J: int) -> np.ndarray:
     """Read-only (J, J) 0/1 upper triangle, [k, j] = 1 when interval k
     precedes S_{j+2}: ``_before(J) @ y`` sums the rows of y from k on into
-    row k, ``_before(J).T @ x`` the first j+1 rows of x into row j."""
+    row k, ``_before(J).T @ x`` the first j+1 rows of x into row j; as a
+    mask, it selects the entries on and above the diagonal."""
     before = np.triu(np.ones((J, J)))
     before.setflags(write=False)
     return before
 
 
 def _hazard_sums(lambdas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(J, N) -sum_{k<=j} lambda_k x_ki of a (J, N) ``x``, or of a (1, N) one
-    that applies to every interval, with -lambda folded into the triangle."""
-    neg = _before(lambdas.size).T * -lambdas
-    return (neg if x.shape[0] == lambdas.size else neg.sum(axis=1, keepdims=True)) @ x
+    """(J, N) -sum_{k<=j} lambda_k x_ki of a (J, N) ``x``, with -lambda folded
+    into the triangle, or of a (1, N) one that applies to every interval."""
+    return np.cumsum(-lambdas)[:, None] * x if x.shape[0] == 1 else (_before(lambdas.size).T * -lambdas) @ x
 
 
-def _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights):
+def _kernel_terms(kr, lambdas, beta):
     """Front half shared by the value, the gradient and the Hessian:
     interval-major ``(zf, lp, rows, q, scale)``, the (P, K, N) covariates
     with 0 where clamped, exp of the clamped (K, N) linear predictor, the
     likelihoods, the (J, N) q_ki = D_i(k+1) S_(k+1)^(i) and the (weighted)
-    eta / rows."""
-    if z is not None and z_intervals is not None:
-        raise ValueError("pass either z or z_intervals, not both")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    if np.any(lambdas < 0):
-        raise ValueError("hazard increments must be non-negative")
-    ct = _interval_major(c)  # (J+1, N)
-    if z_intervals is None:  # a time-fixed z is one interval that applies to all; none is P = 0
-        z_intervals = np.empty((ct.shape[1], 1, 0)) if z is None else np.asarray(z, dtype=float)[:, None, :]
-    zf, lp = _clamped_exp_lp(_interval_major(z_intervals), beta)
+    1 / rows, from :class:`KernelRows` ``kr``."""
+    zf, lp = _clamped_exp_lp(kr.zk, beta)
     ss = _hazard_sums(lambdas, lp)
     np.exp(ss, out=ss)  # S_2 .. S_{J+1}; S_1 = 1
-    # rows: eta * sum_j C_ij theta_j + (1-eta) C_i1, with theta_j = S_j -
-    # S_{j+1} exact and non-negative
-    theta = np.empty_like(ct)
+    # rows: sum_j C'_ij theta_j, with theta_j = S_j - S_{j+1} exact and non-negative
+    theta = np.empty_like(kr.ct)
     np.subtract(1.0, ss[0], out=theta[0])
     np.subtract(ss[:-1], ss[1:], out=theta[1:-1])
     theta[-1] = ss[-1]
-    rows = np.einsum("ji,ji->i", ct, theta)
-    if eta != 1.0:
-        rows = eta * rows + (1.0 - eta) * ct[0]
-    if (rows <= 0.0).any():
-        raise NonPositiveLikelihoodError(int(np.argmax(rows <= 0.0)))
-    q = ct[1:] - ct[:-1]
-    q *= ss
-    scale = eta / rows * (1.0 if weights is None else np.asarray(weights, dtype=float))
-    return zf, lp, rows, q, scale
+    rows = np.einsum("ji,ji->i", kr.ct, theta)
+    if not rows.min() > 0.0:  # a nan fails too
+        raise NonPositiveLikelihoodError(int(np.argmin(rows > 0.0)))
+    return zf, lp, rows, ss * kr.d, 1.0 / rows * kr.weights
 
 
 def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
@@ -169,16 +178,22 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
 
     Covers every variant: pass ``z`` (N x P) for time-fixed covariates,
     ``z_intervals`` (N x J x P) for time-varying ones, neither for the
-    one-sample model, and ``eta < 1`` for baseline misclassification.
-    Returns ``(loglik, grad_lambda, grad_beta)``, and with ``hessian=True``
-    also ``hessian_of_point``, a function of no arguments that returns
+    one-sample model, and ``eta < 1`` for baseline misclassification; or
+    pass :class:`KernelRows` of them as ``c`` and none of those.  Returns
+    ``(loglik, grad_lambda, grad_beta)``, and with ``hessian=True`` also
+    ``hessian_of_point``, a function of no arguments that returns
     ``loglik_hessian`` here from this call's arrays and the ``lambdas`` and
     covariates it was given: call it before changing those in place.
     With u_ik = lambda_k lp_ik, S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} u_ik:
     d log L_i = -scale_i G_i, G_i = sum_j q_ij dA_ij, per unit lambda in the
     gamma rows, G_ki = lp_ki T_ki, and G_(J+p)i = sum_k lambda_k lz_pki."""
-    lambdas, beta = np.asarray(lambdas, dtype=float), np.asarray(() if beta is None else beta, dtype=float)
-    zf, lp, rows, q, scale = _kernel_terms(c, lambdas, beta, z, z_intervals, eta, weights)
+    if isinstance(c, KernelRows) and (eta != 1.0 or any(a is not None for a in (z, z_intervals, weights))):
+        raise ValueError("prepared kernel rows carry their own z, z_intervals, eta and weights")
+    kr = c if isinstance(c, KernelRows) else KernelRows(c, z, z_intervals, eta, weights)
+    lambdas, beta = _increments(lambdas), np.asarray(() if beta is None else beta, dtype=float)
+    if not np.isfinite(beta).all():
+        raise ValueError("coefficients beta must be finite")
+    zf, lp, rows, q, scale = _kernel_terms(kr, lambdas, beta)
     J = lambdas.size
     G = np.empty((J + zf.shape[0], rows.size))
     np.matmul(_before(J), q, out=G[:J])  # the tail sums T_ki = sum_{j>=k} q_ji
@@ -188,11 +203,10 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
         np.dot(lambdas, lz[a], out=G[J + a])
     # gamma from its own J rows, so that a one-sample fit keeps its bits
     sum_lambda, sum_beta = G[:J] @ scale, G[J:] @ scale
-    logs = np.log(rows) * (1.0 if weights is None else np.asarray(weights, dtype=float))
-    ll = float(np.sum(logs))  # pairwise: error O(eps log N) relative to sum |log L_i|
+    ll = float(np.sum(np.log(rows) * kr.weights))  # pairwise: error O(eps log N) relative to sum |log L_i|
     if not hessian:
         return ll, -sum_lambda, -sum_beta
-    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, eta, zf, lp, rows, q, scale, G, lz, sum_lambda)
+    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, zf, lp, rows, q, scale, G, lz, sum_lambda)
 
 
 def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
@@ -202,17 +216,18 @@ def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0,
     return loglik_and_gradient(c, lambdas, beta, z, z_intervals, eta, weights, hessian=True)[3]()
 
 
-def _hessian(lambdas, eta, zf, lp, rows, q, scale, G, lz, sum_lambda):
+def _hessian(lambdas, zf, lp, rows, q, scale, G, lz, sum_lambda):
     """``loglik_hessian`` from one point's front half, scores G and lambda
-    gradient.  d2 L_i = eta sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
-    d2 log L_i = d2 L_i / L_i - G_i G_i' (eta / L_i)^2.  A clamped
-    predictor has no beta-curvature."""
+    gradient.  d2 L_i = sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
+    d2 log L_i = d2 L_i / L_i - G_i G_i' / L_i^2.  A clamped predictor has
+    no beta-curvature."""
     J, p, before = lambdas.size, zf.shape[0], _before(lambdas.size)
     hess = np.zeros((J + p, J + p))
     ls = lp * scale
     # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)] - [a = b] u_ia T_ia;
     # exact on and above the diagonal, mirrored below at the end
-    hess[:J, :J] = ls @ G[:J].T * np.outer(lambdas, lambdas) - np.diag(lambdas * sum_lambda)
+    hess[:J, :J] = ls @ G[:J].T * (lambdas[:, None] * lambdas)  # one row broadcasts when K = 1
+    hess.ravel()[: J * (J + p + 1) : J + p + 1] -= lambdas * sum_lambda
     v = [_hazard_sums(lambdas, lp * za) for za in zf]  # -dA_ij / d beta_a
     for a in range(p):
         qv = q * v[a]
@@ -220,7 +235,7 @@ def _hessian(lambdas, eta, zf, lp, rows, q, scale, G, lz, sum_lambda):
         hess[:J, J + a] = -lambdas * (np.sum(before * (ls @ qv.T), axis=1) + lz[a] @ scale)
         for b in range(a, p):
             hess[J + a, J + b] = np.einsum("ji,ji->i", qv, v[b]) @ scale - lambdas @ ((lz[a] * zf[b]) @ scale)
-    # outer products of dL_i, weighted by eta^2 / L_i^2 (times the row weight)
+    # outer products of dL_i, weighted by 1 / L_i^2 (times the row weight)
     lift = np.concatenate((lambdas, np.ones(p)))
-    hess -= np.outer(lift, lift) * ((G * (scale * eta / rows)) @ G.T)
-    return np.where(np.tri(J + p, k=-1, dtype=bool), hess.T, hess)
+    hess -= lift[:, None] * lift * ((G * (scale / rows)) @ G.T)
+    return np.where(_before(J + p), hess, hess.T)

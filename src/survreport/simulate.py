@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +138,18 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, replicate_index)))
 
 
+@lru_cache(maxsize=1)
+def _id_digits(n: int) -> np.ndarray:  # str(i) for i < n: replicate ids are s{replicate}_{i}
+    return np.array([str(i) for i in range(n)], dtype=object)
+
+
+def _adaptive_reports(keep: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """(N, V) int8 reports: each kept visit's result while no earlier kept one
+    was positive (a running count in intp, which cannot wrap), else -1."""
+    positive = keep & positive
+    return np.where(keep & (np.cumsum(positive, axis=1) <= positive), positive, np.int8(-1))
+
+
 def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     """Draw one synthetic panel dataset.
 
@@ -169,22 +182,20 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     pos_draw = rng.random((n, config.n_visits))
 
     p_pos = np.where(x[:, None] <= schedule[None, :], em.phi1, 1.0 - em.phi0)
-    positive = keep & (pos_draw < p_pos)
-    # collection stops at the first positive among the kept visits
-    first_positive = np.where(positive.any(axis=1), positive.argmax(axis=1), config.n_visits)
-    kept = keep & (np.arange(config.n_visits)[None, :] <= first_positive[:, None])
-
-    reports = np.where(kept, positive, np.int8(-1))
+    reports = _adaptive_reports(keep, pos_draw < p_pos)
     # subjects who missed every visit give no data; unvisited times are no grid points
+    kept = reports >= 0
     rows = np.flatnonzero(kept.any(axis=1))
     cols = np.flatnonzero(kept.any(axis=0))
+    # the ids are distinct and every rule of validate holds by construction
     return Dataset.from_arrays(
-        [f"s{replicate_index}_{i}" for i in rows.tolist()],
+        np.add(f"s{replicate_index}_", _id_digits(n)[rows]).tolist(),
         reports[np.ix_(rows, cols)],
         StudyGrid(tuple(schedule[cols].tolist())),
         z[rows] if z is not None else None,
         covariate_names=tuple(f"z{k + 1}" for k in range(beta.size)) if z is not None else (),
         schedule=ADAPTIVE,
+        violations=(),
     )
 
 
@@ -216,21 +227,17 @@ def run_scenario(config: ScenarioConfig, analysis: str = ADJUSTED) -> ScenarioSu
     assumed = analysis_error_model(config, analysis)
     beta_true = float(config.beta_true[0])
 
-    estimates = []
-    ses = []
+    estimates, ses = [], []
     for rep in range(config.n_replicates):
         dataset = generate_dataset(config, rep)
-        result = estimate.fit(
-            dataset, assumed, estimate.MODEL_COV_FIXED, check_valid=False
-        )
+        result = estimate.fit(dataset, assumed, estimate.MODEL_COV_FIXED, check_valid=False)
         if result.converged and result.has_covariance and np.isfinite(result.beta_se[0]):
             estimates.append(float(result.beta[0]))
             ses.append(float(result.beta_se[0]))
     if not estimates:
         raise RuntimeError("no replicate converged")
 
-    est = np.asarray(estimates)
-    se = np.asarray(ses)
+    est, se = np.asarray(estimates), np.asarray(ses)
     mean_est = float(est.mean())
     bias_pct = 100.0 * (mean_est - beta_true) / beta_true
     emp_sd = float(est.std(ddof=1)) if est.size > 1 else float("nan")
@@ -354,22 +361,7 @@ def reproduce_tables(which: str, scale: int, seed: int = DEFAULT_SEED) -> list[T
         bias_se = 100.0 * summary.empirical_sd / math.sqrt(n) / abs(summary.beta_true)
         cov_frac = summary.coverage_pct / 100.0
         cov_se = 100.0 * math.sqrt(max(cov_frac * (1.0 - cov_frac), 0.0) / n) if n > 1 else math.nan
-        rows.append(
-            TableRow(
-                phi1=phi1,
-                phi0=phi0,
-                eta=eta,
-                s_end=s_end,
-                analysis=arm,
-                published_bias_pct=bias,
-                published_std_err=se,
-                published_rmse=rmse,
-                published_coverage_pct=coverage,
-                summary=summary,
-                bias_mc_se_pct=bias_se,
-                coverage_mc_se_pct=cov_se,
-            )
-        )
+        rows.append(TableRow(phi1, phi0, eta, s_end, arm, bias, se, rmse, coverage, summary, bias_se, cov_se))
     return rows
 
 

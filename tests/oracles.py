@@ -281,6 +281,20 @@ def patterns_by_dict(reports, z):
     return [first[k] for k in sorted(first)], [counts[k] for k in sorted(first)]
 
 
+def adaptive_reports_by_subject(keep, positive):
+    """Reports of an adaptive schedule, one subject and visit at a time: a
+    missed visit reports -1, a kept one its draw, and after the first
+    positive among the kept visits every visit reports -1."""
+    out = []
+    for keep_row, positive_row in zip(keep.tolist(), positive.tolist()):
+        row, stopped = [], False
+        for kept, pos in zip(keep_row, positive_row):
+            row.append(int(pos) if kept and not stopped else -1)
+            stopped = stopped or (kept and pos)
+        out.append(row)
+    return np.array(out, dtype=np.int8).reshape(keep.shape)
+
+
 def collapse_subject_rows(reports, c, z):
     """The kernel rows of a time-fixed fit, from every subject's C row: the
     row of the first subject of each pattern of ``patterns_by_dict``, z with

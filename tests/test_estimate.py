@@ -130,6 +130,17 @@ class TestFitBasics:
         assert stuck.message.endswith(("because it reached the step limit", "because no step lowered the objective"))
         assert stuck.loglik >= res.loglik - 1e-9
 
+    @pytest.mark.parametrize("grad_tol", [-1.0, np.nan, np.inf])
+    def test_bad_grad_tol_is_rejected_before_any_work(self, monkeypatch, grad_tol):
+        # such a tolerance used to run every Newton step and end "not converged"
+        def started(*args, **kwargs):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr("survreport.estimate.validate", started)
+        monkeypatch.setattr(lik, "build_c_matrix", started)
+        with pytest.raises(ValueError, match="grad_tol must be finite and non-negative"):
+            fit(self.ds, self.em, grad_tol=grad_tol)
+
     @pytest.mark.parametrize("model", [MODEL_COV_FIXED, MODEL_COV_TIMEVARYING])
     def test_hessians_reuse_the_gradients_front_half(self, monkeypatch, model):
         counts = {"front": 0, "gradient": 0}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from survreport.likelihood import (
+    KernelRows,
     LINEAR_PREDICTOR_CLAMP,
     NonPositiveLikelihoodError,
     build_c_matrix,
@@ -170,10 +171,17 @@ class TestSurvivalFromIncrements:
     def test_values(self):
         s = survival_from_increments([0.5, 1.0])
         assert np.allclose(s, [1.0, np.exp(-0.5), np.exp(-1.5)])
+        assert survival_from_increments([]).tolist() == [1.0]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             survival_from_increments([-0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        # np.any(x < 0) is False for a nan, which used to give [1, nan, nan]
+        with pytest.raises(ValueError, match="lambdas must be finite"):
+            survival_from_increments([bad, 0.1])
 
 
 class TestNormalization:
@@ -335,6 +343,31 @@ class TestReductions:
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
             loglik(self.c, self.lambdas, np.zeros(1), z=self.z, eta=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected_by_name(self, bad):
+        # a nan lambda or beta used to give a nan log-likelihood and no error
+        with pytest.raises(ValueError, match="lambdas must be finite"):
+            loglik(self.c, np.full(self.lambdas.size, bad), [0.0], z=self.z)
+        with pytest.raises(ValueError, match="lambdas must be finite"):
+            loglik_hessian(self.c, np.append(self.lambdas[1:], bad), [0.0], z=self.z)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            loglik(self.c, self.lambdas, [bad], z=self.z)
+
+    @pytest.mark.parametrize("extra", [{"z": np.zeros((3, 1))}, {"z_intervals": np.zeros((3, 2, 1))},
+                                       {"eta": 0.9}, {"weights": np.ones(3)}])
+    def test_prepared_rows_take_no_second_copy_of_their_arguments(self, extra):
+        rows = KernelRows(self.c, z=self.z)
+        assert loglik(rows, self.lambdas, [0.6]) == loglik(self.c, self.lambdas, [0.6], z=self.z)
+        with pytest.raises(ValueError, match="prepared kernel rows carry their own"):
+            loglik(rows, self.lambdas, [0.6], **extra)
+
+    def test_nan_row_is_non_positive(self):
+        c = self.c.copy()
+        c[1, 0] = np.nan
+        with pytest.raises(NonPositiveLikelihoodError) as err:
+            loglik(c, self.lambdas, [0.6], z=self.z)
+        assert err.value.row == 1
 
 
 class TestClampBoundary:

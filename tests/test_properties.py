@@ -32,6 +32,7 @@ from survreport.estimate import (
     interval_covariates,
 )
 from survreport.likelihood import (
+    KernelRows,
     NonPositiveLikelihoodError,
     build_c_matrix,
     loglik_and_gradient,
@@ -396,6 +397,25 @@ def test_hessian_of_point_outlives_later_kernel_calls(case):
 
 
 @PROPERTY_SETTINGS
+@given(kernel_cases(), st.sampled_from((0.5, 0.9, 0.97)))
+def test_prepared_rows_match_cumsum_oracle(case, eta):
+    """Rows prepared once, with eta < 1 folded into C, give the oracle's
+    value, gradient and Hessian, and raw arrays the same bits."""
+    c, lambdas, beta, kwargs = case
+    kwargs = {**kwargs, "eta": eta}
+    assume(feasible(c, lambdas, beta, kwargs))
+    rows = KernelRows(c, **kwargs)
+    ll, *grad = loglik_and_gradient(rows, lambdas, beta)
+    want_ll, *want_grad = cumsum_loglik_and_gradient(c, lambdas, beta, **kwargs)
+    assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
+    assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-12
+    hessian = loglik_hessian(rows, lambdas, beta)
+    assert norm_relative_error(hessian, cumsum_loglik_hessian(c, lambdas, beta, **kwargs)) < 1e-12
+    raw = loglik_and_gradient(c, lambdas, beta, **kwargs, hessian=True)
+    assert all(np.array_equal(a, b) for a, b in zip((ll, *grad, hessian), (*raw[:3], raw[3]())))
+
+
+@PROPERTY_SETTINGS
 @given(kernel_cases())
 def test_one_sample_kernel_is_the_zero_covariate_kernel(case):
     """Without covariates the kernel forms no linear predictor, yet its
@@ -449,10 +469,11 @@ class KernelReached(Exception):
 
 
 def kernel_rows(dataset, em):
-    """``(c, z, weights)`` of a time-fixed fit's first kernel call, or None
-    if the fit raises ``ValueError`` before it."""
-    def record(c, lambdas, beta, z=None, weights=None, **kwargs):
-        raise KernelReached(c, z, weights)
+    """``(c, z, weights)`` of the rows a time-fixed fit prepares for its
+    kernel calls, read at the first call as (N, J+1), (N, P) and (N,)
+    arrays, or None if the fit raises ``ValueError`` before it."""
+    def record(rows, lambdas, beta, **kwargs):
+        raise KernelReached(rows.ct.T, rows.zk[:, 0].T, rows.weights)
 
     with mock.patch("survreport.likelihood.loglik_and_gradient", record):
         try:

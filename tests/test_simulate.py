@@ -16,6 +16,7 @@ from survreport.simulate import (
     CovariateGen,
     EventDist,
     ScenarioConfig,
+    _adaptive_reports,
     analysis_error_model,
     benchmark_config,
     exponential_rate_for_incidence,
@@ -27,6 +28,8 @@ from survreport.simulate import (
     scenario_from_json,
     table_report_records,
 )
+
+from oracles import adaptive_reports_by_subject
 
 
 def small_config(**overrides):
@@ -141,6 +144,26 @@ class TestGenerateDataset:
             assert len(positives) <= 1
             if positives:
                 assert s.results[-1] == 1
+
+    @pytest.mark.parametrize("n_visits", [1, 5, 300])
+    def test_reports_match_the_per_subject_walk(self, n_visits):
+        # at 300 visits a subject can have more positives than an 8-bit count holds
+        rng = np.random.default_rng(n_visits)
+        for p_keep, p_pos in [(0.7, 0.1), (1.0, 0.9), (0.2, 0.5), (0.0, 0.5)]:
+            keep = rng.random((60, n_visits)) < p_keep
+            positive = rng.random((60, n_visits)) < p_pos
+            got = _adaptive_reports(keep, positive)
+            want = adaptive_reports_by_subject(keep, positive)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("overrides", [{}, {"missing_prob": 0.9}, {"error_model": ErrorModel(0.6, 0.7, 0.9)},
+                                           {"n_visits": 40, "visit_spacing": 0.1}])
+    def test_generated_datasets_break_no_rule(self, overrides):
+        # generate_dataset hands its dataset no violations, without checking
+        for rep in range(3):
+            ds = generate_dataset(small_config(**overrides), rep)
+            assert len(set(ds.ids)) == ds.n and all(type(i) is str for i in ds.ids)
+            assert panel._violations(ds.ids, ds.visits, None, ds.schedule) == []
 
     def test_incidence_calibration(self):
         # perfect reports, no missing visits: the share of subjects ever
