@@ -293,17 +293,23 @@ def _newton(evaluate, x, J, grad_tol):
     """
     f, g, hessian = evaluate(x)
     for steps in range(MAX_NEWTON_STEPS + 1):
-        proj = _projected_gradient(g, x, J)
-        if np.max(np.abs(proj)) <= grad_tol:
+        bounded = J and (x[:J].min() <= GAMMA_LOWER + 1e-9 or x[:J].max() >= GAMMA_UPPER - 1e-9)
+        proj = _projected_gradient(g, x, J) if bounded else g
+        largest = np.abs(proj).max()
+        if largest <= grad_tol:
             return x, f, hessian, steps, None
         if steps == MAX_NEWTON_STEPS:
             return x, f, hessian, steps, "it reached the step limit"
-        free = proj == g  # all but the components pinned at a bound
         h = hessian()
-        # near-zero-mass intervals contribute no curvature (and a matching
-        # near-zero gradient); drop them so the Newton system stays regular
-        free[:J] &= np.abs(np.diag(h)[:J]) > 1e-6
-        w, v = np.linalg.eigh(h if free.all() else h[np.ix_(free, free)])
+        # near-zero-mass intervals contribute no curvature (and a matching near-zero
+        # gradient); drop them, and the pinned and nan components, from the Newton system
+        curved = np.abs(h.diagonal()[:J]) > 1e-6
+        free = slice(None)
+        if bounded or largest != largest or not curved.all():
+            free = proj == g
+            free[:J] &= curved
+            h = h[np.ix_(free, free)]
+        w, v = np.linalg.eigh(h)
         w = np.abs(w)
         if w.max(initial=0.0) == 0.0:
             return x, f, hessian, steps, "no free parameter has curvature"
@@ -311,14 +317,14 @@ def _newton(evaluate, x, J, grad_tol):
         slope = float(g[free] @ direction)
         # a near-flat direction would otherwise throw the point onto the
         # plateau where some S_j underflows and every gradient vanishes
-        t = MAX_STEP_LENGTH / np.max(np.abs(direction), initial=MAX_STEP_LENGTH)
+        t = MAX_STEP_LENGTH / np.abs(direction).max(initial=MAX_STEP_LENGTH)
         for _ in range(25):
             x_new = x.copy()
             x_new[free] += t * direction
-            x_new[:J] = np.clip(x_new[:J], GAMMA_LOWER, GAMMA_UPPER)
+            np.minimum(np.maximum(x_new[:J], GAMMA_LOWER, out=x_new[:J]), GAMMA_UPPER, out=x_new[:J])
             f_new, g_new, hessian_new = evaluate(x_new)
             # an infeasible point reports f = inf with a zero gradient
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * slope + 1e-12 * max(1.0, abs(f)):
+            if math.isfinite(f_new) and f_new <= f + 1e-4 * t * slope + 1e-12 * max(1.0, abs(f)):
                 break
             t *= 0.5
         else:
@@ -337,10 +343,9 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     free = np.ones(k, dtype=bool)
     free[[j - 1 for j in frozen]] = False
     free[:J] &= np.diag(hessian)[:J] > 1e-6  # no-curvature intervals carry no mass
-    idx = np.flatnonzero(free)
-    sub = hessian[np.ix_(idx, idx)]
+    sub = slice(None) if free.all() else np.ix_(free, free)  # no index arrays when all are free
     try:
-        w, v = np.linalg.eigh(sub)
+        w, v = np.linalg.eigh(hessian[sub])
     except np.linalg.LinAlgError:
         return None, None
     if w.size and np.abs(w).min() <= 1e-12 * np.abs(w).max():
@@ -349,7 +354,7 @@ def _covariances(hessian, J, p, lambdas, survival, frozen):
     if not np.all(np.isfinite(cov_free)) or np.any(np.diag(cov_free) < -1e-8):
         return None, None
     cov = np.zeros((k, k))
-    cov[np.ix_(idx, idx)] = cov_free
+    cov[sub] = cov_free
 
     # delta method: rows are beta then S_2..S_{J+1}; columns gamma then beta
     jac = np.zeros((p + J, k))

@@ -37,7 +37,7 @@ O(eps log N) relative to sum_i |log L_i|.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -102,8 +102,9 @@ class KernelRows:
     """The kernel's data, checked and laid out once per fit: ``ct``, the
     interval-major (J+1, N) C' = eta C + (1 - eta) C[:, 0] (exact, as the
     theta_j sum to 1), its differences ``d`` = C'[1:] - C'[:-1], the
-    covariate-major (P, K, N) ``zk`` (views of Fortran-ordered inputs), the
-    float ``weights`` (1.0 for none) and ``shape``, that of C: (N, J+1)."""
+    covariate-major (P, K, N) ``zk`` (views of Fortran-ordered inputs), its
+    largest |z| per covariate ``zmax``, the float ``weights`` (1.0 for
+    none) and ``shape``, that of C: (N, J+1)."""
 
     def __init__(self, c, z=None, z_intervals=None, eta: float = 1.0, weights=None):
         if z is not None and z_intervals is not None:
@@ -116,23 +117,24 @@ class KernelRows:
         if z_intervals is None:  # a time-fixed z is one interval that applies to all; none is P = 0
             z_intervals = np.empty((ct.shape[1], 1, 0)) if z is None else np.asarray(z, dtype=float)[:, None, :]
         self.zk = np.ascontiguousarray(np.asarray(z_intervals, dtype=float).T)
+        self.zmax = np.abs(self.zk).max(axis=(1, 2), initial=0.0)  # nan if a z is
         self.weights = 1.0 if weights is None else np.asarray(weights, dtype=float)
         self.shape = ct.shape[::-1]
 
 
-def _clamped_exp_lp(zk: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``zk`` (P, K, N), covariate-major, with 0 where the linear predictor
-    is clamped (|z'beta| >= LINEAR_PREDICTOR_CLAMP: no beta-derivative), and
-    exp of the clamped (K, N) linear predictor."""
-    p, k, n = zk.shape
-    if not p:  # exp(0) = 1 everywhere and nothing is clamped: no predictor to form
-        return zk, np.ones((1, n))
+def _clamped_exp_lp(kr: KernelRows, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, K, N) covariates of ``kr``, covariate-major, with 0 where the
+    linear predictor is clamped (|z'beta| >= LINEAR_PREDICTOR_CLAMP: no
+    beta-derivative), and exp of the clamped (K, N) linear predictor."""
+    p, k, n = kr.zk.shape
     # np.dot: matmul of a vector with a matrix is four times slower
-    lin = np.dot(beta, zk.reshape(p, k * n)).reshape(k, n)
-    if -LINEAR_PREDICTOR_CLAMP < lin.min() and lin.max() < LINEAR_PREDICTOR_CLAMP:
-        return zk, np.exp(lin, out=lin)
+    lin = np.dot(beta, kr.zk.reshape(p, k * n)).reshape(k, n)
+    # |beta| . max|z| bounds |z'beta|, with room for the rounding of either sum (0 when P = 0)
+    if np.dot(np.abs(beta), kr.zmax) < LINEAR_PREDICTOR_CLAMP / 2 or (
+            -LINEAR_PREDICTOR_CLAMP < lin.min() and lin.max() < LINEAR_PREDICTOR_CLAMP):
+        return kr.zk, np.exp(lin, out=lin)
     free = np.abs(lin) < LINEAR_PREDICTOR_CLAMP
-    return np.where(free, zk, 0.0), np.exp(np.clip(lin, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))
+    return np.where(free, kr.zk, 0.0), np.exp(np.clip(lin, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP))
 
 
 @lru_cache(maxsize=None)
@@ -146,20 +148,19 @@ def _before(J: int) -> np.ndarray:
     return before
 
 
-def _hazard_sums(lambdas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(J, N) -sum_{k<=j} lambda_k x_ki of a (J, N) ``x``, with -lambda folded
-    into the triangle, or of a (1, N) one that applies to every interval."""
-    return np.cumsum(-lambdas)[:, None] * x if x.shape[0] == 1 else (_before(lambdas.size).T * -lambdas) @ x
-
-
 def _kernel_terms(kr, lambdas, beta):
     """Front half shared by the value, the gradient and the Hessian:
-    interval-major ``(zf, lp, rows, q, scale)``, the (P, K, N) covariates
-    with 0 where clamped, exp of the clamped (K, N) linear predictor, the
-    likelihoods, the (J, N) q_ki = D_i(k+1) S_(k+1)^(i) and the (weighted)
-    1 / rows, from :class:`KernelRows` ``kr``."""
-    zf, lp = _clamped_exp_lp(kr.zk, beta)
-    ss = _hazard_sums(lambdas, lp)
+    interval-major ``(zf, lp, sums, rows, q, scale)``, the (P, K, N)
+    covariates with 0 where clamped, exp of the clamped (K, N) linear
+    predictor, the map from a (K, N) x to the (J, N) -sum_{k<=j} lambda_k x_ki
+    (a K = 1 x applies to every interval), the likelihoods, the (J, N)
+    q_ki = D_i(k+1) S_(k+1)^(i) and the (weighted) 1 / rows, from
+    :class:`KernelRows` ``kr``."""
+    zf, lp = _clamped_exp_lp(kr, beta)
+    # its weights, formed once per point: the running sums of -lambda, or the triangle with -lambda folded in
+    sums = (partial(np.multiply, np.cumsum(-lambdas)[:, None]) if lp.shape[0] == 1
+            else partial(np.matmul, _before(lambdas.size).T * -lambdas))
+    ss = sums(lp)
     np.exp(ss, out=ss)  # S_2 .. S_{J+1}; S_1 = 1
     # rows: sum_j C'_ij theta_j, with theta_j = S_j - S_{j+1} exact and non-negative
     theta = np.empty_like(kr.ct)
@@ -169,7 +170,7 @@ def _kernel_terms(kr, lambdas, beta):
     rows = np.einsum("ji,ji->i", kr.ct, theta)
     if not rows.min() > 0.0:  # a nan fails too
         raise NonPositiveLikelihoodError(int(np.argmin(rows > 0.0)))
-    return zf, lp, rows, ss * kr.d, 1.0 / rows * kr.weights
+    return zf, lp, sums, rows, ss * kr.d, 1.0 / rows * kr.weights
 
 
 def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
@@ -193,7 +194,7 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
     lambdas, beta = _increments(lambdas), np.asarray(() if beta is None else beta, dtype=float)
     if not np.isfinite(beta).all():
         raise ValueError("coefficients beta must be finite")
-    zf, lp, rows, q, scale = _kernel_terms(kr, lambdas, beta)
+    zf, lp, sums, rows, q, scale = _kernel_terms(kr, lambdas, beta)
     J = lambdas.size
     G = np.empty((J + zf.shape[0], rows.size))
     np.matmul(_before(J), q, out=G[:J])  # the tail sums T_ki = sum_{j>=k} q_ji
@@ -203,10 +204,10 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
         np.dot(lambdas, lz[a], out=G[J + a])
     # gamma from its own J rows, so that a one-sample fit keeps its bits
     sum_lambda, sum_beta = G[:J] @ scale, G[J:] @ scale
-    ll = float(np.sum(np.log(rows) * kr.weights))  # pairwise: error O(eps log N) relative to sum |log L_i|
+    ll = float((np.log(rows) * kr.weights).sum())  # pairwise: error O(eps log N) relative to sum |log L_i|
     if not hessian:
         return ll, -sum_lambda, -sum_beta
-    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, zf, lp, rows, q, scale, G, lz, sum_lambda)
+    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, sum_lambda)
 
 
 def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
@@ -216,7 +217,7 @@ def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0,
     return loglik_and_gradient(c, lambdas, beta, z, z_intervals, eta, weights, hessian=True)[3]()
 
 
-def _hessian(lambdas, zf, lp, rows, q, scale, G, lz, sum_lambda):
+def _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, sum_lambda):
     """``loglik_hessian`` from one point's front half, scores G and lambda
     gradient.  d2 L_i = sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
     d2 log L_i = d2 L_i / L_i - G_i G_i' / L_i^2.  A clamped predictor has
@@ -228,11 +229,11 @@ def _hessian(lambdas, zf, lp, rows, q, scale, G, lz, sum_lambda):
     # exact on and above the diagonal, mirrored below at the end
     hess[:J, :J] = ls @ G[:J].T * (lambdas[:, None] * lambdas)  # one row broadcasts when K = 1
     hess.ravel()[: J * (J + p + 1) : J + p + 1] -= lambdas * sum_lambda
-    v = [_hazard_sums(lambdas, lp * za) for za in zf]  # -dA_ij / d beta_a
+    v = [sums(lp * za) for za in zf]  # -dA_ij / d beta_a
     for a in range(p):
         qv = q * v[a]
         # u_ik (sum_{j>k} q_ij dA_ij / d beta_a - z_ika T_ik), summed over i
-        hess[:J, J + a] = -lambdas * (np.sum(before * (ls @ qv.T), axis=1) + lz[a] @ scale)
+        hess[:J, J + a] = -lambdas * ((before * (ls @ qv.T)).sum(axis=1) + lz[a] @ scale)
         for b in range(a, p):
             hess[J + a, J + b] = np.einsum("ji,ji->i", qv, v[b]) @ scale - lambdas @ ((lz[a] * zf[b]) @ scale)
     # outer products of dL_i, weighted by 1 / L_i^2 (times the row weight)

@@ -166,7 +166,10 @@ class Dataset:
         ``()``).  The result equals the same subjects passed through
         :func:`build_dataset`.
         """
-        ids, names = tuple(subject_ids), tuple(covariate_names)
+        ids, names, reports = tuple(subject_ids), tuple(covariate_names), np.asarray(reports)
+        # checked before the cast, which would wrap 257 to 1 and truncate 0.7 to 0
+        if not (np.isin(reports, (-1, 0, 1)) if reports.dtype != np.int8 else (reports >= -1) & (reports <= 1)).all():
+            raise ValueError("reports must be -1 (missed visit), 0 or 1")
         reports = np.array(reports, dtype=np.int8)
         z = np.empty((len(ids), 0)) if covariates is None else np.array(covariates, dtype=float)
         if reports.shape != (len(ids), grid.J) or z.shape != (len(ids), len(names)):
@@ -174,18 +177,17 @@ class Dataset:
                 f"expected a ({len(ids)}, {grid.J}) report and a ({len(ids)}, {len(names)}) "
                 f"covariate matrix, got {reports.shape} and {z.shape}"
             )
-        if ((reports < -1) | (reports > 1)).any():
-            raise ValueError("reports must be -1 (missed visit), 0 or 1")
-        rows, times, values = np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, len(names)))
+        fixed = np.full(len(ids), bool(names))
         if paths is not None:
             rows, times, values = np.asarray(paths[0], np.intp), *(np.asarray(a, float) for a in paths[1:])
             if times.shape != rows.shape or values.shape != (rows.size, len(names)):
                 raise ValueError("covariate paths need one time and one covariate vector per row")
-        fixed = np.full(len(ids), bool(names))
-        fixed[rows] = False
+            fixed[rows] = False
         first = np.flatnonzero(fixed)  # a time-fixed vector is one point at time 0
-        long_form = (first, rows), (np.zeros(first.size), times), (z[first], values)
-        order = np.argsort(np.concatenate(long_form[0]), kind="stable")
+        long_form = first, np.zeros(first.size), z[first]
+        if paths is not None:  # merged into subject order
+            order = np.argsort(np.concatenate((first, rows)), kind="stable")
+            long_form = tuple(np.concatenate(a)[order] for a in zip(long_form, (rows, times, values)))
         reports.flags.writeable = z.flags.writeable = False
         dataset = cls.__new__(cls)
         vars(dataset).update(grid=grid, covariate_names=names, schedule=schedule)
@@ -193,7 +195,7 @@ class Dataset:
             ids,
             reports=reports,
             covariates=z if fixed.all() or not names else None,
-            covariate_paths=tuple(np.concatenate(a)[order] for a in long_form),
+            covariate_paths=long_form,
             _fixed=fixed,
             **({} if violations is None else {"violations": tuple(violations)}),
         )

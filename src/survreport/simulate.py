@@ -133,11 +133,6 @@ class ScenarioSummary:
     n_replicates: int
 
 
-def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
-    # independent, order-insensitive stream per replicate
-    return np.random.default_rng(np.random.SeedSequence((seed, replicate_index)))
-
-
 @lru_cache(maxsize=1)
 def _id_digits(n: int) -> np.ndarray:  # str(i) for i < n: replicate ids are s{replicate}_{i}
     return np.array([str(i) for i in range(n)], dtype=object)
@@ -145,9 +140,12 @@ def _id_digits(n: int) -> np.ndarray:  # str(i) for i < n: replicate ids are s{r
 
 def _adaptive_reports(keep: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """(N, V) int8 reports: each kept visit's result while no earlier kept one
-    was positive (a running count in intp, which cannot wrap), else -1."""
-    positive = keep & positive
-    return np.where(keep & (np.cumsum(positive, axis=1) <= positive), positive, np.int8(-1))
+    was positive, else -1; made visit-major, by rows of N, and transposed."""
+    keep, positive = np.ascontiguousarray(keep.T), np.ascontiguousarray((keep & positive).T)
+    stopped = np.zeros_like(positive)  # a kept visit before this one was positive
+    for v in range(1, len(stopped)):  # by rows: a running count along axis 0 is slower
+        np.logical_or(stopped[v - 1], positive[v - 1], out=stopped[v])
+    return np.where(keep & ~stopped, positive, np.int8(-1)).T
 
 
 def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
@@ -159,19 +157,14 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     stops at the first positive.  The dataset is held as its report and
     covariate matrices; its subjects are made only when read.
     """
-    rng = _replicate_rng(config.seed, replicate_index)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, replicate_index)))  # one stream per replicate
     n = config.n_subjects
     em = config.error_model
     beta = np.asarray(config.beta_true, dtype=float)
 
-    if config.covariate_gen is not None:
-        z = config.covariate_gen.draw(rng, n)
-        mult = np.exp(z @ beta)
-    else:
-        z = None
-        mult = np.ones(n)
-
-    x = config.event_dist.draw(rng, mult)
+    # without covariates (and beta) z is (N, 0), and every hazard multiplier exp(0) = 1
+    z = np.empty((n, 0)) if config.covariate_gen is None else config.covariate_gen.draw(rng, n)
+    x = config.event_dist.draw(rng, np.exp(z @ beta))
     n_prevalent = int(round(n * (1.0 - em.eta)))
     if n_prevalent:
         prevalent = rng.choice(n, size=n_prevalent, replace=False)
@@ -179,21 +172,19 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
 
     schedule = np.arange(1, config.n_visits + 1) * config.visit_spacing
     keep = rng.random((n, config.n_visits)) >= config.missing_prob
-    pos_draw = rng.random((n, config.n_visits))
-
-    p_pos = np.where(x[:, None] <= schedule[None, :], em.phi1, 1.0 - em.phi0)
-    reports = _adaptive_reports(keep, pos_draw < p_pos)
+    p_pos = np.where(x[:, None] <= schedule, em.phi1, 1.0 - em.phi0)
+    reports = _adaptive_reports(keep, rng.random((n, config.n_visits)) < p_pos).T  # visit-major: rows of N
     # subjects who missed every visit give no data; unvisited times are no grid points
     kept = reports >= 0
-    rows = np.flatnonzero(kept.any(axis=1))
-    cols = np.flatnonzero(kept.any(axis=0))
+    rows = np.flatnonzero(kept.any(axis=0))
+    cols = np.flatnonzero(kept.any(axis=1))
     # the ids are distinct and every rule of validate holds by construction
     return Dataset.from_arrays(
         np.add(f"s{replicate_index}_", _id_digits(n)[rows]).tolist(),
-        reports[np.ix_(rows, cols)],
+        (reports[:, rows] if cols.size == len(reports) else reports[np.ix_(cols, rows)]).T,
         StudyGrid(tuple(schedule[cols].tolist())),
-        z[rows] if z is not None else None,
-        covariate_names=tuple(f"z{k + 1}" for k in range(beta.size)) if z is not None else (),
+        z[rows],
+        covariate_names=tuple(f"z{k + 1}" for k in range(beta.size)),
         schedule=ADAPTIVE,
         violations=(),
     )

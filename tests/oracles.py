@@ -295,6 +295,50 @@ def adaptive_reports_by_subject(keep, positive):
     return np.array(out, dtype=np.int8).reshape(keep.shape)
 
 
+def generated_by_subject(config, replicate_index):
+    """What ``simulate.generate_dataset`` returns, as ``(ids, reports, taus,
+    covariates)``, or None when every subject misses every visit: the same
+    random draws, in the same order and shapes (covariates, event times,
+    prevalent subjects, then the (N, V) visit-kept and report draws), turned
+    into reports one subject and visit at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, replicate_index)))
+    n, n_visits, em, gen = config.n_subjects, config.n_visits, config.error_model, config.covariate_gen
+    z = np.empty((n, 0))
+    if gen is not None and gen.kind == "bernoulli":
+        z = (rng.random(n) < gen.p).astype(float)[:, None]
+    elif gen is not None:
+        z = np.array([gen.table[i % len(gen.table)] for i in range(n)], dtype=float)
+    mult = np.exp(z @ np.asarray(config.beta_true, dtype=float)) if gen is not None else np.ones(n)
+    dist, neg_log_u = config.event_dist, -np.log(rng.random(n))
+    if dist.kind == "exponential":
+        event = neg_log_u / (dist.rate * mult)
+    else:
+        event = dist.scale * (neg_log_u / mult) ** (1.0 / dist.shape)
+    n_prevalent = int(round(n * (1.0 - em.eta)))
+    if n_prevalent:
+        event[rng.choice(n, size=n_prevalent, replace=False)] = -1.0
+    kept_draw, report_draw = rng.random((n, n_visits)), rng.random((n, n_visits))
+    subjects = []
+    for i in range(n):
+        row, stopped = [], False
+        for v in range(n_visits):
+            kept = kept_draw[i, v] >= config.missing_prob
+            positive = report_draw[i, v] < (em.phi1 if event[i] <= (v + 1) * config.visit_spacing else 1.0 - em.phi0)
+            row.append(int(positive) if kept and not stopped else -1)
+            stopped = stopped or (kept and positive)
+        if max(row) >= 0:
+            subjects.append((i, row))
+    if not subjects:
+        return None
+    visited = [v for v in range(n_visits) if any(row[v] >= 0 for _, row in subjects)]
+    return (
+        tuple(f"s{replicate_index}_{i}" for i, _ in subjects),
+        np.array([[row[v] for v in visited] for _, row in subjects], dtype=np.int8),
+        tuple((v + 1) * config.visit_spacing for v in visited),
+        z[[i for i, _ in subjects]],
+    )
+
+
 def collapse_subject_rows(reports, c, z):
     """The kernel rows of a time-fixed fit, from every subject's C row: the
     row of the first subject of each pattern of ``patterns_by_dict``, z with

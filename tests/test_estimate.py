@@ -10,6 +10,8 @@ import pytest
 
 from survreport import likelihood as lik, panel
 from survreport.estimate import (
+    GAMMA_LOWER,
+    GAMMA_UPPER,
     MODEL_COV_FIXED,
     MODEL_COV_TIMEVARYING,
     MODEL_ONESAMPLE,
@@ -185,6 +187,48 @@ class TestFitBasics:
         assert steps <= 10
         assert x == pytest.approx([1 / np.sqrt(2), 0.0], abs=1e-9)
         assert f == pytest.approx(-0.25, abs=1e-15)
+
+    @staticmethod
+    def separable_quadratic(minimum, curvature, seen):
+        """sum_k curvature_k (x_k - minimum_k)^2 / 2, each point evaluated kept in ``seen``."""
+        minimum, curvature = np.array(minimum), np.array(curvature)
+
+        def evaluate(x):
+            seen.append(x.copy())
+            return float(curvature @ (x - minimum) ** 2 / 2), curvature * (x - minimum), lambda: np.diag(curvature)
+
+        return evaluate
+
+    @pytest.mark.parametrize("bound, beyond", [(GAMMA_LOWER, GAMMA_LOWER - 10.0), (GAMMA_UPPER, GAMMA_UPPER + 10.0)])
+    def test_gamma_at_a_bound_stays_pinned(self, bound, beyond):
+        # the first gamma's minimum lies past its bound, so at the bound its
+        # gradient pushes outward: it stays there while the others converge
+        seen = []
+        evaluate = self.separable_quadratic([beyond, -1.0, 0.5], [2.0, 1.0, 3.0], seen)
+        x, f, _, steps, stopped = _newton(evaluate, np.array([bound, 0.0, 0.0]), 2, 1e-10)
+        assert stopped is None and steps >= 1
+        assert all(point[0] == bound for point in seen)
+        assert x[0] == bound and x[1:] == pytest.approx([-1.0, 0.5], abs=1e-12)
+        assert f == pytest.approx(100.0)
+
+    def test_gamma_clamped_onto_a_bound_stays_pinned(self):
+        # a long step toward a minimum past the lower bound is clamped onto it
+        seen = []
+        evaluate = self.separable_quadratic([GAMMA_LOWER - 5.0, 2.0], [1.0, 1.0], seen)
+        x, _, _, _, stopped = _newton(evaluate, np.array([GAMMA_LOWER + 1.0, 0.0]), 1, 1e-10)
+        assert stopped is None
+        assert x[0] == GAMMA_LOWER and x[1] == pytest.approx(2.0, abs=1e-12)
+        assert min(point[0] for point in seen) == GAMMA_LOWER
+
+    def test_flat_interval_is_left_out_of_the_step(self):
+        # the second gamma's curvature is at the 1e-6 floor, its gradient
+        # below the tolerance: a Newton step including it would move it by 5
+        seen = []
+        evaluate = self.separable_quadratic([1.0, 5.0, -0.5], [2.0, 1e-6, 1.0], seen)
+        x, _, _, steps, stopped = _newton(evaluate, np.array([0.0, 0.0, 0.0]), 2, 1e-5)
+        assert stopped is None and steps >= 1
+        assert all(point[1] == 0.0 for point in seen)
+        assert x[[0, 2]] == pytest.approx([1.0, -0.5], abs=1e-12)
 
     def test_step_length_cap_keeps_off_the_underflow_plateau(self):
         # from the life-table start the first Newton step on this panel is

@@ -250,6 +250,11 @@ class TestValidate:
             ([[0, 1, 2]], None, ()),                   # not a report
             ([[0, 1, -1]], None, ("x",)),              # names without a matrix
             ([[0, 1, -1]], [[1.0, 2.0]], ("x",)),      # P columns expected
+            # values checked before the int8 cast, which would read them as reports
+            (np.array([[0, 257, -1]]), None, ()),      # wraps to a positive report
+            (np.array([[0, 1, 255]]), None, ()),       # wraps to a missed visit
+            ([[0, 0.7, -1]], None, ()),                # truncates to a negative report
+            ([[0, math.nan, -1]], None, ()),           # casts to a negative report
         ],
     )
     def test_from_arrays_rejects_bad_shapes_and_values(self, reports, covariates, names):

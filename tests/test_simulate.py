@@ -29,7 +29,7 @@ from survreport.simulate import (
     table_report_records,
 )
 
-from oracles import adaptive_reports_by_subject
+from oracles import adaptive_reports_by_subject, generated_by_subject
 
 
 def small_config(**overrides):
@@ -255,6 +255,20 @@ def fit_outcome(dataset, error_model):
 class TestArrayDataset:
     """A generated dataset is held as arrays; it equals the same subjects
     passed through build_dataset and fits identically."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_configs(), st.integers(0, 5))
+    def test_generated_matches_the_per_subject_draws(self, config, rep):
+        # ties each replicate's bytes to its random draws: drawing the (N, V)
+        # matrices as (V, N) would keep every other test here green
+        ds, want = generate_or_none(config, rep), generated_by_subject(config, rep)
+        assert (ds is None) == (want is None)
+        assume(ds is not None)
+        ids, reports, taus, covariates = want
+        assert ds.ids == ids and ds.grid.taus == taus
+        assert ds.reports.dtype == reports.dtype and ds.reports.shape == reports.shape
+        assert ds.reports.tobytes() == reports.tobytes()
+        assert ds.covariates.shape == covariates.shape and ds.covariates.tobytes() == covariates.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(small_configs(), st.integers(0, 5))
