@@ -3,7 +3,9 @@
 The ordering constraint 1 > S_2 > ... > S_{J+1} > 0 is enforced by
 optimizing over unconstrained working parameters gamma with
 Lambda_j = exp(gamma_j) and S_{j+1} = exp(-sum_{k<=j} Lambda_k), together
-with the regression coefficients beta.
+with the regression coefficients beta.  Every model's kernel sees one row
+per distinct (report row, covariate row) of its subjects, weighted by its
+count, in an order set by the rows' values alone (:func:`_patterns`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,18 +74,6 @@ def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray, what
         raise ModelSpecError(f"subject {sid} has a non-finite {what}")
 
 
-def _fixed_covariate_matrix(dataset: Dataset, p: int) -> np.ndarray:
-    """(N, p) time-fixed covariates; (N, 0) for the one-sample model."""
-    z = dataset.covariates if p else np.empty((dataset.n, 0))
-    if z is None:
-        raise ModelSpecError(
-            f"subject {dataset.vectorless_subject_id()} has no time-fixed covariates; "
-            "use the time-varying model for covariate paths"
-        )
-    _require_finite(dataset, z, np.arange(dataset.n))
-    return z
-
-
 def interval_covariates(dataset: Dataset) -> np.ndarray:
     """(N, J, P) covariate value in effect on each grid interval, as a
     Fortran-ordered array.
@@ -115,47 +106,51 @@ def interval_covariates(dataset: Dataset) -> np.ndarray:
     return np.take(values.T, starts + np.maximum(seen - 1, 0), axis=1).T
 
 
-def _life_table_gamma(dataset: Dataset, rows=None, counts=None) -> np.ndarray:
-    """Naive starting values treating self-reports as perfect, from the report
-    rows ``rows`` (every subject by default), each counted ``counts`` times."""
-    reports = dataset.reports if rows is None else dataset.reports[rows]
-    rt = np.ascontiguousarray(reports.T)  # (J, M): reduce along the long axis
+def _life_table_gamma(dataset: Dataset) -> np.ndarray:
+    """Naive starting values treating self-reports as perfect."""
+    rt = np.ascontiguousarray(dataset.reports.T)  # (J, N): reduce along the long axis
     J = rt.shape[0]
     up = np.arange(1, J + 1, dtype=np.min_scalar_type(-J - 1))[:, None]  # 1..J, smallest signed type
     last_visit = ((rt >= 0) * up).max(axis=0) - 1
-    if (last_visit < 0).any():  # named by its first subject in file order
-        i = (np.flatnonzero(last_visit < 0) if rows is None else rows[last_visit < 0]).min()
-        raise ValueError(f"subject {dataset.subject_id(i)} has no visits")
+    if (last_visit < 0).any():
+        raise ValueError(f"subject {dataset.subject_id(int(np.argmax(last_visit < 0)))} has no visits")
     event = J - ((rt == 1) * up[::-1]).max(axis=0)  # the first positive report; J if none
     # a subject is at risk on intervals 1..(first positive, else last visit)
     last = np.minimum(event, last_visit)
-    at_risk = np.cumsum(np.bincount(last, counts, J)[::-1])[::-1].astype(float)
-    events = np.bincount(event, counts, J + 1)[:J].astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        haz = np.where(at_risk > 0, events / np.maximum(at_risk, 1), 0.0)
-    haz = np.clip(haz, 5e-4, 0.95)
+    at_risk = np.cumsum(np.bincount(last, minlength=J)[::-1])[::-1]
+    events = np.bincount(event, minlength=J + 1)[:J]  # none where no one is at risk
+    haz = np.clip(events / np.maximum(at_risk, 1), 5e-4, 0.95)
     return np.log(-np.log1p(-haz))
+
+
+@lru_cache(maxsize=None)
+def _projection(k: int) -> np.ndarray:
+    """Fixed weights of ``k`` key columns, under 1 / (k + 1): a projection of finite values cannot overflow."""
+    return np.random.default_rng(k).uniform(0.5, 1.0, k) / (k + 1)
 
 
 def _patterns(reports: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest subject index and count of each distinct (report row, covariate
-    row), in key order: the lexicographic order of a base-3 digit per report
-    and the rank of each covariate value (-0.0 ranks as 0.0), whatever the
-    subjects' order.  The key is re-coded to dense ranks before a digit
-    could overflow int64, and for the count."""
-    n = reports.shape[0]
-    digits = [(r, 3) for r in np.ascontiguousarray(reports.T) + 1]
-    digits += [(inverse, values.size) for values, inverse in (np.unique(x, return_inverse=True) for x in z.T)]
-    key, size = np.zeros(n, dtype=np.int64), 1
-    for digit, base in digits:
-        if size * base > 2**62:
-            key = np.unique(key, return_inverse=True)[1]
-            size = int(key.max()) + 1
-        key, size = key * base + digit, size * base
-    key = np.unique(key, return_inverse=True)[1]
-    first = np.full(int(key.max()) + 1, n)
-    np.minimum.at(first, key, np.arange(n))
-    return first, np.bincount(key)
+    row), in an order that depends only on the rows' values (-0.0 counts as
+    0.0): that of a projection of each row, summed column by column so that
+    equal rows project to equal bits, with ties between different rows
+    broken by the full row."""
+    columns = [*reports.T, *z.T]
+    proj = sum(column * weight for column, weight in zip(columns, _projection(len(columns))))
+    order = np.argsort(proj)
+    tied = np.diff(proj[order]) == 0  # equal neighbours
+    if not tied.any():  # every row is distinct
+        return order, np.ones_like(order)
+    for exact in (False, True):
+        changed = np.zeros_like(tied)  # the row differs from the one sorted before it
+        for column in columns:
+            sorted_column = column[order]
+            changed |= sorted_column[1:] != sorted_column[:-1]
+        if exact or not (changed & tied).any():
+            break
+        order = np.lexsort((*columns[::-1], proj))  # different rows share a projection: by the full row too
+    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    return np.minimum.reduceat(order, starts), np.diff(starts, append=order.size)
 
 
 def _model_and_p(dataset: Dataset, model: str) -> tuple[str, int]:
@@ -192,23 +187,27 @@ def fit(
         if violations:
             raise PanelValidationError(violations)
 
-    J = dataset.grid.J
-    z = z_int = rows = weights = None
-    if model == MODEL_COV_TIMEVARYING:
-        z_int = interval_covariates(dataset)
-    else:  # one row per distinct (report row, covariate row), weighted by its count
-        z = _fixed_covariate_matrix(dataset, p)
-        rows, counts = _patterns(dataset.reports, z)
-        z, weights = z[rows] + 0.0, counts.astype(float)
+    J, n = dataset.grid.J, dataset.n
+    tv = model == MODEL_COV_TIMEVARYING
+    if tv:  # a subject's covariate row: its J * P interval covariates
+        z = interval_covariates(dataset).reshape(n, J * p, order="F")
+    else:  # its time-fixed ones, or none
+        z = dataset.covariates if p else np.empty((n, 0))
+        if z is None:
+            raise ModelSpecError(f"subject {dataset.vectorless_subject_id()} has no time-fixed covariates; "
+                                 "use the time-varying model for covariate paths")
+        _require_finite(dataset, z, np.arange(n))
+    # one kernel row per distinct (report row, covariate row), weighted by its count
+    rows, counts = _patterns(dataset.reports, z)
+    zk = np.take(z.T, rows, axis=1).reshape(p, J if tv else 1, rows.size)  # as KernelRows reads it
+    zk += 0.0  # -0.0 as 0.0
     c = lik.build_c_matrix(dataset, error_model, rows)
     impossible = ~c.any(axis=1)
     if impossible.any():  # named by its first subject in file order
-        i = (np.flatnonzero(impossible) if rows is None else rows[impossible]).min()
-        raise ModelSpecError(f"subject {dataset.subject_id(i)}: report pattern is impossible under "
-                             f"phi1={error_model.phi1:g}, phi0={error_model.phi0:g}")
-    x0 = np.concatenate([_life_table_gamma(dataset, rows, weights), np.zeros(p)])
-
-    kernel_rows = lik.KernelRows(c, z, z_int, error_model.eta, weights)
+        raise ModelSpecError(f"subject {dataset.subject_id(rows[impossible].min())}: report pattern is impossible "
+                             f"under phi1={error_model.phi1:g}, phi0={error_model.phi0:g}")
+    x0 = np.concatenate([_life_table_gamma(dataset), np.zeros(p)])
+    kernel_rows = lik.KernelRows(c, z_intervals=zk.T, eta=error_model.eta, weights=counts.astype(float))
 
     def evaluate(x):  # the negative log-likelihood in the working parameters
         lambdas = np.exp(x[:J])
@@ -422,8 +421,8 @@ def survival_curve(fit_result: FitResult, covariate_profile) -> list[tuple[float
     """
     profile = np.asarray(covariate_profile, dtype=float)
     p = fit_result.beta.size
-    if profile.shape != (p,):
-        raise ValueError(f"profile must have length {p}")
+    if profile.shape != (p,) or not np.isfinite(profile).all():
+        raise ValueError(f"covariate profile must be {p} finite value(s), got {covariate_profile!r}")
     J = fit_result.gamma.size
     lambdas = fit_result.lambdas
     cum = np.cumsum(lambdas)

@@ -16,12 +16,12 @@ the same sum over C' = eta C + (1 - eta) C[:, 0].
 One kernel, ``loglik_and_gradient``, serves every model variant in the
 theta form, whose terms are all non-negative (the linear form in S is
 built only by the oracle ``tests/oracles.to_d_matrix``).  It takes raw
-arrays, or the :class:`KernelRows` a fit prepares once: C', its
-differences C'[1:] - C'[:-1] and the covariates, laid out as the kernel
-reads them.  Each point forms its front half and a (J+P, N) matrix G of
-per-subject scores once; with ``hessian=True`` the kernel also returns a
-function that forms the exact second derivatives from those arrays:
-call it before changing them in place.
+arrays, or the :class:`KernelRows` a fit prepares once from its distinct
+rows: C', its differences C'[1:] - C'[:-1], the covariates and the row
+counts as weights, laid out as the kernel reads them.  Each point forms
+its front half and a (J+P, N) matrix G of per-subject scores once; with
+``hessian=True`` the kernel also returns a function that forms the exact
+second derivatives from those arrays: call it before changing them in place.
 
 The kernel works interval-major: per-subject arrays are (J, N) with
 subjects contiguous, so that a per-interval scalar broadcasts along a
@@ -57,22 +57,23 @@ class NonPositiveLikelihoodError(ValueError):
         super().__init__(f"subject row {row} has non-positive likelihood")
 
 
-def build_c_matrix(dataset: Dataset, error_model: ErrorModel, rows=None) -> np.ndarray:
+def build_c_matrix(dataset: Dataset, error_model: ErrorModel, rows=slice(None)) -> np.ndarray:
     """N x (J+1) coefficient matrix of per-interval report probabilities.
 
     Row i, column j is the probability of subject i's report vector given
     the event time falls in interval j; column J+1 corresponds to the
-    event never occurring; ``rows`` builds only those rows, in that order
-    and with the same bits.  The matrix is Fortran-ordered, so that its
-    transpose is a C-contiguous view.
+    event never occurring; ``rows`` (every subject by default) builds only
+    those rows, in that order and with the same bits.  The matrix is
+    Fortran-ordered, so that its transpose is a C-contiguous view.
     """
-    reports = np.ascontiguousarray((dataset.reports if rows is None else dataset.reports[rows]).T) + 1  # (J, N)
+    # (J, N); an intp index reads a table 3x faster than an int8 one
+    reports = np.take(dataset.reports.T, np.arange(dataset.n)[rows], axis=1).astype(np.intp)
     J, n = reports.shape
     phi1, phi0 = error_model.phi1, error_model.phi0
-    # per-cell report probability, indexed by report + 1 (a missed visit
-    # contributes a factor of 1)
-    after = np.array([1.0, 1.0 - phi1, phi1])[reports]    # visit after the event
-    before = np.array([1.0, phi0, 1.0 - phi0])[reports]   # visit before the event
+    # per-cell report probability, indexed by the report (a missed visit, -1,
+    # reads the last entry and contributes a factor of 1)
+    after = np.array([1.0 - phi1, phi1, 1.0])[reports]    # visit after the event
+    before = np.array([phi0, 1.0 - phi0, 1.0])[reports]   # visit before the event
     # for column j the visits at tau_1..tau_{j-1} precede the event
     # interval and the rest follow it; running products one row at a time
     ct = np.ones((J + 1, n))

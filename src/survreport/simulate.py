@@ -37,14 +37,11 @@ class EventDist:
     scale: float = 0.0        # weibull scale
 
     def __post_init__(self):
-        if self.kind == "exponential":
-            if self.rate <= 0:
-                raise ValueError("exponential rate must be positive")
-        elif self.kind == "weibull":
-            if self.shape <= 0 or self.scale <= 0:
-                raise ValueError("weibull shape and scale must be positive")
-        else:
+        if self.kind not in ("exponential", "weibull"):
             raise ValueError(f"unknown event distribution {self.kind!r}")
+        for name in ("rate",) if self.kind == "exponential" else ("shape", "scale"):
+            if not 0.0 < getattr(self, name) < math.inf:  # a nan fails too
+                raise ValueError(f"{self.kind} {name} must be finite and positive, got {getattr(self, name)!r}")
 
     def draw(self, rng: np.random.Generator, hazard_multiplier: np.ndarray) -> np.ndarray:
         """Inverse-CDF draws with the hazard scaled per subject."""
@@ -64,6 +61,8 @@ def exponential_rate_for_incidence(cumulative_incidence: float, horizon: float) 
     """Hazard giving the requested cumulative incidence by the horizon."""
     if not 0.0 < cumulative_incidence < 1.0:
         raise ValueError("cumulative incidence must lie in (0, 1)")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     return -math.log1p(-cumulative_incidence) / horizon
 
 
@@ -108,8 +107,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_subjects < 1 or self.n_visits < 1 or self.n_replicates < 1:
             raise ValueError("counts must be at least 1")
-        if self.visit_spacing <= 0:
-            raise ValueError("visit spacing must be positive")
+        if not 0.0 < self.visit_spacing < math.inf:
+            raise ValueError(f"visit spacing must be finite and positive, got {self.visit_spacing!r}")
         if not 0.0 <= self.missing_prob < 1.0:
             raise ValueError("missing probability must lie in [0, 1)")
         beta = tuple(self.beta_true)

@@ -55,11 +55,13 @@ def test_kernel_calls_lead_with_one_row_per_kernel_row(monkeypatch, model):
     config = benchmark_config(0.75, 0.9, 0.5, n_replicates=1, seed=3)
     ds = generate_dataset(type(config)(**{**config.__dict__, "n_subjects": 300}), 0)
     em = ErrorModel(0.75, 0.9)
+    # every model's kernel sees its distinct rows; the time-varying key is
+    # the interval covariates, constant in time for these subjects
+    z = ds.covariates
     if model == estimate.MODEL_COV_TIMEVARYING:
-        want = ds.n  # no rows collapse
-    else:
-        want = estimate._patterns(ds.reports, ds.covariates)[0].size
-        assert want < ds.n
+        z = estimate.interval_covariates(ds).reshape(ds.n, -1, order="F")
+    want = estimate._patterns(ds.reports, z)[0].size
+    assert want < ds.n
     rows = []
     gradient = lik.loglik_and_gradient
 

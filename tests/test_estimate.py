@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -582,6 +583,12 @@ class TestInference:
             base = [s for _, s, _, _ in survival_curve(self.res, [0.0])]
             exp = [s for _, s, _, _ in survival_curve(self.res, [1.0])]
             assert all(e < b for e, b in zip(exp, base))
+
+    @pytest.mark.parametrize("profile", [[math.nan], [math.inf], [-math.inf], [0.0, 1.0]])
+    def test_survival_curve_rejects_a_bad_profile_by_name(self, profile):
+        # [nan] used to give rows of nan, [inf] S = 0 with nan limits and a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^covariate profile must be 1 finite value\(s\), got "):
+            survival_curve(self.res, profile)
 
     def test_survival_curve_matches_power_relation(self):
         curve = survival_curve(self.res, [1.0])

@@ -38,7 +38,7 @@ from survreport.likelihood import (
     loglik_and_gradient,
     loglik_hessian,
 )
-from survreport import panel
+from survreport import estimate, panel
 from survreport.cli import EXIT_INPUT_ERROR, main
 from survreport.panel import (
     ADAPTIVE,
@@ -435,8 +435,8 @@ def test_one_sample_kernel_is_the_zero_covariate_kernel(case):
 @st.composite
 def pattern_panels(draw):
     """(dataset, error model): array-held panels whose subjects share a few
-    report rows and covariate rows.  Grids of 1-4, 40-45 (a base-3 key of
-    more than 39 columns overflows int64), 127 or 128 points; both
+    report rows and covariate rows.  Grids of 1-4, 40-45, 127 or 128
+    points (many key columns); both
     schedules; subjects without visits; P = 0, 1 or 2 covariates with -0.0
     next to 0.0; error models that rule some patterns out."""
     J = draw(st.one_of(st.integers(1, 4), st.integers(40, 45), st.sampled_from((127, 128))))
@@ -485,22 +485,101 @@ def kernel_rows(dataset, em):
     raise AssertionError("the fit returned without a kernel call")
 
 
+def in_pattern_order(rows, first, arrays):
+    """``arrays``, one row per pattern in the order of ``first``, reordered
+    to the patterns whose first subjects are ``rows``, Fortran-ordered."""
+    at = {f: k for k, f in enumerate(first)}
+    return [np.asfortranarray(a[[at[r] for r in rows.tolist()]]) for a in arrays]
+
+
 @PROPERTY_SETTINGS
 @given(pattern_panels())
 def test_pattern_rows_collapse_to_the_subject_row_collapse(case):
+    """The patterns are those a walk over the subjects finds (their order is
+    checked by the permutation properties), and a fit's kernel rows are
+    theirs, in the order of ``_patterns``."""
     dataset, em = case
     z = dataset.covariates
     rows, counts = _patterns(dataset.reports, z)
-    assert (rows.tolist(), counts.tolist()) == patterns_by_dict(dataset.reports, z)
-    want = collapse_subject_rows(dataset.reports, build_c_matrix(dataset, em), z)
+    first, want_counts = patterns_by_dict(dataset.reports, z)
+    assert sorted(zip(rows.tolist(), counts.tolist())) == sorted(zip(first, want_counts))
+    want = in_pattern_order(rows, first, collapse_subject_rows(dataset.reports, build_c_matrix(dataset, em), z))
     assert build_c_matrix(dataset, em, rows).tobytes() == want[0].tobytes()
     got = kernel_rows(dataset, em)
     if got is not None:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
         assert got[0].T.flags.c_contiguous and got[1].T.flags.c_contiguous
-    if (dataset.reports >= 0).any(axis=1).all():
-        assert np.array_equal(_life_table_gamma(dataset, rows, counts), life_table_by_subject(dataset))
+
+
+@st.composite
+def float_keys(draw):
+    """(reports, z): (N, J) reports and (N, J * P) float covariate rows, as a
+    time-varying fit keys its subjects, drawn from small pools so that rows
+    repeat; values include -0.0 next to 0.0 and +-1e308, whose projection
+    would overflow without its scaled weights."""
+    J, p = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    values = st.sampled_from((0.0, -0.0, 1.0, -0.5, 0.1, 1e308, -1e308))
+    report_pool = draw(st.lists(st.lists(st.integers(-1, 1), min_size=J, max_size=J), min_size=1, max_size=4))
+    z_pool = draw(st.lists(st.lists(values, min_size=J * p, max_size=J * p), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(report_pool), st.sampled_from(z_pool)), min_size=1, max_size=40))
+    n = len(picks)
+    reports = np.array([r for r, _ in picks], dtype=np.int8).reshape(n, J)
+    z = np.asfortranarray(np.array([v for _, v in picks]).reshape(n, J * p))  # as interval_covariates lays it out
+    return reports, z
+
+
+def pattern_values(reports, z, rows):
+    """The report and covariate rows of the patterns whose first subjects are ``rows``, -0.0 as 0.0."""
+    return reports[rows].tolist(), (z[rows] + 0.0).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(float_keys(), st.randoms(use_true_random=False))
+def test_patterns_of_float_keys_match_the_walk_in_a_canonical_order(case, random):
+    reports, z = case
+    rows, counts = _patterns(reports, z)
+    first, want_counts = patterns_by_dict(reports, z)
+    assert sorted(zip(rows.tolist(), counts.tolist())) == sorted(zip(first, want_counts))
+    perm = list(range(len(reports)))
+    random.shuffle(perm)
+    permuted_rows, permuted_counts = _patterns(reports[perm], z[perm])
+    assert permuted_counts.tolist() == counts.tolist()
+    assert pattern_values(reports[perm], z[perm], permuted_rows) == pattern_values(reports, z, rows)
+
+
+@pytest.mark.parametrize("weights", [np.zeros, np.ones], ids=["all-zero", "all-one"])
+def test_patterns_break_projection_ties_by_the_full_row(monkeypatch, weights):
+    # with these weights [0, 1] and [1, 0] project to the same value, and
+    # with zero weights every row does: the rows still group exactly, in an
+    # order the subjects' order does not change, and with zero weights it
+    # is the walk's lexicographic order
+    monkeypatch.setattr(estimate, "_projection", weights)
+    reports = np.array([[0, 1], [1, 0], [0, 1], [-1, 1], [1, 0], [0, 1]], dtype=np.int8)
+    z = np.array([[0.5], [0.5], [-0.0], [0.5], [0.5], [0.0]])
+    rows, counts = _patterns(reports, z)
+    want = patterns_by_dict(reports, z)
+    assert sorted(zip(rows.tolist(), counts.tolist())) == sorted(zip(*want))
+    for perm in ([5, 4, 3, 2, 1, 0], [2, 0, 4, 1, 5, 3]):
+        permuted_rows, permuted_counts = _patterns(reports[perm], z[perm])
+        assert permuted_counts.tolist() == counts.tolist()
+        assert pattern_values(reports[perm], z[perm], permuted_rows) == pattern_values(reports, z, rows)
+    if weights is np.zeros:
+        assert (rows.tolist(), counts.tolist()) == want
+
+
+def test_fit_on_tied_projections_ignores_subject_order(monkeypatch):
+    # zero weights tie every projection, so a fit's rows are ordered by the full row alone
+    monkeypatch.setattr(estimate, "_projection", np.zeros)
+    subjects = [SubjectPanel(f"s{i}", times, results, covariate_path=((0.0, (z0,)), (2.0, (z1,))))
+                for i, (times, results, z0, z1) in enumerate([
+                    ((1.0, 2.0, 3.0), (0, 0, 1), 0.0, 1.0), ((1.0, 3.0), (0, 0), 1.0, 1.0),
+                    ((2.0, 3.0), (0, 1), 0.0, 0.0), ((1.0, 2.0, 3.0), (0, 0, 0), 0.0, 1.0),
+                    ((1.0,), (1,), 1.0, 0.0), ((1.0, 2.0, 3.0), (0, 0, 1), 0.0, 1.0)])]
+    em = ErrorModel(0.9, 0.95)
+    want = fit(build_dataset(subjects, covariate_names=("z",)), em, MODEL_COV_TIMEVARYING)
+    got = fit(build_dataset(subjects[::-1], covariate_names=("z",)), em, MODEL_COV_TIMEVARYING)
+    assert_same_fit_bits(got, want)
 
 
 @PROPERTY_SETTINGS
@@ -556,17 +635,18 @@ def test_patterns_with_equal_c_rows_fit_as_their_subjects():
 
 
 def test_pattern_key_does_not_wrap():
-    # 2**64 in base 3 takes 41 digits: as a wrapping int64 base-3 key this
-    # report row would collide with the row of no visits (all digits 0)
+    # 2**64 in base 3 takes 41 digits: a wrapping int64 base-3 key would
+    # give this report row the key of the row of no visits (all digits 0),
+    # and a sum of +-1e308 covariates would overflow; the rows stay apart
     digits, v = [], 2**64
     while v:
         v, d = divmod(v, 3)
         digits.append(d)
-    reports = np.array([digits[::-1], [0] * len(digits)]) - 1
-    dataset = Dataset.from_arrays(["a", "b"], reports, StudyGrid(tuple(map(float, range(1, len(digits) + 1)))),
-                                  schedule=PREDETERMINED)
+    reports = np.array([digits[::-1], [0] * len(digits), [0] * len(digits)]) - 1
+    dataset = Dataset.from_arrays(["a", "b", "c"], reports, StudyGrid(tuple(map(float, range(1, len(digits) + 1)))),
+                                  [[1e308, 1e308], [1e308, 1e308], [1e308, -1e308]], ("x", "y"), PREDETERMINED)
     rows, counts = _patterns(dataset.reports, dataset.covariates)
-    assert rows.tolist() == [1, 0] and counts.tolist() == [1, 1]  # b's row of no visits sorts first
+    assert sorted(rows.tolist()) == [0, 1, 2] and counts.tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("reports", [[[1, -1], [0, 0], [0, 0]], [[-1, -1], [0, 0], [0, 0]]],
@@ -632,43 +712,16 @@ def test_permuting_subjects_leaves_fit_unchanged(case, random):
         with pytest.raises(ModelSpecError):
             fit(permuted, em, model)
         return
-    got = fit(permuted, em, model)
-    # rows enter the sums in another order, so the Newton paths differ by
-    # rounding.  Where the likelihood is flat (an interval drifting to zero
-    # mass, a large SE along beta), rounding moves the point where the
-    # projected gradient first drops below 1e-5: the log-likelihood is held
-    # to 1e-6, and beta and SE to 1e-6 of the SE
-    assert got.converged == want.converged
-    assert got.has_covariance == want.has_covariance
-    assert got.loglik == pytest.approx(want.loglik, rel=0.0, abs=1e-6)
-    if want.has_covariance:
-        tol = 1e-6 * max(1.0, float(want.beta_se[0]))
-        assert abs(got.beta[0] - want.beta[0]) <= tol
-        assert abs(got.beta_se[0] - want.beta_se[0]) <= tol * want.beta_se[0]
-    else:
-        assert got.beta == pytest.approx(want.beta, rel=1e-6, abs=1e-6)
+    # every model's kernel sees the distinct rows in an order set by their
+    # values, so the fit is the same to the bit, even where the likelihood
+    # is flat and rounding would move the point where Newton stops
+    assert_same_fit_bits(fit(permuted, em, model), want)
 
 
-@PROPERTY_SETTINGS
-@given(panels(max_subjects=12), st.randoms(use_true_random=False))
-def test_permuting_subjects_leaves_fixed_fit_bits_unchanged(case, random):
-    """The time-fixed kernel sees the distinct patterns in the order of
-    their key, which the subjects' order does not change, so the subjects
-    in another order give the same fit, bit for bit, even where the
-    likelihood is flat."""
-    dataset, em = case
-    perm = list(range(dataset.n))
-    random.shuffle(perm)
-    permuted = build_dataset(
-        [dataset.subjects[k] for k in perm], covariate_names=("z",), schedule=dataset.schedule
-    )
-    try:
-        want = fit(dataset, em, MODEL_COV_FIXED)
-    except ModelSpecError:
-        return
-    got = fit(permuted, em, MODEL_COV_FIXED)
+def assert_same_fit_bits(got, want):
     assert (got.iterations, got.converged, got.loglik) == (want.iterations, want.converged, want.loglik)
-    for name in ("gamma", "beta", "beta_se", "survival_se"):
+    assert got.has_covariance == want.has_covariance
+    for name in ("gamma", "beta", "beta_se", "survival_se", "cov_working")[: 5 if want.has_covariance else 4]:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 

@@ -83,9 +83,23 @@ class TestEventDist:
         with pytest.raises(ValueError):
             EventDist(**kwargs)
 
+    @pytest.mark.parametrize("kind, name", [("exponential", "rate"), ("weibull", "shape"), ("weibull", "scale")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_rejected_by_name(self, kind, name, value):
+        # a nan rate used to pass the <= 0 test and give a summary of nan event times
+        valid = {"rate": 0.5} if kind == "exponential" else {"shape": 1.5, "scale": 4.0}
+        with pytest.raises(ValueError, match=f"^{kind} {name} must be finite and positive, got {value!r}$"):
+            EventDist(kind, **{**valid, name: value})
+
     def test_bad_incidence(self):
         with pytest.raises(ValueError):
             exponential_rate_for_incidence(1.0, 8.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, -8.0, math.nan, math.inf])
+    def test_bad_horizon_is_rejected_by_name(self, horizon):
+        # a zero horizon used to raise a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=f"^horizon must be finite and positive, got {horizon!r}$"):
+            exponential_rate_for_incidence(0.1, horizon)
 
 
 class TestCovariateGen:
@@ -118,6 +132,12 @@ class TestScenarioConfig:
     def test_bad_missing_prob(self):
         with pytest.raises(ValueError):
             small_config(missing_prob=1.0)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_visit_spacing_is_rejected_by_name(self, spacing):
+        # a nan spacing used to fail only in run_scenario, on the grid times it made
+        with pytest.raises(ValueError, match=f"^visit spacing must be finite and positive, got {spacing!r}$"):
+            small_config(visit_spacing=spacing)
 
 
 class TestGenerateDataset:
