@@ -16,9 +16,9 @@ from .panel import (
     validate,
 )
 from .likelihood import (
+    KernelRows,
     build_c_matrix,
     loglik_and_gradient,
-    loglik_hessian,
     survival_from_increments,
 )
 from .estimate import (

@@ -28,6 +28,7 @@ _MODELS = (MODEL_ONESAMPLE, MODEL_COV_FIXED, MODEL_COV_TIMEVARYING)
 GAMMA_LOWER = -30.0   # exp(-30) ~ 1e-13: interval effectively carries no mass
 GAMMA_UPPER = 8.0
 MAX_NEWTON_STEPS = 100
+GRAD_TOL = 1e-5  # convergence: the largest free working-scale gradient component at most this
 MAX_STEP_LENGTH = 2.0  # largest change of one working parameter per step
 _Z975 = 1.959963984540054  # standard normal 97.5 % quantile
 
@@ -169,7 +170,6 @@ def fit(
     error_model: ErrorModel,
     model: str = MODEL_COV_FIXED,
     *,
-    grad_tol: float = 1e-5,
     check_valid: bool = True,
 ) -> FitResult:
     """Maximize the chosen log-likelihood and assemble inference results.
@@ -177,10 +177,8 @@ def fit(
     Baseline misclassification is applied whenever ``error_model.eta < 1``.
     Projected damped-Newton steps start from the life-table estimate;
     convergence requires the largest free working-scale gradient component
-    to fall to ``grad_tol``, within ``MAX_NEWTON_STEPS`` steps.
+    to fall to ``GRAD_TOL``, within ``MAX_NEWTON_STEPS`` steps.
     """
-    if not 0.0 <= grad_tol < math.inf:  # a nan fails too
-        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol!r}")
     model, p = _model_and_p(dataset, model)
     if check_valid:
         violations = validate(dataset)
@@ -209,7 +207,7 @@ def fit(
     x0 = np.concatenate([_life_table_gamma(dataset), np.zeros(p)])
     kernel_rows = lik.KernelRows(c, z_intervals=zk.T, eta=error_model.eta, weights=counts.astype(float))
 
-    def evaluate(x):  # the negative log-likelihood in the working parameters
+    def evaluate(x):  # the negative log-likelihood in the working parameters (gamma = log lambda, beta)
         lambdas = np.exp(x[:J])
         try:
             ll, g_lambda, g_beta, hessian = lik.loglik_and_gradient(kernel_rows, lambdas, x[J:], hessian=True)
@@ -219,19 +217,22 @@ def fit(
             # a line-search point put zero mass on some subject's only
             # admissible intervals; report +inf so the search backtracks
             return np.inf, np.zeros(x.size), None
-        return -ll, -np.concatenate([g_lambda * lambdas, g_beta]), lambda: -hessian()
+        g, lift = np.concatenate([g_lambda * lambdas, g_beta]), np.concatenate([lambdas, np.ones(p)])
+        # the chain rule: H_gamma = Lambda H_lambda Lambda + diag(g_gamma), negated
+        return -ll, -g, lambda: -(hessian() * np.outer(lift, lift) + np.diag(np.append(g[:J], np.zeros(p))))
 
-    x_hat, f_hat, hessian_hat, steps, stopped = _newton(evaluate, x0, J, grad_tol)
+    x_hat, f_hat, (free, w, v), steps, stopped = _newton(evaluate, x0, J, GRAD_TOL)
     gamma_hat, beta_hat = x_hat[:J], x_hat[J:]
     lambdas_hat = np.exp(gamma_hat)
     survival = lik.survival_from_increments(lambdas_hat)
     message = (f"converged after {steps} Newton step(s)" if stopped is None
                else f"not converged: stopped after {steps} Newton step(s) because {stopped}")
-    frozen = tuple(int(j + 1) for j in np.flatnonzero(gamma_hat <= GAMMA_LOWER + 1e-6))
+    kept = np.zeros(J + p, dtype=bool)
+    kept[free] = True  # the parameters of the final point's Newton system
+    frozen = tuple(int(j + 1) for j in np.flatnonzero(~kept[:J]))
 
-    beta_se = np.full(p, np.nan)
-    survival_se = np.full(J + 1, np.nan)
-    cov_working, cov_transformed = _covariances(hessian_hat(), J, p, lambdas_hat, survival, frozen)
+    beta_se, survival_se = np.full(p, np.nan), np.full(J + 1, np.nan)
+    cov_working, cov_transformed = _covariances(kept, w, v, J, p, lambdas_hat, survival)
     if cov_working is not None:
         beta_se = np.sqrt(np.maximum(np.diag(cov_working)[J:], 0.0))
         survival_se = np.concatenate(([0.0], np.sqrt(np.maximum(np.diag(cov_transformed)[p:], 0.0))))
@@ -283,22 +284,19 @@ def _newton(evaluate, x, J, grad_tol):
     """Projected damped Newton (Nocedal and Wright 2006, ch. 3-4) from
     ``x``, gamma kept inside its bounds, with Armijo backtracking.
     ``evaluate(x)`` gives the objective, its gradient and a function of no
-    arguments that forms its Hessian, called once per accepted point.  The
-    Hessian's eigenvalues enter in absolute value, so an indefinite one
-    still gives a descent direction.  Returns ``(x, objective value at x,
-    its Hessian function, steps taken, None)`` once the projected gradient
-    is at most ``grad_tol``, else with the reason for stopping in place of
-    None.
+    arguments that forms its Hessian.  Each accepted point factors the
+    Hessian block of its free parameters ``free`` (a slice when all are)
+    once: eigenvalues ``w``, which enter the step in absolute value (so an
+    indefinite one still descends), and eigenvectors ``v``, both None if it
+    cannot be factored.  Returns ``(x, objective value, (free, w, v), steps
+    taken, None)`` once the projected gradient is at most ``grad_tol``,
+    else with the reason for stopping in place of None.
     """
     f, g, hessian = evaluate(x)
     for steps in range(MAX_NEWTON_STEPS + 1):
         bounded = J and (x[:J].min() <= GAMMA_LOWER + 1e-9 or x[:J].max() >= GAMMA_UPPER - 1e-9)
         proj = _projected_gradient(g, x, J) if bounded else g
         largest = np.abs(proj).max()
-        if largest <= grad_tol:
-            return x, f, hessian, steps, None
-        if steps == MAX_NEWTON_STEPS:
-            return x, f, hessian, steps, "it reached the step limit"
         h = hessian()
         # near-zero-mass intervals contribute no curvature (and a matching near-zero
         # gradient); drop them, and the pinned and nan components, from the Newton system
@@ -308,11 +306,20 @@ def _newton(evaluate, x, J, grad_tol):
             free = proj == g
             free[:J] &= curved
             h = h[np.ix_(free, free)]
-        w, v = np.linalg.eigh(h)
-        w = np.abs(w)
-        if w.max(initial=0.0) == 0.0:
-            return x, f, hessian, steps, "no free parameter has curvature"
-        direction = v @ ((v.T @ -g[free]) / np.maximum(w, 1e-8 * w.max()))
+        try:
+            w, v = np.linalg.eigh(h)
+        except np.linalg.LinAlgError:
+            w = v = None
+        if largest <= grad_tol:
+            return x, f, (free, w, v), steps, None
+        if steps == MAX_NEWTON_STEPS:
+            return x, f, (free, w, v), steps, "it reached the step limit"
+        if w is None:
+            return x, f, (free, w, v), steps, "its Hessian could not be factored"
+        curvature = np.abs(w)
+        if curvature.max(initial=0.0) == 0.0:
+            return x, f, (free, w, v), steps, "no free parameter has curvature"
+        direction = v @ ((v.T @ -g[free]) / np.maximum(curvature, 1e-8 * curvature.max()))
         slope = float(g[free] @ direction)
         # a near-flat direction would otherwise throw the point onto the
         # plateau where some S_j underflows and every gradient vanishes
@@ -327,36 +334,27 @@ def _newton(evaluate, x, J, grad_tol):
                 break
             t *= 0.5
         else:
-            return x, f, hessian, steps, "no step lowered the objective"
+            return x, f, (free, w, v), steps, "no step lowered the objective"
         x, f, g, hessian = x_new, f_new, g_new, hessian_new
 
 
-def _covariances(hessian, J, p, lambdas, survival, frozen):
-    """Inverse observed information of (gamma, beta) from ``hessian``, the
-    closed-form Hessian of the negative log-likelihood at the estimate, and
-    the delta-method covariance of (beta, S_2..S_{J+1}).  Frozen and
-    no-curvature intervals get zero rows; ``(None, None)`` if the rest is
-    numerically singular (its inverse would be rounding noise: the
-    |eigenvalues| are the singular values) or gives a negative variance."""
-    k = hessian.shape[0]
-    free = np.ones(k, dtype=bool)
-    free[[j - 1 for j in frozen]] = False
-    free[:J] &= np.diag(hessian)[:J] > 1e-6  # no-curvature intervals carry no mass
-    sub = slice(None) if free.all() else np.ix_(free, free)  # no index arrays when all are free
-    try:
-        w, v = np.linalg.eigh(hessian[sub])
-    except np.linalg.LinAlgError:
-        return None, None
-    if w.size and np.abs(w).min() <= 1e-12 * np.abs(w).max():
+def _covariances(free, w, v, J, p, lambdas, survival):
+    """Inverse observed information of (gamma, beta) from ``w, v``, the
+    eigendecomposition of the block ``free`` (a mask) of the negative
+    log-likelihood's Hessian at the estimate, and the delta-method covariance
+    of (beta, S_2..S_{J+1}).  Parameters outside the block get zero rows; ``(None, None)`` if the block could not be
+    factored, is numerically singular (its inverse would be rounding noise:
+    the |eigenvalues| are the singular values) or gives a negative variance."""
+    if w is None or (w.size and np.abs(w).min() <= 1e-12 * np.abs(w).max()):
         return None, None
     cov_free = (v / w) @ v.T
     if not np.all(np.isfinite(cov_free)) or np.any(np.diag(cov_free) < -1e-8):
         return None, None
-    cov = np.zeros((k, k))
-    cov[sub] = cov_free
+    cov = np.zeros((J + p, J + p))
+    cov[slice(None) if free.all() else np.ix_(free, free)] = cov_free  # no index arrays when all are free
 
     # delta method: rows are beta then S_2..S_{J+1}; columns gamma then beta
-    jac = np.zeros((p + J, k))
+    jac = np.zeros((p + J, J + p))
     jac[:p, J:] = np.eye(p)
     jac[p:, :J] = np.tril(-survival[1:, None] * lambdas)  # S_j depends on gamma_1..gamma_{j-1}
     return cov, jac @ cov @ jac.T

@@ -15,13 +15,14 @@ the same sum over C' = eta C + (1 - eta) C[:, 0].
 
 One kernel, ``loglik_and_gradient``, serves every model variant in the
 theta form, whose terms are all non-negative (the linear form in S is
-built only by the oracle ``tests/oracles.to_d_matrix``).  It takes raw
-arrays, or the :class:`KernelRows` a fit prepares once from its distinct
-rows: C', its differences C'[1:] - C'[:-1], the covariates and the row
-counts as weights, laid out as the kernel reads them.  Each point forms
-its front half and a (J+P, N) matrix G of per-subject scores once; with
-``hessian=True`` the kernel also returns a function that forms the exact
-second derivatives from those arrays: call it before changing them in place.
+built only by the oracle ``tests/oracles.to_d_matrix``), with derivatives
+in (lambda, beta).  It reads the :class:`KernelRows` a fit prepares once
+from its distinct rows: C', its differences C'[1:] - C'[:-1], the
+covariates and the row counts as weights, laid out as the kernel reads
+them.  Each point forms its front half and a (J+P, N) matrix G of
+per-subject scores once; with ``hessian=True`` the kernel also returns a
+function that forms the exact second derivatives from those arrays: call
+it before changing them in place.
 
 The kernel works interval-major: per-subject arrays are (J, N) with
 subjects contiguous, so that a per-interval scalar broadcasts along a
@@ -174,24 +175,13 @@ def _kernel_terms(kr, lambdas, beta):
     return zf, lp, sums, rows, ss * kr.d, 1.0 / rows * kr.weights
 
 
-def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None,
-                        hessian: bool = False):
-    """Log-likelihood and its gradient w.r.t. (lambda, beta).
-
-    Covers every variant: pass ``z`` (N x P) for time-fixed covariates,
-    ``z_intervals`` (N x J x P) for time-varying ones, neither for the
-    one-sample model, and ``eta < 1`` for baseline misclassification; or
-    pass :class:`KernelRows` of them as ``c`` and none of those.  Returns
-    ``(loglik, grad_lambda, grad_beta)``, and with ``hessian=True`` also
-    ``hessian_of_point``, a function of no arguments that returns
-    ``loglik_hessian`` here from this call's arrays and the ``lambdas`` and
-    covariates it was given: call it before changing those in place.
-    With u_ik = lambda_k lp_ik, S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} u_ik:
-    d log L_i = -scale_i G_i, G_i = sum_j q_ij dA_ij, per unit lambda in the
-    gamma rows, G_ki = lp_ki T_ki, and G_(J+p)i = sum_k lambda_k lz_pki."""
-    if isinstance(c, KernelRows) and (eta != 1.0 or any(a is not None for a in (z, z_intervals, weights))):
-        raise ValueError("prepared kernel rows carry their own z, z_intervals, eta and weights")
-    kr = c if isinstance(c, KernelRows) else KernelRows(c, z, z_intervals, eta, weights)
+def loglik_and_gradient(kr: KernelRows, lambdas, beta, hessian: bool = False):
+    """``(loglik, grad_lambda, grad_beta)`` of the prepared rows ``kr``; with
+    ``hessian=True`` also ``hessian_of_point``, a function of no arguments that
+    forms the Hessian in (lambda, beta), lambda first, from this call's arrays
+    and ``lambdas``: call it before changing them in place.  With
+    S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} lambda_k lp_ik: d log L_i = -scale_i G_i,
+    G_i = sum_j q_ij dA_ij, so G_ki = lp_ki T_ki and G_(J+p)i = sum_k lambda_k lz_pki."""
     lambdas, beta = _increments(lambdas), np.asarray(() if beta is None else beta, dtype=float)
     if not np.isfinite(beta).all():
         raise ValueError("coefficients beta must be finite")
@@ -203,41 +193,33 @@ def loglik_and_gradient(c, lambdas, beta, z=None, z_intervals=None, eta: float =
     lz = G[:J] * zf
     for a in range(zf.shape[0]):
         np.dot(lambdas, lz[a], out=G[J + a])
-    # gamma from its own J rows, so that a one-sample fit keeps its bits
+    # lambda from its own J rows, so that a one-sample fit keeps its bits
     sum_lambda, sum_beta = G[:J] @ scale, G[J:] @ scale
     ll = float((np.log(rows) * kr.weights).sum())  # pairwise: error O(eps log N) relative to sum |log L_i|
     if not hessian:
         return ll, -sum_lambda, -sum_beta
-    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, sum_lambda)
+    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz)
 
 
-def loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
-    """Hessian of the log-likelihood w.r.t. the working parameters
-    (gamma = log lambda, beta), gamma first; takes the arguments of
-    ``loglik_and_gradient``."""
-    return loglik_and_gradient(c, lambdas, beta, z, z_intervals, eta, weights, hessian=True)[3]()
-
-
-def _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, sum_lambda):
-    """``loglik_hessian`` from one point's front half, scores G and lambda
-    gradient.  d2 L_i = sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
-    d2 log L_i = d2 L_i / L_i - G_i G_i' / L_i^2.  A clamped predictor has
+def _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz):
+    """The Hessian of ``loglik_and_gradient`` from one point's front half and
+    scores G.  d2 L_i = sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
+    d2 log L_i = d2 L_i / L_i - G_i G_i' / L_i^2; A is linear in lambda, so
+    d2A has only lambda-beta and beta-beta terms.  A clamped predictor has
     no beta-curvature."""
     J, p, before = lambdas.size, zf.shape[0], _before(lambdas.size)
     hess = np.zeros((J + p, J + p))
     ls = lp * scale
-    # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)] - [a = b] u_ia T_ia;
-    # exact on and above the diagonal, mirrored below at the end
-    hess[:J, :J] = ls @ G[:J].T * (lambdas[:, None] * lambdas)  # one row broadcasts when K = 1
-    hess.ravel()[: J * (J + p + 1) : J + p + 1] -= lambdas * sum_lambda
+    # lambda-lambda: sum_j q_ij lp_ia lp_ib [j > max(a, b)]; exact on and above
+    # the diagonal, mirrored below at the end
+    hess[:J, :J] = ls @ G[:J].T  # one row broadcasts when K = 1
     v = [sums(lp * za) for za in zf]  # -dA_ij / d beta_a
     for a in range(p):
         qv = q * v[a]
-        # u_ik (sum_{j>k} q_ij dA_ij / d beta_a - z_ika T_ik), summed over i
-        hess[:J, J + a] = -lambdas * ((before * (ls @ qv.T)).sum(axis=1) + lz[a] @ scale)
+        # lp_ik (sum_{j>k} q_ij dA_ij / d beta_a - z_ika T_ik), summed over i
+        hess[:J, J + a] = -((before * (ls @ qv.T)).sum(axis=1) + lz[a] @ scale)
         for b in range(a, p):
             hess[J + a, J + b] = np.einsum("ji,ji->i", qv, v[b]) @ scale - lambdas @ ((lz[a] * zf[b]) @ scale)
     # outer products of dL_i, weighted by 1 / L_i^2 (times the row weight)
-    lift = np.concatenate((lambdas, np.ones(p)))
-    hess -= lift[:, None] * lift * ((G * (scale / rows)) @ G.T)
+    hess -= (G * (scale / rows)) @ G.T
     return np.where(_before(J + p), hess, hess.T)

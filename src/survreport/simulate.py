@@ -79,8 +79,8 @@ class CovariateGen:
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError("bernoulli p must lie in [0, 1]")
         elif self.kind == "table":
-            if not self.table:
-                raise ValueError("table generator needs at least one row")
+            if len({len(row) for row in self.table}) != 1:
+                raise ValueError("table generator needs at least one row, and rows of one length")
         else:
             raise ValueError(f"unknown covariate generator {self.kind!r}")
 
@@ -111,11 +111,10 @@ class ScenarioConfig:
             raise ValueError(f"visit spacing must be finite and positive, got {self.visit_spacing!r}")
         if not 0.0 <= self.missing_prob < 1.0:
             raise ValueError("missing probability must lie in [0, 1)")
-        beta = tuple(self.beta_true)
-        if self.covariate_gen is None and beta:
-            raise ValueError("beta_true given without a covariate generator")
-        if self.covariate_gen is not None and not beta:
-            raise ValueError("covariate generator given without beta_true")
+        gen = self.covariate_gen  # draws no covariate, one (bernoulli) or a table row
+        width = 0 if gen is None else 1 if gen.kind == "bernoulli" else len(gen.table[0])
+        if len(self.beta_true) != width:
+            raise ValueError(f"beta_true has {len(self.beta_true)} value(s) for {width} generated covariate(s)")
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def run_scenario(config: ScenarioConfig, analysis: str = ADJUSTED) -> ScenarioSu
 
     est, se = np.asarray(estimates), np.asarray(ses)
     mean_est = float(est.mean())
-    bias_pct = 100.0 * (mean_est - beta_true) / beta_true
+    bias_pct = 100.0 * (mean_est - beta_true) / beta_true if beta_true else math.nan  # undefined at 0
     emp_sd = float(est.std(ddof=1)) if est.size > 1 else float("nan")
     rmse = float(np.sqrt(np.mean((est - beta_true) ** 2)))
     covered = np.abs(est - beta_true) <= _Z975 * se

@@ -468,14 +468,14 @@ def cumsum_loglik_and_gradient(
 
 
 def cumsum_loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float = 1.0, weights=None):
-    """Hessian of the log-likelihood w.r.t. the working parameters
-    (gamma = log lambda, beta), gamma first.
+    """Hessian of the log-likelihood w.r.t. (lambda, beta), lambda first.
 
-    Takes the arguments of ``loglik_and_gradient``.  With u_ik = lambda_k
-    w_ik the hazard increment of interval k and A_ij = sum_{k<j} u_ik,
+    Takes the arguments of ``cumsum_loglik_and_gradient``.  With w_ik the
+    relative hazard of interval k and A_ij = sum_{k<j} lambda_k w_ik,
     S_j^(i) = exp(-A_ij), so each row's likelihood L_i has second
     derivative eta * sum_j q_ij (dA_ij dA_ij' - d2A_ij), and
-    d2 log L_i = d2 L_i / L_i - dL_i dL_i' / L_i^2.  Clamped linear
+    d2 log L_i = d2 L_i / L_i - dL_i dL_i' / L_i^2.  A is linear in
+    lambda, so d2A has only lambda-beta and beta-beta terms.  Clamped linear
     predictors get no beta-curvature, as in the gradient.  Time-fixed and
     one-sample models are the J-broadcast of the time-varying form.
     """
@@ -488,23 +488,23 @@ def cumsum_loglik_hessian(c, lambdas, beta, z=None, z_intervals=None, eta: float
         zk = np.broadcast_to(np.asarray(z, dtype=float)[:, None, :], (n, J, p)) if p else None
     else:
         zk = np.asarray(z_intervals, dtype=float)
-    u = lambdas * lp  # (N, J)
-    su = scale[:, None] * u
+    w = np.broadcast_to(lp, (n, J))  # (N, J)
+    sw = scale[:, None] * w
     # g_i = sum_j q_ij dA_ij, so that d log L_i = -(eta / L_i) g_i
-    g = u * tail
+    g = w * tail
     hess = np.zeros((J + p, J + p))
-    # gamma-gamma: sum_j q_ij u_ia u_ib [j > max(a, b)]; exact on and above
+    # lambda-lambda: sum_j q_ij w_ia w_ib [j > max(a, b)]; exact on and above
     # the diagonal, mirrored below
-    hess[:J, :J] = su.T @ g - np.diag((su * tail).sum(axis=0))
+    hess[:J, :J] = sw.T @ g
     if p:
-        umz = (u * mask)[:, :, None] * zk
-        v = np.cumsum(umz, axis=1)  # v[:, k] = dA_i,k+1 / d beta
+        wmz = (w * mask)[:, :, None] * zk  # wmz[:, k] = d2A_i,j / d lambda_k d beta for j > k
+        v = np.cumsum(lambdas[:, None] * wmz, axis=1)  # v[:, k] = dA_i,k+1 / d beta
         qv = q[:, 1:, None] * v
         r = np.cumsum(qv[:, ::-1], axis=1)[:, ::-1]  # r[:, a] = sum_{j > a} q_ij V_ij
-        smt = (scale[:, None] * tail)[:, :, None] * umz
-        hess[:J, J:] = np.einsum("ia,iap->ap", su, r) - smt.sum(axis=0)
+        smt = (scale[:, None] * tail)[:, :, None] * wmz
+        hess[:J, J:] = np.einsum("ia,iap->ap", sw, r) - smt.sum(axis=0)
         hess[J:, J:] = (scale[:, None, None] * qv).reshape(-1, p).T @ v.reshape(-1, p) - (
-            smt.reshape(-1, p).T @ zk.reshape(-1, p)
+            (lambdas[:, None] * smt).reshape(-1, p).T @ zk.reshape(-1, p)
         )
         g = np.concatenate((g, r[:, 0]), axis=1)
     hess -= (g * (scale * eta / rows)[:, None]).T @ g

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from survreport.estimate import MODEL_ONESAMPLE, fit
-from survreport.likelihood import build_c_matrix, loglik_and_gradient
+from survreport.likelihood import KernelRows, build_c_matrix, loglik_and_gradient
 from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
 from survreport.simulate import (
     DEFAULT_SEED,
@@ -177,13 +177,14 @@ class TestCriterion6GradientCorrectness:
     """Analytic gradients agree with central differences at interior points."""
 
     def _relerr(self, c, lambdas, beta, **kw):
-        _, g_lam, g_beta = loglik_and_gradient(c, lambdas, beta, **kw)
+        rows = KernelRows(c, **kw)
+        _, g_lam, g_beta = loglik_and_gradient(rows, lambdas, beta)
         nl = lambdas.size
         x0 = np.concatenate([lambdas, beta if beta is not None else []])
 
         def f(x):
             b = x[nl:] if beta is not None else None
-            return loglik_and_gradient(c, x[:nl], b, **kw)[0]
+            return loglik_and_gradient(rows, x[:nl], b)[0]
 
         num = central_difference_gradient(f, x0)
         ana = np.concatenate([g_lam, g_beta])
@@ -296,7 +297,7 @@ class TestCriterion8ReductionIdentities:
         z = np.array([[1.0], [0.5], [0.0], [1.5]])
 
         def loglik(beta, **kw):
-            return loglik_and_gradient(c, lambdas, beta, **kw)[0]
+            return loglik_and_gradient(KernelRows(c, **kw), lambdas, beta)[0]
 
         eta_gap = loglik(beta, z=z, eta=1.0) - loglik(beta, z=z)
         beta_gap = loglik(np.zeros(1), z=z) - loglik(None)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -292,6 +293,19 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         rows = read_rows(out1)
         assert len(rows) == 1
+
+    def test_null_effect_reports_nan_relative_bias(self, tmp_path):
+        # relative bias is undefined at beta = 0; it used to end the command
+        # in a ZeroDivisionError after every replicate was fitted
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({**self.SPEC, "beta_true": [0.0], "seed": 21}), encoding="utf-8")
+        out = tmp_path / "null.csv"
+        assert main(["simulate", str(path), "--analysis", "adjusted", "--out", str(out)]) == EXIT_OK
+        [row] = read_rows(out)
+        assert float(row["beta_true"]) == 0.0 and math.isnan(float(row["bias_pct"]))
+        assert int(row["n_converged"]) == 4
+        for key in ("mean_estimate", "empirical_sd", "mean_estimated_se", "rmse", "coverage_pct"):
+            assert math.isfinite(float(row[key])), key
 
     def test_bad_config(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survreport import likelihood as lik, panel
+from survreport import estimate, likelihood as lik, panel
 from survreport.estimate import (
     GAMMA_LOWER,
     GAMMA_UPPER,
@@ -33,7 +33,7 @@ from survreport.estimate import (
 from survreport.panel import PREDETERMINED, Dataset, ErrorModel, StudyGrid, SubjectPanel, build_dataset
 from survreport.simulate import benchmark_config, generate_dataset
 
-from oracles import npmle_grid_search, npmle_self_consistency, turnbull_intervals
+from oracles import central_difference_gradient, npmle_grid_search, npmle_self_consistency, turnbull_intervals
 
 
 def simulated(seed=0, phi1=0.75, phi0=0.9, s_end=0.5, eta=1.0, n=400):
@@ -113,36 +113,89 @@ class TestFitBasics:
         assert abs(res.beta[0]) < 1e-6
 
     def test_iterations_count_newton_steps(self, monkeypatch):
-        calls = []
-        hessian = lik._hessian
+        calls, factored = [], []
+        hessian, eigh = lik._hessian, np.linalg.eigh
 
         def counting_hessian(*args):
             calls.append(None)
             return hessian(*args)
 
+        def counting_eigh(h):
+            factored.append(sys._getframe(1).f_code.co_name)
+            return eigh(h)
+
         monkeypatch.setattr(lik, "_hessian", counting_hessian)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         res = fit(self.ds, self.em)
-        assert res.converged
+        assert res.converged and res.has_covariance
         assert res.iterations >= 1
-        # one Hessian per Newton step, plus one for the covariance
+        # one Hessian per accepted point, factored once there by the Newton
+        # loop, whose last factors give the covariance
         assert len(calls) == res.iterations + 1
+        assert factored == ["_newton"] * (res.iterations + 1)
         assert res.message == f"converged after {res.iterations} Newton step(s)"
-        stuck = fit(self.ds, self.em, grad_tol=0.0)
+        monkeypatch.setattr("survreport.estimate.GRAD_TOL", 0.0)
+        stuck = fit(self.ds, self.em)
         assert not stuck.converged
         assert stuck.message.startswith("not converged: stopped after")
         assert stuck.message.endswith(("because it reached the step limit", "because no step lowered the objective"))
         assert stuck.loglik >= res.loglik - 1e-9
 
-    @pytest.mark.parametrize("grad_tol", [-1.0, np.nan, np.inf])
-    def test_bad_grad_tol_is_rejected_before_any_work(self, monkeypatch, grad_tol):
-        # such a tolerance used to run every Newton step and end "not converged"
-        def started(*args, **kwargs):
-            raise AssertionError("the fit started")
+    def test_hessian_that_cannot_be_factored_gives_no_covariance(self, monkeypatch):
+        steps = fit(self.ds, self.em).iterations
+        eigh, factored = np.linalg.eigh, []
 
-        monkeypatch.setattr("survreport.estimate.validate", started)
-        monkeypatch.setattr(lik, "build_c_matrix", started)
-        with pytest.raises(ValueError, match="grad_tol must be finite and non-negative"):
-            fit(self.ds, self.em, grad_tol=grad_tol)
+        def failing_after(h):  # factors the first ``steps`` points only
+            factored.append(None)
+            if len(factored) > steps:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_after)
+        res = fit(self.ds, self.em)
+        assert res.converged and res.iterations == steps
+        assert not res.has_covariance and np.isnan(res.beta_se).all()
+        steps, factored[:] = 0, []  # the start cannot be factored: no step
+        res = fit(self.ds, self.em)
+        assert not res.converged and not res.has_covariance and res.iterations == 0
+        assert res.message == "not converged: stopped after 0 Newton step(s) because its Hessian could not be factored"
+
+    def test_working_hessian_and_covariance_match_central_differences(self, monkeypatch):
+        # fit's objective is the one place that takes the kernel's (lambda,
+        # beta) derivatives to the working parameters (log lambda, beta)
+        newton, started = estimate._newton, []
+
+        def recording(evaluate, x, J, grad_tol):
+            started.append((evaluate, x.copy()))
+            return newton(evaluate, x, J, grad_tol)
+
+        monkeypatch.setattr(estimate, "_newton", recording)
+        res = fit(self.ds, self.em)
+        [(evaluate, x0)] = started
+
+        def information(x):  # central differences of the working gradient
+            return np.array([central_difference_gradient(lambda y: evaluate(y)[1][k], x) for k in range(x.size)])
+
+        # at the start the gradient is far from 0, so the chain rule's
+        # diag(g_gamma) term counts
+        _, g, hessian = evaluate(x0)
+        assert np.abs(g[: res.gamma.size]).max() > 1.0
+        want = information(x0)
+        assert np.linalg.norm(hessian() - want) < 1e-7 * np.linalg.norm(want)
+        # at the estimate the covariance is the final factorization's inverse
+        assert res.has_covariance and res.frozen_intervals == ()
+        x = np.concatenate([res.gamma, res.beta])
+        assert np.linalg.norm(res.cov_working @ information(x) - np.eye(x.size)) < 1e-7
+
+    def test_frozen_intervals_are_the_zero_rows_of_the_covariance(self):
+        # interval 4 ends at gamma -17.5, far above GAMMA_LOWER, with no
+        # curvature: it is left out of the Newton system and the covariance
+        config = benchmark_config(0.61, 0.995, 0.9, n_replicates=20, seed=1)
+        res = fit(generate_dataset(config, 12), config.error_model, check_valid=False)
+        assert res.converged and res.has_covariance
+        assert res.gamma[3] == pytest.approx(-17.47, abs=0.01)
+        assert res.frozen_intervals == (4,)
+        assert tuple(np.flatnonzero(~res.cov_working.any(axis=1)) + 1) == (4,)
 
     @pytest.mark.parametrize("model", [MODEL_COV_FIXED, MODEL_COV_TIMEVARYING])
     def test_hessians_reuse_the_gradients_front_half(self, monkeypatch, model):
@@ -278,10 +331,12 @@ class TestFitBasics:
     def test_numerically_singular_information_gives_no_covariance(self):
         # the inverse of this matrix is ~1e15 times rounding noise
         h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        lambdas = np.array([0.5])
-        assert _covariances(h, 1, 1, lambdas, np.exp(-np.array([0.0, 0.5])), ()) == (None, None)
-        cov, _ = _covariances(h + np.eye(2), 1, 1, lambdas, np.exp(-np.array([0.0, 0.5])), ())
+        lambdas, survival, free = np.array([0.5]), np.exp(-np.array([0.0, 0.5])), np.ones(2, dtype=bool)
+        assert _covariances(free, *np.linalg.eigh(h), 1, 1, lambdas, survival) == (None, None)
+        cov, _ = _covariances(free, *np.linalg.eigh(h + np.eye(2)), 1, 1, lambdas, survival)
         assert np.allclose(cov, np.linalg.inv(h + np.eye(2)))
+        # a Hessian that could not be factored has none either
+        assert _covariances(free, None, None, 1, 1, lambdas, survival) == (None, None)
 
     def test_zero_visit_subject_fails_life_table_start(self):
         ds = build_dataset(
@@ -366,15 +421,16 @@ class TestInputGuards:
         assert fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING).converged
         assert made == []
 
-    def test_huge_se_saturates_hazard_ratio_limits(self):
+    def test_huge_se_saturates_hazard_ratio_limits(self, monkeypatch):
         # replicate 0 has a monotone likelihood: the fit walks up the flat
         # ridge in beta until the SE is ~500; at the default tolerance it
         # stops earlier (SE ~280) with a finite upper limit
         config = benchmark_config(1.0, 0.75, 0.9, n_replicates=2, seed=6)
         ds = generate_dataset(config, 0)
+        monkeypatch.setattr("survreport.estimate.GRAD_TOL", 1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = fit(ds, config.error_model, check_valid=False, grad_tol=1e-6)
+            result = fit(ds, config.error_model, check_valid=False)
         assert result.beta_se[0] > 100.0
         # the upper limit's exponent overflows a double
         assert result.beta[0] + _Z975 * result.beta_se[0] > np.log(np.finfo(float).max)

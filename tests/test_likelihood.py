@@ -7,7 +7,6 @@ from survreport.likelihood import (
     NonPositiveLikelihoodError,
     build_c_matrix,
     loglik_and_gradient,
-    loglik_hessian,
     survival_from_increments,
 )
 from survreport.panel import ADAPTIVE, PREDETERMINED, ErrorModel, SubjectPanel, build_dataset
@@ -42,9 +41,15 @@ def make_dataset(patterns, taus=None, covs=None, schedule=PREDETERMINED):
     return ds
 
 
+def kernel(c, lambdas, beta=None, hessian=False, **kw):
+    """The single kernel on raw arrays: ``kw`` (z, z_intervals, eta,
+    weights) prepared as kernel rows."""
+    return loglik_and_gradient(KernelRows(c, **kw), lambdas, beta, hessian=hessian)
+
+
 def loglik(c, lambdas, beta=None, **kw):
     """Value of the single kernel."""
-    return loglik_and_gradient(c, lambdas, beta, **kw)[0]
+    return kernel(c, lambdas, beta, **kw)[0]
 
 
 def increments_of_survival(s):
@@ -302,7 +307,7 @@ class TestLoglikVariants:
             loglik(c, lambdas)
         assert err.value.row == 1
         with pytest.raises(NonPositiveLikelihoodError) as err:
-            loglik_hessian(c, lambdas, None)
+            kernel(c, lambdas, None, hessian=True)
         assert err.value.row == 1
 
     def test_weights_equal_replication(self):
@@ -350,17 +355,9 @@ class TestReductions:
         with pytest.raises(ValueError, match="lambdas must be finite"):
             loglik(self.c, np.full(self.lambdas.size, bad), [0.0], z=self.z)
         with pytest.raises(ValueError, match="lambdas must be finite"):
-            loglik_hessian(self.c, np.append(self.lambdas[1:], bad), [0.0], z=self.z)
+            kernel(self.c, np.append(self.lambdas[1:], bad), [0.0], hessian=True, z=self.z)
         with pytest.raises(ValueError, match="beta must be finite"):
             loglik(self.c, self.lambdas, [bad], z=self.z)
-
-    @pytest.mark.parametrize("extra", [{"z": np.zeros((3, 1))}, {"z_intervals": np.zeros((3, 2, 1))},
-                                       {"eta": 0.9}, {"weights": np.ones(3)}])
-    def test_prepared_rows_take_no_second_copy_of_their_arguments(self, extra):
-        rows = KernelRows(self.c, z=self.z)
-        assert loglik(rows, self.lambdas, [0.6]) == loglik(self.c, self.lambdas, [0.6], z=self.z)
-        with pytest.raises(ValueError, match="prepared kernel rows carry their own"):
-            loglik(rows, self.lambdas, [0.6], **extra)
 
     def test_nan_row_is_non_positive(self):
         c = self.c.copy()
@@ -382,7 +379,8 @@ class TestClampBoundary:
         # 0.3 and 0.6 at the clamp, so that its derivatives do not vanish
         lambdas = np.array([0.3, 0.6]) * np.exp(-np.sign(z) * LINEAR_PREDICTOR_CLAMP)
         kw = {"z_intervals": np.full((1, 2, 1), z)} if time_varying else {"z": np.full((1, 1), z)}
-        return (*loglik_and_gradient(self.c, lambdas, self.beta, **kw), loglik_hessian(self.c, lambdas, self.beta, **kw))
+        *point, hessian = kernel(self.c, lambdas, self.beta, hessian=True, **kw)
+        return (*point, hessian())
 
     @pytest.mark.parametrize("time_varying", [False, True])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -399,13 +397,14 @@ class TestClampBoundary:
 
 class TestGradient:
     def _check(self, c, lambdas, beta, **kw):
-        ll, g_lam, g_beta = loglik_and_gradient(c, lambdas, beta, **kw)
+        rows = KernelRows(c, **kw)
+        ll, g_lam, g_beta = loglik_and_gradient(rows, lambdas, beta)
         x0 = np.concatenate([lambdas, beta if beta is not None else []])
         nl = lambdas.size
 
         def f(x):
             b = x[nl:] if beta is not None else None
-            return loglik_and_gradient(c, x[:nl], b, **kw)[0]
+            return loglik_and_gradient(rows, x[:nl], b)[0]
 
         num = central_difference_gradient(f, x0)
         ana = np.concatenate([g_lam, g_beta])
@@ -467,10 +466,10 @@ class TestGradient:
         lam = rng.uniform(0.1, 1.0, 2)
         beta = rng.normal(size=1)
         w = np.array([3.0, 2.0])
-        ll_w, gl_w, gb_w = loglik_and_gradient(c, lam, beta, z=z, weights=w)
+        ll_w, gl_w, gb_w = kernel(c, lam, beta, z=z, weights=w)
         c_rep = np.vstack([c[0], c[0], c[0], c[1], c[1]])
         z_rep = np.vstack([z[0], z[0], z[0], z[1], z[1]])
-        ll_r, gl_r, gb_r = loglik_and_gradient(c_rep, lam, beta, z=z_rep)
+        ll_r, gl_r, gb_r = kernel(c_rep, lam, beta, z=z_rep)
         assert ll_w == pytest.approx(ll_r, abs=1e-12)
         assert np.allclose(gl_w, gl_r, atol=1e-12)
         assert np.allclose(gb_w, gb_r, atol=1e-12)

@@ -458,6 +458,24 @@ class TestScenarioSerialization:
         assert config.seed == DEFAULT_SEED
         assert config.covariate_gen is None
 
+    @pytest.mark.parametrize("beta_true, covariate_gen, width", [
+        ([1.0, 0.5], {"kind": "bernoulli", "p": 0.5}, 1),
+        ([1.0], {"kind": "table", "table": [[0.0, 1.0], [1.0, 0.0]]}, 2),
+        ([1.0], None, 0),
+    ])
+    def test_beta_of_the_wrong_width_is_rejected_by_name(self, beta_true, covariate_gen, width):
+        # a two-value beta with the one-column bernoulli generator used to
+        # fail inside numpy's matmul when the first replicate was drawn
+        spec = {**self.spec(), "beta_true": beta_true, "covariate_gen": covariate_gen}
+        with pytest.raises(ValueError, match=rf"^beta_true has {len(beta_true)} value\(s\) for {width} generated"):
+            scenario_from_dict(spec)
+        assert scenario_from_dict({**spec, "beta_true": [0.5] * width}).beta_true == (0.5,) * width
+
+    def test_table_rows_of_different_lengths_are_rejected(self):
+        spec = {**self.spec(), "beta_true": [1.0], "covariate_gen": {"kind": "table", "table": [[0.0], [1.0, 2.0]]}}
+        with pytest.raises(ValueError, match="rows of one length"):
+            scenario_from_dict(spec)
+
     def test_missing_key(self):
         spec = self.spec()
         del spec["event_dist"]
