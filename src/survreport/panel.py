@@ -16,6 +16,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter
 
@@ -134,24 +135,26 @@ class Dataset:
     - ``covariate_paths``, every subject's covariates in long form
       ``(rows, times, values)`` in subject then time order: point k, of
       the path of subject ``rows[k]``, holds the (P,) vector ``values[k]``
-      measured at ``times[k]``; a time-fixed vector is one point at time 0;
-    - ``violations``, every broken structural invariant (see :func:`validate`).
+      measured at ``times[k]``; a time-fixed vector is one point at time 0.
 
-    :meth:`from_arrays` sets the arrays and makes ``subjects`` from them
-    when it is read.  ``Dataset(subjects, grid, ...)`` keeps its
-    :class:`SubjectPanel` objects and makes the arrays from them in one walk
-    (:func:`_flatten`) when one is first read.  Equality and the hash read
-    the arrays (the panels if those cannot be made), alike in both forms.
+    ``Dataset(subjects, grid, ...)`` makes the arrays from its
+    :class:`SubjectPanel` objects in one walk (:func:`_flatten`) and keeps
+    no panel; :meth:`from_arrays` takes them as arrays.  Either raises
+    :class:`PanelValidationError` listing every broken rule of
+    :data:`_RULES`, so a dataset that exists is valid.  ``subjects``, the
+    panels, is made from the arrays when first read.  Equality and the
+    hash read the arrays.
     """
 
-    subjects: Sequence[SubjectPanel]
     grid: StudyGrid
     covariate_names: tuple[str, ...] = ()
     schedule: str = ADAPTIVE
 
-    def __post_init__(self):
-        subjects = tuple(self.subjects)
-        self._hold(tuple(map(attrgetter("subject_id"), subjects)), subjects=subjects)
+    def __init__(self, subjects: Sequence[SubjectPanel], grid: StudyGrid, covariate_names=(),
+                 schedule: str = ADAPTIVE):
+        subjects = tuple(subjects)
+        self._hold(tuple(map(attrgetter("subject_id"), subjects)), grid, covariate_names, schedule)
+        self._keep(*_flatten(self, subjects))
 
     @classmethod
     def from_arrays(cls, subject_ids, reports, grid: StudyGrid, covariates=None, covariate_names=(),
@@ -161,10 +164,9 @@ class Dataset:
         ``paths``, ``(rows, times, values)`` ordered by row then time, gives
         each subject in ``rows`` a covariate path in place of its row of
         ``covariates``; it is ``None`` when no subject has a path.
-        ``violations``, when given, is what :func:`validate` returns, from
-        checks the caller made that found the ids distinct (a reader passes
-        ``()``).  The result equals the same subjects passed through
-        :func:`build_dataset`.
+        ``violations``, when given, is what the caller's own checks found,
+        distinct ids included (a reader passes ``()``).  The result equals
+        the same subjects passed through :func:`build_dataset`.
         """
         ids, names, reports = tuple(subject_ids), tuple(covariate_names), np.asarray(reports)
         # checked before the cast, which would wrap 257 to 1 and truncate 0.7 to 0
@@ -188,56 +190,68 @@ class Dataset:
         if paths is not None:  # merged into subject order
             order = np.argsort(np.concatenate((first, rows)), kind="stable")
             long_form = tuple(np.concatenate(a)[order] for a in zip(long_form, (rows, times, values)))
-        reports.flags.writeable = z.flags.writeable = False
         dataset = cls.__new__(cls)
-        vars(dataset).update(grid=grid, covariate_names=names, schedule=schedule)
-        dataset._hold(
-            ids,
-            reports=reports,
-            covariates=z if fixed.all() or not names else None,
-            covariate_paths=long_form,
-            _fixed=fixed,
-            **({} if violations is None else {"violations": tuple(violations)}),
-        )
+        dataset._hold(ids, grid, names, schedule, distinct=violations is None)
+        dataset._keep(reports, long_form, fixed)
+        if violations is None:  # every vector is P long, but a path time may not be finite
+            point_rows, point_times = long_form[:2]
+            widths = point_rows, np.full(point_rows.size, len(names)), point_times
+            violations = _violations(ids, dataset.visits, None, schedule, widths, len(names))
+        if violations:
+            raise PanelValidationError(violations)
         return dataset
 
-    def _hold(self, ids, **members):
-        """Check the schedule and, unless ``members`` holds the violations
-        the caller found, that the ids are distinct; set them and ``members``."""
-        if self.schedule not in _SCHEDULES:
+    def _hold(self, ids, grid, names, schedule, distinct=True):
+        """Check the schedule, that there are ``ids`` and, if ``distinct``,
+        that none repeats; set them, the grid, names and schedule."""
+        if schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
         if not ids:
             raise ValueError("dataset needs at least one subject")
-        if "violations" not in members and len(set(ids)) < len(ids):
+        if distinct and len(set(ids)) < len(ids):
             seen = set()
             raise ValueError(f"subject {next(s for s in ids if s in seen or seen.add(s))} appears twice")
-        vars(self).update(members, ids=ids, covariate_names=tuple(self.covariate_names))
+        vars(self).update(ids=ids, grid=grid, covariate_names=tuple(names), schedule=schedule)
 
-    def __getattr__(self, name):
-        # made when first read, and kept: the arrays of a dataset made from
-        # panels, the panels of one made from arrays, or its violations;
-        # ``_errors`` holds what reading one that cannot be made raises
-        members = vars(self)
-        if name in _FLATTENED and "_fixed" not in members:
-            members.update(_flatten(self))
-        elif name == "subjects":
-            members[name] = _panels(self)
-        elif name == "violations":
-            members[name] = tuple(_violations(self.ids, self.visits, None, self.schedule))
-        if name not in members:
-            raise members.get("_errors", {}).get(name) or AttributeError(f"'Dataset' object has no attribute {name!r}")
-        return members[name]
+    def _keep(self, reports, long_form, fixed):
+        """Set the arrays, read-only; the covariate matrix is the long form's
+        values when every subject has one time-fixed vector."""
+        for a in (reports, *long_form):
+            a.flags.writeable = False
+        covariates = long_form[2] if fixed.all() else None
+        vars(self).update(reports=reports, covariate_paths=long_form, _fixed=fixed,
+                          covariates=covariates if self.covariate_names else np.empty((self.n, 0)))
 
-    def _key(self):  # the arrays, or the panels of a dataset whose arrays cannot be made
-        head = (self.ids, self.grid, self.covariate_names, self.schedule, self._fixed.tobytes())
-        rest = (self.subjects,) if vars(self).get("_errors") else (a.tobytes() for a in (self.reports, *self.covariate_paths))
-        return (*head, *rest)
+    @cached_property
+    def subjects(self) -> tuple[SubjectPanel, ...]:
+        """The :class:`SubjectPanel` of each subject, made from the arrays."""
+        reports, taus, fixed = self.reports, self.grid.taus, self._fixed.tolist()
+        rows, times, values = self.covariate_paths
+        times, vectors = times.tolist(), list(map(tuple, values.tolist()))
+        bounds = np.searchsorted(rows, np.arange(self.n + 1)).tolist()  # of each subject's points
+        return tuple(
+            SubjectPanel(
+                sid, tuple(compress(taus, k)), tuple(compress(r, k)),
+                vectors[a] if f else None, None if f or a == b else tuple(zip(times[a:b], vectors[a:b])),
+            )
+            for sid, r, k, f, a, b in zip(
+                self.ids, reports.tolist(), (reports >= 0).tolist(), fixed, bounds, bounds[1:]
+            )
+        )
+
+    def _key(self):
+        head = (self.ids, self.grid, self.covariate_names, self.schedule)
+        return (*head, *(a.tobytes() for a in (self._fixed, self.reports, *self.covariate_paths)))
 
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, Dataset) else NotImplemented
 
     def __hash__(self):
         return hash(self._key())
+
+    def __repr__(self):
+        return (f"Dataset(n={self.n}, J={self.grid.J}, covariate_names={self.covariate_names!r}, "
+                f"schedule={self.schedule!r})")
 
     @property
     def n(self) -> int:
@@ -261,19 +275,16 @@ class Dataset:
         return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
 
 
-_FLATTENED = ("reports", "covariates", "covariate_paths", "_fixed", "violations")
-
-
-def _flatten(dataset) -> dict:
-    """The arrays of ``Dataset(subjects, ...)`` (see :data:`_FLATTENED`) in
-    one walk of its panels, each covariate path iterated once; the only
-    code that reads a panel's visits or covariates.  ``_errors`` holds the
-    error ``reports`` raises for a visit off the grid or out of order, and
-    the covariates' for a vector whose length is not P."""
+def _flatten(dataset, subjects) -> tuple:
+    """The report matrix, covariates in long form and time-fixed flags of
+    ``subjects``, the panels of ``dataset``, in one walk, each covariate
+    path iterated once; the only code that reads a panel's visits or
+    covariates.  Raises :class:`PanelValidationError` listing every broken
+    rule of :data:`_RULES`."""
     ids, n, p = dataset.ids, dataset.n, dataset.n_covariates
     taus = np.asarray(dataset.grid.taus, dtype=float)
-    fields = attrgetter("times", "results", "covariates", "covariate_path")
-    times, results, vectors, paths = zip(*map(fields, dataset.subjects))
+    fields = ("times", "results", "covariates", "covariate_path")  # a list each: a tuple per subject costs collections
+    times, results, vectors, paths = (list(map(attrgetter(f), subjects)) for f in fields)
     rows = np.repeat(np.arange(n), np.fromiter(map(len, times), np.intp, n))
     times = np.fromiter(chain.from_iterable(times), float, rows.size)
     results = np.fromiter(chain.from_iterable(results), np.int8, rows.size)
@@ -285,52 +296,12 @@ def _flatten(dataset) -> dict:
     cols = np.searchsorted(taus, times)
     off = taus[np.minimum(cols, taus.size - 1)] != times
     violations = _violations(ids, (rows, times, results), off, dataset.schedule, (point_rows, widths, point_times), p)
-
-    # each cell takes one visit: a repeated or out-of-order time would
-    # silently overwrite (or reorder) a subject's reports
-    unordered = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
-    fixed = np.fromiter((v is not None for v in vectors), bool, n)
-    errors = {}
-    made = {"_fixed": fixed, "violations": tuple(violations), "_errors": errors}
-    if off.any():
-        errors["reports"] = KeyError(f"visit time {float(times[np.argmax(off)])!r} is not a grid point")
-    elif unordered.any():
-        sid = ids[rows[1:][np.argmax(unordered)]]
-        errors["reports"] = ValueError(f"subject {sid}: visit times not strictly increasing")
-    else:
-        reports = made["reports"] = np.full((n, taus.size), -1, dtype=np.int8)
-        reports[rows, cols] = results
-        reports.flags.writeable = False
-    wrong = widths != p
-    if wrong.any():
-        sid = ids[point_rows[np.argmax(wrong)]]
-        errors["covariates"] = errors["covariate_paths"] = ValueError(f"subject {sid}: covariate length mismatch")
-    else:
-        values = np.fromiter(chain.from_iterable(v for _, v in points), float, int(widths.sum()))
-        values = values.reshape(len(points), p)
-        values.flags.writeable = False
-        made["covariate_paths"] = point_rows, point_times, values
-        made["covariates"] = values if fixed.all() else None
-    if not p:  # the one-sample model reads no covariates
-        made["covariates"] = np.empty((n, 0))
-    return made
-
-
-def _panels(dataset) -> tuple[SubjectPanel, ...]:
-    """The :class:`SubjectPanel` objects of a dataset made from arrays."""
-    reports, taus, fixed = dataset.reports, dataset.grid.taus, dataset._fixed.tolist()
-    rows, times, values = dataset.covariate_paths
-    times, vectors = times.tolist(), list(map(tuple, values.tolist()))
-    bounds = np.searchsorted(rows, np.arange(dataset.n + 1)).tolist()  # of each subject's points
-    return tuple(
-        SubjectPanel(
-            sid, tuple(compress(taus, k)), tuple(compress(r, k)),
-            vectors[a] if f else None, None if f or a == b else tuple(zip(times[a:b], vectors[a:b])),
-        )
-        for sid, r, k, f, a, b in zip(
-            dataset.ids, reports.tolist(), (reports >= 0).tolist(), fixed, bounds, bounds[1:]
-        )
-    )
+    if violations:  # then a visit may be off the grid, or a vector not P long
+        raise PanelValidationError(violations)
+    reports = np.full((n, taus.size), -1, dtype=np.int8)
+    reports[rows, cols] = results
+    values = np.fromiter(chain.from_iterable(v for _, v in points), float, len(points) * p).reshape(len(points), p)
+    return reports, (point_rows, point_times, values), np.fromiter((v is not None for v in vectors), bool, n)
 
 
 @dataclass(frozen=True)
@@ -358,11 +329,8 @@ def round_to_granularity(time: float, granularity: float) -> float:
 
 
 def build_dataset(subjects, covariate_names=(), schedule: str = ADAPTIVE) -> Dataset:
-    """Assemble a Dataset on the sorted distinct visit times of ``subjects``.
-
-    The result is not validated; call :func:`validate` to obtain the list
-    of invariant violations.
-    """
+    """The :class:`Dataset` of ``subjects`` on the sorted distinct times of
+    their visits; it raises :class:`PanelValidationError` as ``Dataset`` does."""
     subjects = tuple(subjects)
     taus = tuple(sorted(set(chain.from_iterable(s.times for s in subjects))))
     if not taus:
@@ -383,13 +351,9 @@ _RULES = (
 )
 
 
-def validate(dataset: Dataset) -> list[Violation]:
-    """Check every structural invariant; violations are data, not errors.
-
-    The checks are array reductions over the dataset's visits and
-    covariate vectors in long form, made once per dataset.
-    """
-    return list(dataset.violations)
+def validate(dataset: Dataset) -> list[Violation]:  # a name perfbench/spans.py wraps
+    """The violations of a dataset: none, since making one checks them all."""
+    return []
 
 
 def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]:
@@ -594,7 +558,7 @@ def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, roundin
     (``subject_id,cov1,...``, one row per subject) gives the time-fixed
     covariates of a panel file with none.  Either file is read cell by cell
     only if :func:`_read_array` declines it, to the same dataset or error.
-    The dataset's :func:`validate` checks have been run.
+    A file that breaks a rule of :data:`_RULES` raises :class:`PanelValidationError`.
     """
     read = _read_array(path, ("subject_id", "time", "result"))
     if read is None:

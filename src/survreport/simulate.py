@@ -176,7 +176,7 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     kept = reports >= 0
     rows = np.flatnonzero(kept.any(axis=0))
     cols = np.flatnonzero(kept.any(axis=1))
-    # the ids are distinct and every rule of validate holds by construction
+    # the ids are distinct and every structural rule holds by construction
     return Dataset.from_arrays(
         np.add(f"s{replicate_index}_", _id_digits(n)[rows]).tolist(),
         (reports[:, rows] if cols.size == len(reports) else reports[np.ix_(cols, rows)]).T,
@@ -219,7 +219,7 @@ def run_scenario(config: ScenarioConfig, analysis: str = ADJUSTED) -> ScenarioSu
     estimates, ses = [], []
     for rep in range(config.n_replicates):
         dataset = generate_dataset(config, rep)
-        result = estimate.fit(dataset, assumed, estimate.MODEL_COV_FIXED, check_valid=False)
+        result = estimate.fit(dataset, assumed, estimate.MODEL_COV_FIXED)
         if result.converged and result.has_covariance and np.isfinite(result.beta_se[0]):
             estimates.append(float(result.beta[0]))
             ses.append(float(result.beta_se[0]))

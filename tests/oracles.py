@@ -232,14 +232,14 @@ def apply_rounding(subject, granularity: float):
     return dataclasses.replace(subject, times=times, results=tuple(merged[t] for t in times), covariate_path=path)
 
 
-def validate_by_subject(dataset):
-    """Structural violations of a dataset, found by walking its subjects one
-    by one: ``(subject_id, rule, detail)`` in subject then rule order, and
-    only "zero visits" for a subject without visits."""
+def validate_by_subject(subjects, grid, p, schedule):
+    """Structural violations of a dataset of ``subjects`` on ``grid`` with
+    ``p`` covariates, found by walking the subjects one by one:
+    ``(subject_id, rule, detail)`` in subject then rule order, and only
+    "zero visits" for a subject without visits."""
     out = []
-    grid_times = set(dataset.grid.taus)
-    p = dataset.n_covariates
-    for s in dataset.subjects:
+    grid_times = set(grid.taus)
+    for s in subjects:
         sid = s.subject_id
         if not s.times:
             out.append((sid, "zero visits", ""))
@@ -251,7 +251,7 @@ def validate_by_subject(dataset):
         off = [t for t in s.times if t not in grid_times]
         if off:
             out.append((sid, "off-grid visit time", f"times {off}"))
-        if dataset.schedule == "adaptive":
+        if schedule == "adaptive":
             positives = [k for k, r in enumerate(s.results) if r == 1]
             if len(positives) > 1:
                 out.append((sid, "multiple positive results", ""))

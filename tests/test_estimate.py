@@ -191,7 +191,7 @@ class TestFitBasics:
         # interval 4 ends at gamma -17.5, far above GAMMA_LOWER, with no
         # curvature: it is left out of the Newton system and the covariance
         config = benchmark_config(0.61, 0.995, 0.9, n_replicates=20, seed=1)
-        res = fit(generate_dataset(config, 12), config.error_model, check_valid=False)
+        res = fit(generate_dataset(config, 12), config.error_model)
         assert res.converged and res.has_covariance
         assert res.gamma[3] == pytest.approx(-17.47, abs=0.01)
         assert res.frozen_intervals == (4,)
@@ -339,21 +339,21 @@ class TestFitBasics:
         assert _covariances(free, None, None, 1, 1, lambdas, survival) == (None, None)
 
     def test_zero_visit_subject_fails_life_table_start(self):
-        ds = build_dataset(
-            [SubjectPanel("a", (1.0, 2.0), (0, 1)), SubjectPanel("b", (), ())],
-        )
+        with pytest.raises(panel.PanelValidationError, match="b: zero visits"):
+            build_dataset([SubjectPanel("a", (1.0, 2.0), (0, 1)), SubjectPanel("b", (), ())])
+        # the start's own check, on a dataset whose maker vouched for it
+        ds = Dataset.from_arrays(["a", "b"], [[0, 1], [-1, -1]], StudyGrid((1.0, 2.0)), violations=())
         with pytest.raises(ValueError, match="subject b has no visits"):
-            fit(ds, self.em, check_valid=False)
+            fit(ds, self.em)
 
     def test_bad_model_name(self):
         with pytest.raises(ValueError):
             fit(self.ds, self.em, "cox")
 
-    def test_default_fit_validates_in_memory_dataset(self):
+    def test_in_memory_dataset_is_validated_when_made(self):
         # on the adaptive schedule a positive report must be the last visit
-        ds = build_dataset([SubjectPanel("a", (1.0, 2.0), (1, 0)), SubjectPanel("b", (1.0, 2.0), (0, 1))])
         with pytest.raises(panel.PanelValidationError, match="a: positive not terminal"):
-            fit(ds, self.em)
+            build_dataset([SubjectPanel("a", (1.0, 2.0), (1, 0)), SubjectPanel("b", (1.0, 2.0), (0, 1))])
 
     def test_eta_below_one_changes_fit(self):
         _, ds = simulated(seed=9, phi1=0.61, phi0=0.995, s_end=0.9, eta=0.93)
@@ -430,7 +430,7 @@ class TestInputGuards:
         monkeypatch.setattr("survreport.estimate.GRAD_TOL", 1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = fit(ds, config.error_model, check_valid=False)
+            result = fit(ds, config.error_model)
         assert result.beta_se[0] > 100.0
         # the upper limit's exponent overflows a double
         assert result.beta[0] + _Z975 * result.beta_se[0] > np.log(np.finfo(float).max)
@@ -524,17 +524,20 @@ class TestTimeVarying:
         # of them: the measurement would silently never be in effect
         fine = SubjectPanel("b", (1.0, 2.0), (0, 0), covariate_path=((0.0, (2.0,)),))
         s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((0.0, (1.0,)), (bad, (5.0,))))
-        ds = build_dataset([fine, s], covariate_names=("x",))
-        assert [(v.subject_id, v.rule) for v in panel.validate(ds)] == [("a", "non-finite covariate path time")]
-        with pytest.raises(ModelSpecError, match="subject a has a non-finite covariate path time"):
-            interval_covariates(ds)
+        with pytest.raises(panel.PanelValidationError) as raised:
+            build_dataset([fine, s], covariate_names=("x",))
+        assert [(v.subject_id, v.rule) for v in raised.value.violations] == [("a", "non-finite covariate path time")]
+        arrays = ["b", "a"], [[0, 0], [0, 0]], StudyGrid((1.0, 2.0)), [[2.0], [1.0]], ("x",)
+        paths = [0, 1, 1], [0.0, 0.0, bad], [[2.0], [1.0], [5.0]]
         with pytest.raises(panel.PanelValidationError, match="a: non-finite covariate path time"):
-            fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING)
+            Dataset.from_arrays(*arrays, paths=paths)
+        # interval_covariates' own check, on a dataset whose maker vouched for it
+        with pytest.raises(ModelSpecError, match="subject a has a non-finite covariate path time"):
+            interval_covariates(Dataset.from_arrays(*arrays, paths=paths, violations=()))
 
     def test_negative_path_time_is_legal(self):
         s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((-1.0, (1.0,)), (1.0, (5.0,))))
-        ds = build_dataset([s], covariate_names=("x",))
-        assert panel.validate(ds) == []
+        ds = build_dataset([s], covariate_names=("x",))  # made, so valid
         assert interval_covariates(ds)[0, :, 0].tolist() == [1.0, 5.0]
 
     def test_constant_path_matches_fixed_fit(self):

@@ -1,8 +1,10 @@
+import gc
 import importlib.util
 import math
 import re
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +133,18 @@ class TestValidate:
     def grid(self):
         return StudyGrid((1.0, 2.0, 3.0))
 
+    def violations(self, subjects, **kwargs):
+        """The violations that making the dataset of ``subjects`` raises."""
+        with pytest.raises(PanelValidationError) as raised:
+            Dataset(tuple(subjects), self.grid(), **kwargs)
+        return raised.value.violations
+
     def test_clean_dataset_empty_report(self):
         ds = Dataset((subj("a", [1.0, 2.0], [0, 1]),), self.grid())
         assert validate(ds) == []
 
     def test_positive_not_terminal(self):
-        ds = Dataset((subj("a", [1.0, 2.0], [1, 0]),), self.grid())
-        rules = [v.rule for v in validate(ds)]
+        rules = [v.rule for v in self.violations([subj("a", [1.0, 2.0], [1, 0])])]
         assert "positive not terminal" in rules
 
     def test_predetermined_allows_inconsistent_patterns(self):
@@ -145,24 +152,19 @@ class TestValidate:
         assert validate(ds) == []
 
     def test_off_grid_visit(self):
-        ds = Dataset((subj("a", [2.5], [0]),), self.grid())
-        assert any(v.rule == "off-grid visit time" for v in validate(ds))
+        assert any(v.rule == "off-grid visit time" for v in self.violations([subj("a", [2.5], [0])]))
 
     def test_zero_visits(self):
-        ds = Dataset((subj("a", [1.0], [0]), subj("b", [], [])), self.grid())
-        assert any(v.rule == "zero visits" and v.subject_id == "b" for v in validate(ds))
+        violations = self.violations([subj("a", [1.0], [0]), subj("b", [], [])])
+        assert any(v.rule == "zero visits" and v.subject_id == "b" for v in violations)
 
     def test_non_increasing_times(self):
-        ds = Dataset((subj("a", [2.0, 1.0], [0, 0]),), self.grid())
-        assert any(v.rule == "visit times not strictly increasing" for v in validate(ds))
+        violations = self.violations([subj("a", [2.0, 1.0], [0, 0])])
+        assert any(v.rule == "visit times not strictly increasing" for v in violations)
 
     def test_covariate_length_mismatch(self):
-        ds = Dataset(
-            (subj("a", [1.0], [0], cov=(1.0, 2.0)),),
-            self.grid(),
-            covariate_names=("x",),
-        )
-        assert any(v.rule == "covariate length mismatch" for v in validate(ds))
+        violations = self.violations([subj("a", [1.0], [0], cov=(1.0, 2.0))], covariate_names=("x",))
+        assert any(v.rule == "covariate length mismatch" for v in violations)
 
     def test_report_matrix(self):
         ds = Dataset((subj("a", [1.0, 3.0], [0, 1]), subj("b", [2.0], [0])), self.grid())
@@ -173,32 +175,29 @@ class TestValidate:
             ds.reports[0, 0] = 1
 
     def test_report_matrix_off_grid_time(self):
-        ds = Dataset((subj("a", [2.5], [0]),), self.grid())
-        with pytest.raises(KeyError, match="2.5"):
-            ds.reports
+        with pytest.raises(PanelValidationError, match=r"a: off-grid visit time \(times \[2.5\]\)"):
+            Dataset((subj("a", [2.5], [0]),), self.grid())
 
     @pytest.mark.parametrize("times", [[2.0, 2.0], [3.0, 1.0]])
     def test_report_matrix_rejects_repeated_or_unordered_visits(self, times):
-        ds = Dataset((subj("a", [1.0], [0]), subj("b", times, [0, 0])), self.grid())
-        with pytest.raises(ValueError, match="subject b"):
-            ds.reports
+        with pytest.raises(PanelValidationError, match="b: visit times not strictly increasing"):
+            Dataset((subj("a", [1.0], [0]), subj("b", times, [0, 0])), self.grid())
 
-    def test_unmade_arrays_raise_on_every_read(self):
-        ds = Dataset((subj("a", [2.0, 1.0], [0, 0], cov=(1.0, 2.0)),), self.grid(), covariate_names=("x",))
-        assert [v.rule for v in validate(ds)] == ["visit times not strictly increasing", "covariate length mismatch"]
+    def test_every_violation_raises_each_time_the_dataset_is_made(self):
+        subjects = [subj("a", [2.0, 1.0], [0, 0], cov=(1.0, 2.0))]
         for _ in range(2):
-            with pytest.raises(ValueError, match="subject a: visit times not strictly increasing"):
-                ds.reports
-            for member in ("covariates", "covariate_paths"):
-                with pytest.raises(ValueError, match="subject a: covariate length mismatch"):
-                    getattr(ds, member)
+            violations = self.violations(subjects, covariate_names=("x",))
+            assert [v.rule for v in violations] == ["visit times not strictly increasing", "covariate length mismatch"]
+            assert [str(v) for v in violations] == [
+                "a: visit times not strictly increasing", "a: covariate length mismatch (expected 1, got 2)"]
 
-    def test_dataset_whose_arrays_cannot_be_made_compares_by_panels(self):
+    def test_unmakeable_datasets_raise_alike(self):
         def made(*times):
-            return Dataset((subj("a", times, [0] * len(times)),), self.grid())
+            return self.violations([subj("a", times, [0] * len(times))])
 
-        assert made(2.0, 1.0) == made(2.0, 1.0) and hash(made(2.0, 1.0)) == hash(made(2.0, 1.0))
-        assert made(2.0, 1.0) != made(2.0, 0.5) and made(2.0, 1.0) != made(1.0, 2.0)
+        assert made(2.0, 1.0) == made(2.0, 1.0)
+        assert made(2.0, 1.0) != made(2.0, 0.5)
+        assert Dataset((subj("a", (1.0, 2.0), [0, 0]),), self.grid()).n == 1  # in time order it is made
 
     def test_datasets_differing_in_one_member_are_unequal(self):
         a, b = subj("a", [1.0, 2.0], [0, 1], cov=(1.0,)), subj("b", [1.0], [0], cov=(2.0,))
@@ -282,11 +281,34 @@ class TestValidate:
             for sid, x in (("a", 0.5), ("b", 1.5))
         ]
         ds = build_dataset(subjects, covariate_names=("x",))
-        for member in ("n", "visits", "reports", "covariate_paths", "violations"):
+        for member in ("n", "visits", "reports", "covariate_paths"):
             getattr(ds, member)
         assert ds.covariates is None and ds.vectorless_subject_id() == "a" and ds.subject_id(1) == "b"
-        assert fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING, check_valid=False).beta.size == 1
+        assert fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING).beta.size == 1
         assert len(walks) == len(subjects)
+
+
+class TestMadeDataset:
+    def test_keeps_no_panel(self):
+        def panels():
+            return [subj("a", [1.0, 3.0], [0, 1], cov=(1.5,)), subj("b", [2.0], [0], cov=(-2.0,))]
+
+        given = panels()
+        ref = weakref.ref(given[0])
+        ds = build_dataset(given, covariate_names=("x",))
+        del given
+        gc.collect()
+        assert ref() is None
+        assert ds.subjects == tuple(panels())
+        grid = StudyGrid((1.0, 2.0, 3.0))
+        assert ds.grid == grid
+        assert ds == Dataset.from_arrays(["a", "b"], [[0, -1, 1], [-1, 0, -1]], grid, [[1.5], [-2.0]], ("x",))
+
+    def test_repr_names_the_shape_and_makes_no_panel(self):
+        ds = Dataset.from_arrays(["a", "b"], [[0, -1, 1], [-1, 0, -1]], StudyGrid((1.0, 2.0, 3.0)),
+                                 [[1.5, 0.0], [-2.0, 1.0]], ("x", "y"), PREDETERMINED)
+        assert repr(ds) == "Dataset(n=2, J=3, covariate_names=('x', 'y'), schedule='predetermined')"
+        assert "subjects" not in vars(ds)
 
 
 class TestReadPanelCsv(object):
@@ -581,7 +603,8 @@ class TestPlainAndCellReaders:
         s = read_panel_csv(path).dataset.subjects[0]
         assert s.times == (10.0,) and s.covariates == (25.0,)
 
-    def test_reader_checks_are_not_repeated(self, tmp_path):
+    def test_reader_checks_are_not_repeated(self, tmp_path, monkeypatch):
+        calls, check = [], panel._violations
+        monkeypatch.setattr(panel, "_violations", lambda *args: calls.append(args) or check(*args))
         loaded = read_panel_csv(self.write(tmp_path, PLAIN))
-        assert loaded.dataset.__dict__["violations"] == ()
-        assert validate(loaded.dataset) == []
+        assert len(calls) == 1 and validate(loaded.dataset) == []

@@ -44,11 +44,11 @@ from survreport.panel import (
     PREDETERMINED,
     Dataset,
     ErrorModel,
+    PanelValidationError,
     StudyGrid,
     SubjectPanel,
     build_dataset,
     read_panel_csv,
-    validate,
 )
 
 from oracles import (
@@ -476,9 +476,9 @@ def pattern_panels(draw):
     covariate_pool = draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=1, max_size=3))
     n = draw(st.integers(1, 30))
     picks = [(draw(st.sampled_from(report_pool)), draw(st.sampled_from(covariate_pool))) for _ in range(n)]
-    dataset = Dataset.from_arrays(
+    dataset = Dataset.from_arrays(  # unchecked: a subject without visits reaches the fit's own error
         [f"s{i}" for i in range(n)], [r for r, _ in picks], StudyGrid(tuple(map(float, range(1, J + 1)))),
-        np.array([z for _, z in picks]).reshape(n, p), tuple(f"x{k}" for k in range(p)), schedule,
+        np.array([z for _, z in picks]).reshape(n, p), tuple(f"x{k}" for k in range(p)), schedule, violations=(),
     )
     return dataset, ErrorModel(draw(st.sampled_from((0.6, 0.8, 1.0))), draw(st.sampled_from((0.7, 0.9, 1.0))))
 
@@ -496,7 +496,7 @@ def kernel_rows(dataset, em):
 
     with mock.patch("survreport.likelihood.loglik_and_gradient", record):
         try:
-            fit(dataset, em, MODEL_COV_FIXED, check_valid=False)
+            fit(dataset, em, MODEL_COV_FIXED)
         except KernelReached as reached:
             return reached.args
         except ValueError:
@@ -618,7 +618,7 @@ def test_fit_errors_name_the_first_subject_of_every_row(case, perfect):
     else:
         return
     with pytest.raises(error) as exc:
-        fit(dataset, em, check_valid=False)
+        fit(dataset, em)
     assert str(exc.value).startswith(message)
 
 
@@ -633,9 +633,10 @@ def test_fit_errors_name_the_first_subject_of_every_row(case, perfect):
 def test_fit_errors_name_the_subject_not_the_pattern(reports, z, message):
     ids = ["a", "b", "c"][: len(reports)]
     grid = StudyGrid(tuple(map(float, range(1, len(reports[0]) + 1))))
-    dataset = Dataset.from_arrays(ids, reports, grid, z, ("x",) if z else (), PREDETERMINED)
+    # unchecked: a subject without visits reaches the fit's own error
+    dataset = Dataset.from_arrays(ids, reports, grid, z, ("x",) if z else (), PREDETERMINED, violations=())
     with pytest.raises(ValueError, match=message):
-        fit(dataset, ErrorModel(1.0, 1.0), check_valid=False)
+        fit(dataset, ErrorModel(1.0, 1.0))
 
 
 def test_patterns_with_equal_c_rows_fit_as_their_subjects():
@@ -648,7 +649,7 @@ def test_patterns_with_equal_c_rows_fit_as_their_subjects():
     assert rows.tolist() == [0, 1] and counts.tolist() == [2, 1]
     c, _, weights = kernel_rows(dataset, em)
     assert c.tolist() == [[1.0, 0.0, 0.0]] * 2 and weights.tolist() == [2.0, 1.0]
-    result = fit(dataset, em, check_valid=False)
+    result = fit(dataset, em)
     want = cumsum_loglik_and_gradient(build_c_matrix(dataset, em), result.lambdas, None)[0]
     assert result.loglik == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -663,7 +664,8 @@ def test_pattern_key_does_not_wrap():
         digits.append(d)
     reports = np.array([digits[::-1], [0] * len(digits), [0] * len(digits)]) - 1
     dataset = Dataset.from_arrays(["a", "b", "c"], reports, StudyGrid(tuple(map(float, range(1, len(digits) + 1)))),
-                                  [[1e308, 1e308], [1e308, 1e308], [1e308, -1e308]], ("x", "y"), PREDETERMINED)
+                                  [[1e308, 1e308], [1e308, 1e308], [1e308, -1e308]], ("x", "y"), PREDETERMINED,
+                                  violations=())  # b and c have no visits
     rows, counts = _patterns(dataset.reports, dataset.covariates)
     assert sorted(rows.tolist()) == [0, 1, 2] and counts.tolist() == [1, 1, 1]
 
@@ -674,9 +676,9 @@ def test_bad_covariate_is_reported_before_report_errors(reports):
     # subject a's reports are impossible under phi1 = phi0 = 1 (or absent);
     # subject b's covariate is not finite, and that error wins either way
     dataset = Dataset.from_arrays(["a", "b", "c"], reports, StudyGrid((1.0, 2.0)), [[0.0], [np.inf], [1.0]],
-                                  ("x",), PREDETERMINED)
+                                  ("x",), PREDETERMINED, violations=())  # a may have no visits
     with pytest.raises(ModelSpecError, match="subject b has a non-finite covariate value"):
-        fit(dataset, ErrorModel(1.0, 1.0), check_valid=False)
+        fit(dataset, ErrorModel(1.0, 1.0))
 
 
 def projected_gradient_by_loop(grad, x, J):
@@ -838,8 +840,6 @@ def test_csv_round_trip_equals_built_dataset(case, style):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
         assert loaded.n_imputed == n_empty
         assert loaded.n_collisions_merged == len(rows) - sum(len(s.times) for s in built.subjects)
-        # the reader's structural checks are the dataset's
-        assert ds.violations == built.violations
         assert ds == built and tuple(ds.subjects) == built.subjects
         assert hash(ds) == hash(built)
 
@@ -916,10 +916,12 @@ def test_plain_file_reads_numbers_as_float_does(time, value):
 
 @st.composite
 def broken_datasets(draw):
-    """Datasets breaking several structural rules at once: subjects on a
-    fixed grid with visits in any order, repeated, off the grid or not
-    positive, covariate vectors of any length at any time; or array-held datasets
-    whose reports break the adaptive rules or hold no visit."""
+    """(subjects, grid, names, schedule, make): subjects breaking several
+    structural rules at once, and a call that makes their dataset.  Either
+    subjects on a fixed grid with visits in any order, repeated, off the
+    grid or not positive, covariate vectors of any length at any time, made
+    by ``Dataset``; or array-held subjects whose reports break the adaptive
+    rules or hold no visit, made by ``Dataset.from_arrays``."""
     grid = StudyGrid((1.0, 2.0, 3.0))
     schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
     names = tuple(f"x{j}" for j in range(draw(st.integers(0, 2))))
@@ -927,7 +929,13 @@ def broken_datasets(draw):
     if draw(st.booleans()):
         reports = draw(st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3), min_size=n, max_size=n))
         ids = [f"a{i}" for i in range(n)]
-        return Dataset.from_arrays(ids, reports, grid, np.zeros((n, len(names))), names, schedule)
+        subjects = [
+            SubjectPanel(sid, tuple(t for t, r in zip(grid.taus, row) if r >= 0), tuple(r for r in row if r >= 0),
+                         (0.0,) * len(names) if names else None)
+            for sid, row in zip(ids, reports)
+        ]
+        return subjects, grid, names, schedule, lambda: Dataset.from_arrays(
+            ids, reports, grid, np.zeros((n, len(names))), names, schedule)
     vector = st.integers(0, 3).map(lambda width: (0.5,) * width)
     subjects = []
     for i in range(n):
@@ -939,13 +947,22 @@ def broken_datasets(draw):
         time = st.sampled_from((0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf))
         path = tuple((draw(time), draw(vector)) for _ in range(draw(st.integers(0, 3)))) if kind == "path" else None
         subjects.append(SubjectPanel(f"s{i}", times, results, covariates, path))
-    return Dataset(tuple(subjects), grid, names, schedule)
+    return subjects, grid, names, schedule, lambda: Dataset(tuple(subjects), grid, names, schedule)
 
 
 @PROPERTY_SETTINGS
 @given(broken_datasets())
-def test_validate_matches_subject_walk(dataset):
-    assert [(v.subject_id, v.rule, v.detail) for v in validate(dataset)] == validate_by_subject(dataset)
+def test_construction_raises_the_violations_of_the_subject_walk(case):
+    """A dataset is made exactly when the walk over the test's own subjects
+    finds no violation; otherwise making it raises the walk's list."""
+    subjects, grid, names, schedule, make = case
+    expected = validate_by_subject(subjects, grid, len(names), schedule)
+    if not expected:
+        assert make().n == len(subjects)
+        return
+    with pytest.raises(PanelValidationError) as raised:
+        make()
+    assert [(v.subject_id, v.rule, v.detail) for v in raised.value.violations] == expected
 
 
 @st.composite
@@ -964,7 +981,7 @@ def invalid_csv_panels(draw):
 def test_fit_command_reports_every_violation(rows):
     by_subject = {sid: sorted((r for r in rows if r[0] == sid), key=lambda r: r[1]) for sid in in_file_order(rows)}
     subjects = [SubjectPanel(sid, tuple(r[1] for r in rs), tuple(r[2] for r in rs)) for sid, rs in by_subject.items()]
-    expected = validate_by_subject(Dataset(tuple(subjects), StudyGrid((1.0, 2.0, 3.0))))
+    expected = validate_by_subject(subjects, StudyGrid((1.0, 2.0, 3.0)), 0, ADAPTIVE)
     assume(expected)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from survreport import panel
 from survreport.cli import EXIT_INPUT_ERROR, main
 from survreport.estimate import ModelSpecError, fit
-from survreport.panel import PREDETERMINED, Dataset, ErrorModel, build_dataset, validate
+from survreport.panel import PREDETERMINED, Dataset, ErrorModel, build_dataset
 from survreport.simulate import (
     ADJUSTED,
     DEFAULT_SEED,
@@ -29,7 +29,7 @@ from survreport.simulate import (
     table_report_records,
 )
 
-from oracles import adaptive_reports_by_subject, generated_by_subject
+from oracles import adaptive_reports_by_subject, generated_by_subject, validate_by_subject
 
 
 def small_config(**overrides):
@@ -158,7 +158,7 @@ class TestGenerateDataset:
 
     def test_adaptive_invariants_hold(self):
         ds = generate_dataset(small_config(n_subjects=500), 0)
-        assert validate(ds) == []
+        assert validate_by_subject(ds.subjects, ds.grid, ds.n_covariates, ds.schedule) == []
         for s in ds.subjects:
             positives = [r for r in s.results if r == 1]
             assert len(positives) <= 1
@@ -266,7 +266,7 @@ def generate_or_none(config, rep):
 def fit_outcome(dataset, error_model):
     """Bytes of beta, SE and log-likelihood, or the error a fit raised."""
     try:
-        f = fit(dataset, error_model, check_valid=False)
+        f = fit(dataset, error_model)
     except ValueError as exc:  # both datasets must fail alike
         return type(exc), str(exc)
     return f.beta.tobytes(), f.beta_se.tobytes(), np.float64(f.loglik).tobytes()
@@ -320,7 +320,7 @@ class TestArrayDataset:
         monkeypatch.setattr(panel.SubjectPanel, "__post_init__", counting)
         config = small_config()
         ds = generate_dataset(config, 0)
-        fit(ds, config.error_model, check_valid=False)
+        fit(ds, config.error_model)
         fit(ds, config.error_model)  # the structural checks read the arrays
         assert made == [] and ds.n > 0
         assert ds.subjects[0].subject_id == made[0] == "s0_0"
@@ -341,7 +341,7 @@ class TestArrayDataset:
         bad = Dataset.from_arrays(ids, reports, ds.grid, ds.covariates, ds.covariate_names, PREDETERMINED)
         assert ids[i].startswith("s2_")
         with pytest.raises(ModelSpecError, match=f"subject {ids[i]}: report pattern is impossible"):
-            fit(bad, ErrorModel(1.0, 1.0), check_valid=False)
+            fit(bad, ErrorModel(1.0, 1.0))
 
 
 class TestAnalysisErrorModel:
