@@ -13,7 +13,6 @@ from .panel import (
     Violation,
     build_dataset,
     read_panel_csv,
-    validate,
 )
 from .likelihood import (
     KernelRows,

@@ -67,33 +67,18 @@ class FitResult:
         return self.cov_working is not None
 
 
-def _require_finite(dataset: Dataset, values: np.ndarray, rows: np.ndarray, what="covariate value") -> None:
-    """Reject a row of ``values`` that holds a nan or infinity, naming its subject."""
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        sid = dataset.subject_id(rows[np.argmax(bad)])
-        raise ModelSpecError(f"subject {sid} has a non-finite {what}")
-
-
 def interval_covariates(dataset: Dataset) -> np.ndarray:
     """(N, J, P) covariate value in effect on each grid interval, as a
     Fortran-ordered array.
 
     Interval k spans tau_{k-1} to tau_k.  The value is the last
     measurement at or before tau_{k-1}; intervals before a subject's
-    first measurement fall back to that earliest value.
+    first measurement fall back to that earliest value.  A made dataset
+    gives every subject finite, increasing measurement times.
     """
     rows, times, values = dataset.covariate_paths
     n, J = dataset.n, dataset.grid.J
     lengths = np.bincount(rows, minlength=n)
-    if not lengths.all():
-        raise ModelSpecError(f"subject {dataset.subject_id(int(np.argmin(lengths)))} has no covariates")
-    _require_finite(dataset, values, rows)
-    _require_finite(dataset, times[:, None], rows, "covariate path time")
-    unordered = (rows[1:] == rows[:-1]) & (times[1:] <= times[:-1])
-    if unordered.any():
-        sid = dataset.subject_id(rows[1:][np.argmax(unordered)])
-        raise ValueError(f"subject {sid}: covariate path times not strictly increasing")
     # a measurement at time t is in effect from the first interval whose left end is
     # at or after t: the count of left ends before t, summed in the smallest type
     # that holds J (3x faster than a binary search); counted per interval, LOCF
@@ -189,7 +174,10 @@ def fit(
         if z is None:
             raise ModelSpecError(f"subject {dataset.vectorless_subject_id()} has no time-fixed covariates; "
                                  "use the time-varying model for covariate paths")
-        _require_finite(dataset, z, np.arange(n))
+    points, _, values = dataset.covariate_paths  # every value, in effect or not; a time-fixed vector is one point
+    bad = ~np.isfinite(values).all(axis=1)
+    if p and bad.any():
+        raise ModelSpecError(f"subject {dataset.subject_id(points[np.argmax(bad)])} has a non-finite covariate value")
     # one kernel row per distinct (report row, covariate row), weighted by its count
     rows, counts = _patterns(dataset.reports, z)
     zk = np.take(z.T, rows, axis=1).reshape(p, J if tv else 1, rows.size)  # as KernelRows reads it

@@ -137,13 +137,11 @@ class Dataset:
       the path of subject ``rows[k]``, holds the (P,) vector ``values[k]``
       measured at ``times[k]``; a time-fixed vector is one point at time 0.
 
-    ``Dataset(subjects, grid, ...)`` makes the arrays from its
-    :class:`SubjectPanel` objects in one walk (:func:`_flatten`) and keeps
-    no panel; :meth:`from_arrays` takes them as arrays.  Either raises
-    :class:`PanelValidationError` listing every broken rule of
-    :data:`_RULES`, so a dataset that exists is valid.  ``subjects``, the
-    panels, is made from the arrays when first read.  Equality and the
-    hash read the arrays.
+    ``Dataset(subjects, grid, ...)``, :func:`build_dataset` and :func:`read_panel_csv`
+    make them from long form in one step (:meth:`_fill`), :meth:`from_arrays` from the
+    report matrix; each raises :class:`PanelValidationError` listing every broken rule
+    of :data:`_RULES`, so a dataset that exists is valid.  No panel is kept: ``subjects``
+    is made from the arrays when first read.  Equality and the hash read the arrays.
     """
 
     grid: StudyGrid
@@ -152,21 +150,17 @@ class Dataset:
 
     def __init__(self, subjects: Sequence[SubjectPanel], grid: StudyGrid, covariate_names=(),
                  schedule: str = ADAPTIVE):
-        subjects = tuple(subjects)
-        self._hold(tuple(map(attrgetter("subject_id"), subjects)), grid, covariate_names, schedule)
-        self._keep(*_flatten(self, subjects))
+        names = tuple(covariate_names)
+        self._fill(grid, names, schedule, *_flatten(tuple(subjects), len(names)))
 
     @classmethod
     def from_arrays(cls, subject_ids, reports, grid: StudyGrid, covariates=None, covariate_names=(),
-                    schedule: str = ADAPTIVE, paths=None, violations=None) -> Dataset:
+                    schedule: str = ADAPTIVE, violations=None) -> Dataset:
         """Dataset held as its (N, J) report matrix (-1 a missed visit) and
         (N, P) time-fixed covariate matrix, or ``None`` without covariates.
-        ``paths``, ``(rows, times, values)`` ordered by row then time, gives
-        each subject in ``rows`` a covariate path in place of its row of
-        ``covariates``; it is ``None`` when no subject has a path.
         ``violations``, when given, is what the caller's own checks found,
-        distinct ids included (a reader passes ``()``).  The result equals
-        the same subjects passed through :func:`build_dataset`.
+        distinct ids included (the generator passes ``()``).  The result
+        equals the same subjects passed through :func:`build_dataset`.
         """
         ids, names, reports = tuple(subject_ids), tuple(covariate_names), np.asarray(reports)
         # checked before the cast, which would wrap 257 to 1 and truncate 0.7 to 0
@@ -179,27 +173,38 @@ class Dataset:
                 f"expected a ({len(ids)}, {grid.J}) report and a ({len(ids)}, {len(names)}) "
                 f"covariate matrix, got {reports.shape} and {z.shape}"
             )
-        fixed = np.full(len(ids), bool(names))
-        if paths is not None:
-            rows, times, values = np.asarray(paths[0], np.intp), *(np.asarray(a, float) for a in paths[1:])
-            if times.shape != rows.shape or values.shape != (rows.size, len(names)):
-                raise ValueError("covariate paths need one time and one covariate vector per row")
-            fixed[rows] = False
-        first = np.flatnonzero(fixed)  # a time-fixed vector is one point at time 0
-        long_form = first, np.zeros(first.size), z[first]
-        if paths is not None:  # merged into subject order
-            order = np.argsort(np.concatenate((first, rows)), kind="stable")
-            long_form = tuple(np.concatenate(a)[order] for a in zip(long_form, (rows, times, values)))
+        first = np.arange(len(ids) if names else 0)  # a time-fixed vector is one point at time 0
         dataset = cls.__new__(cls)
         dataset._hold(ids, grid, names, schedule, distinct=violations is None)
-        dataset._keep(reports, long_form, fixed)
-        if violations is None:  # every vector is P long, but a path time may not be finite
-            point_rows, point_times = long_form[:2]
-            widths = point_rows, np.full(point_rows.size, len(names)), point_times
-            violations = _violations(ids, dataset.visits, None, schedule, widths, len(names))
+        dataset._keep(reports, (first, np.zeros(first.size), z[first]), np.full(len(ids), bool(names)))
+        if violations is None:  # every subject has one P-long vector at time 0: no covariate rule can break
+            violations = _violations(ids, dataset.visits, None, schedule)
         if violations:
             raise PanelValidationError(violations)
         return dataset
+
+    def _fill(self, grid, names, schedule, ids, visits, points, fixed, lengths, distinct=True) -> Dataset:
+        """Set this dataset from ``visits`` ``(rows, times, results)`` and covariate
+        ``points`` ``(rows, times, values)``, each in subject then time order, on
+        ``grid`` or, if None, on the sorted distinct visit times; ``fixed`` and the
+        vectors' ``lengths`` are as :func:`_flatten` gives them.  Returns the dataset."""
+        rows, times, results = visits
+        if grid is None:  # each visit's column is its index in the grid
+            taus, cols = np.unique(times, return_inverse=True)
+            if not taus.size:
+                raise ValueError("cannot build a grid from subjects with no visits")
+            grid, off = StudyGrid(tuple(taus.tolist())), None
+        else:
+            cols = np.searchsorted(grid.taus, times)
+            off = np.take(grid.taus, cols, mode="clip") != times
+        self._hold(ids, grid, names, schedule, distinct)
+        violations = _violations(ids, visits, off, schedule, (points[0], lengths, points[1]), len(names))
+        if violations:  # then a visit may be off the grid, or a vector not P long
+            raise PanelValidationError(violations)
+        reports = np.full((len(ids), grid.J), -1, dtype=np.int8)
+        reports[rows, cols] = results
+        self._keep(reports, points, fixed)
+        return self
 
     def _hold(self, ids, grid, names, schedule, distinct=True):
         """Check the schedule, that there are ``ids`` and, if ``distinct``,
@@ -211,7 +216,7 @@ class Dataset:
         if distinct and len(set(ids)) < len(ids):
             seen = set()
             raise ValueError(f"subject {next(s for s in ids if s in seen or seen.add(s))} appears twice")
-        vars(self).update(ids=ids, grid=grid, covariate_names=tuple(names), schedule=schedule)
+        vars(self).update(ids=tuple(ids), grid=grid, covariate_names=tuple(names), schedule=schedule)
 
     def _keep(self, reports, long_form, fixed):
         """Set the arrays, read-only; the covariate matrix is the long form's
@@ -275,33 +280,27 @@ class Dataset:
         return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
 
 
-def _flatten(dataset, subjects) -> tuple:
-    """The report matrix, covariates in long form and time-fixed flags of
-    ``subjects``, the panels of ``dataset``, in one walk, each covariate
-    path iterated once; the only code that reads a panel's visits or
-    covariates.  Raises :class:`PanelValidationError` listing every broken
-    rule of :data:`_RULES`."""
-    ids, n, p = dataset.ids, dataset.n, dataset.n_covariates
-    taus = np.asarray(dataset.grid.taus, dtype=float)
-    fields = ("times", "results", "covariates", "covariate_path")  # a list each: a tuple per subject costs collections
-    times, results, vectors, paths = (list(map(attrgetter(f), subjects)) for f in fields)
+def _flatten(subjects, p) -> tuple:
+    """What :meth:`Dataset._fill` takes of :class:`SubjectPanel` objects, in one
+    walk, each covariate path iterated once; the only code that reads a panel.
+    A time-fixed vector is one point at time 0, a zero-length one none; the
+    values are None when a vector is not ``p`` long."""
+    fields = ("subject_id", "times", "results", "covariates", "covariate_path")  # a list each: a tuple per subject costs collections
+    ids, times, results, vectors, paths = (list(map(attrgetter(f), subjects)) for f in fields)
+    n = len(ids)
     rows = np.repeat(np.arange(n), np.fromiter(map(len, times), np.intp, n))
     times = np.fromiter(chain.from_iterable(times), float, rows.size)
     results = np.fromiter(chain.from_iterable(results), np.int8, rows.size)
-    paths = [((0.0, v),) if v is not None else path or () for v, path in zip(vectors, paths)]
+    fixed = [v is not None and len(v) > 0 for v in vectors]
+    paths = [((0.0, v),) if f else path or () for f, v, path in zip(fixed, vectors, paths)]
     point_rows = np.repeat(np.arange(n), np.fromiter(map(len, paths), np.intp, n))
     points = list(chain.from_iterable(paths))
-    widths = np.fromiter((len(v) for _, v in points), np.intp, len(points))
+    lengths = np.fromiter((len(v) for _, v in points), np.intp, len(points))
     point_times = np.fromiter((t for t, _ in points), float, len(points))
-    cols = np.searchsorted(taus, times)
-    off = taus[np.minimum(cols, taus.size - 1)] != times
-    violations = _violations(ids, (rows, times, results), off, dataset.schedule, (point_rows, widths, point_times), p)
-    if violations:  # then a visit may be off the grid, or a vector not P long
-        raise PanelValidationError(violations)
-    reports = np.full((n, taus.size), -1, dtype=np.int8)
-    reports[rows, cols] = results
-    values = np.fromiter(chain.from_iterable(v for _, v in points), float, len(points) * p).reshape(len(points), p)
-    return reports, (point_rows, point_times, values), np.fromiter((v is not None for v in vectors), bool, n)
+    values = None
+    if (lengths == p).all():  # else a covariate rule breaks
+        values = np.fromiter(chain.from_iterable(v for _, v in points), float, len(points) * p).reshape(len(points), p)
+    return ids, (rows, times, results), (point_rows, point_times, values), np.array(fixed, dtype=bool), lengths
 
 
 @dataclass(frozen=True)
@@ -331,11 +330,8 @@ def round_to_granularity(time: float, granularity: float) -> float:
 def build_dataset(subjects, covariate_names=(), schedule: str = ADAPTIVE) -> Dataset:
     """The :class:`Dataset` of ``subjects`` on the sorted distinct times of
     their visits; it raises :class:`PanelValidationError` as ``Dataset`` does."""
-    subjects = tuple(subjects)
-    taus = tuple(sorted(set(chain.from_iterable(s.times for s in subjects))))
-    if not taus:
-        raise ValueError("cannot build a grid from subjects with no visits")
-    return Dataset(subjects, StudyGrid(taus), tuple(covariate_names), schedule)
+    names = tuple(covariate_names)
+    return Dataset.__new__(Dataset)._fill(None, names, schedule, *_flatten(tuple(subjects), len(names)))
 
 
 _RULES = (
@@ -348,6 +344,7 @@ _RULES = (
     "covariate length mismatch",
     "ragged covariate path",
     "non-finite covariate path time",
+    "covariate path times not strictly increasing",
 )
 
 
@@ -367,17 +364,20 @@ def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]
     rows, times, results = visits
     n = len(ids)
 
-    def per_subject(flags, where=rows):
-        return np.bincount(where[flags], minlength=n) > 0
+    def per_subject(flags, where=rows):  # False where no subject breaks the rule, the common case
+        return np.bincount(where[flags], minlength=n) > 0 if flags.any() else False
+
+    def unordered(where, at):  # a nan compares False, so it breaks no order
+        return per_subject((where[1:] == where[:-1]) & (at[1:] <= at[:-1]), where[1:])
 
     counts = np.bincount(rows, minlength=n)
     broken = np.zeros((n, len(_RULES)), dtype=bool)
     broken[:, 1] = per_subject(times <= 0.0)
-    broken[:, 2] = per_subject((rows[1:] == rows[:-1]) & (times[1:] <= times[:-1]), rows[1:])
+    broken[:, 2] = unordered(rows, times)
     if off is not None:
         broken[:, 3] = per_subject(off)
     if schedule == ADAPTIVE:
-        positives = np.bincount(rows, weights=results == 1, minlength=n)
+        positives = np.bincount(rows[results == 1], minlength=n)
         last_positive = np.zeros(n, dtype=bool)
         last_positive[counts > 0] = results[np.cumsum(counts)[counts > 0] - 1] == 1
         broken[:, 4] = positives > 1
@@ -390,9 +390,10 @@ def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]
         broken[:, 6] = width != p
         broken[:, 7] = per_subject(lengths != width[path_rows], path_rows)
         broken[:, 8] = per_subject(~np.isfinite(path_times), path_rows)
+        broken[:, 9] = unordered(path_rows, path_times)
     broken[counts == 0] = np.arange(len(_RULES)) == 0
     out = []
-    for i, k in zip(*np.nonzero(broken)):  # subject then rule order
+    for i, k in zip(*np.divmod(np.flatnonzero(broken), len(_RULES))):  # subject then rule order; 2-d nonzero is slow
         detail = ""
         if k == 3:
             detail = f"times {times[(rows == i) & off].tolist()}"
@@ -527,19 +528,14 @@ def _read_baseline(path, subject_ids):
         header, lines, cells = _read_csv(path, ("subject_id",), "baseline ")
         read = header, [c.strip() for c in cells[:: len(header)]], None, None
     header, ids, _, values = read
-    keys = np.array([*ids, ""])  # "" is no subject's id, and one past the last row
-    order = np.argsort(keys, kind="stable")  # an id's rows in file order
-    ranked = keys[order]
-    twice = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if twice.size:  # the first row to repeat an id, and the row before it with that id
-        k = twice[np.argmin(order[twice + 1])]
-        raise PanelFormatError(f"baseline lines {lines[order[k]]} and {lines[order[k + 1]]}: "
-                               f"subject {ranked[k]} appears twice")
-    wanted = np.array(subject_ids)
-    rows = order[np.minimum(np.searchsorted(ranked, wanted), len(ids))]
-    missing = keys[rows] != wanted
-    if missing.any():
-        raise PanelFormatError(f"subject {subject_ids[int(np.argmax(missing))]}: missing baseline covariate row")
+    row_of = dict(zip(ids[::-1], range(len(ids) - 1, -1, -1)))  # each id's first row
+    if len(row_of) < len(ids):  # name the first row to repeat an id, and the row before it with that id
+        k = next(k for k, sid in enumerate(ids) if row_of[sid] != k)
+        raise PanelFormatError(f"baseline lines {lines[row_of[ids[k]]]} and {lines[k]}: subject {ids[k]} appears twice")
+    try:
+        rows = np.fromiter(map(row_of.__getitem__, subject_ids), np.intp, len(subject_ids))
+    except KeyError as missing:
+        raise PanelFormatError(f"subject {missing.args[0]}: missing baseline covariate row") from None
     if values is None:
         values = _float_columns(cells, lines, header, range(1, len(header)))
     return tuple(header[1:]), values[rows]
@@ -597,24 +593,25 @@ def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, roundin
                                    f"subject {subject_ids[rows[k]]}'s first visit with no prior value")
     covariates, varying = values[first], np.zeros(len(subject_ids), dtype=bool)
     varying[rows[(values != covariates[rows]).any(axis=1)]] = True
+    del step, missing  # no memory for them at the grid's peak
     if baseline_csv is not None:  # the panel has no covariate columns, so no error above
         names, covariates = _read_baseline(baseline_csv, subject_ids)
-    taus, cols = np.unique(times, return_inverse=True)  # the grid, and each visit's column in it
     n_collisions = 0
-    if rounding is not None:
-        taus, merged = np.unique([round_to_granularity(t, rounding) for t in taus.tolist()], return_inverse=True)
-        cols = merged[cols]
-        later = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True)
+    if rounding is not None:  # of visits that meet, the later record is kept
+        taus, cols = np.unique(times, return_inverse=True)
+        times = np.array([round_to_granularity(t, rounding) for t in taus.tolist()])[cols]
+        later = np.append((rows[1:] != rows[:-1]) | (times[1:] != times[:-1]), True)
         n_collisions = int(later.size - np.count_nonzero(later))
-        rows, cols, results, values = rows[later], cols[later], results[later], values[later]
-        times = taus[cols]
-    grid = StudyGrid(tuple(taus.tolist()))
-    violations = _violations(subject_ids, (rows, times, results), None, schedule)
-    if violations:
-        raise PanelValidationError(violations)
-    reports = np.full((len(subject_ids), grid.J), -1, dtype=np.int8)
-    reports[rows, cols] = results
-    on_path = varying[rows]
-    paths = (rows[on_path], times[on_path], values[on_path]) if on_path.any() else None
-    dataset = Dataset.from_arrays(subject_ids, reports, grid, covariates, names, schedule, paths, violations=())
+        rows, times, results, values = rows[later], times[later], results[later], values[later]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+    keep = varying[rows]  # a point at every visit of a path, at the first of a time-fixed vector
+    keep[first] = bool(names)
+    keep = np.flatnonzero(keep)
+    point_rows, path = rows[keep], varying[rows[keep]]
+    point_values = covariates[point_rows]
+    if varying.any():  # never with a baseline file, whose values are not the panel's
+        point_values[path] = values[keep[path]]
+    points = point_rows, np.where(path, times[keep], 0.0), point_values
+    visits, fixed, lengths = (rows, times, results), ~varying & bool(names), np.broadcast_to(len(names), keep.shape)
+    dataset = Dataset.__new__(Dataset)._fill(None, names, schedule, subject_ids, visits, points, fixed, lengths, False)
     return LoadedPanel(dataset=dataset, n_imputed=n_imputed, n_collisions_merged=n_collisions)

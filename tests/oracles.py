@@ -267,6 +267,8 @@ def validate_by_subject(subjects, grid, p, schedule):
             out.append((sid, "ragged covariate path", ""))
         if s.covariate_path is not None and not all(math.isfinite(t) for t, _ in s.covariate_path):
             out.append((sid, "non-finite covariate path time", ""))
+        if s.covariate_path is not None and any(b <= a for (a, _), (b, _) in zip(s.covariate_path, s.covariate_path[1:])):
+            out.append((sid, "covariate path times not strictly increasing", ""))
     return out
 
 

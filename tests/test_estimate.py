@@ -401,6 +401,13 @@ class TestInputGuards:
                 fit(ds, ErrorModel(0.8, 0.9), model)
 
     def test_fixed_model_on_array_paths_names_subject_without_making_panels(self, monkeypatch):
+        # subjects b and d hold covariate paths, a and c time-fixed vectors
+        ds = build_dataset([
+            SubjectPanel("a", (1.0, 2.0), (0, 1), covariates=(1.0,)),
+            SubjectPanel("b", (1.0, 2.0), (0, 0), covariate_path=((0.0, (0.5,)), (1.0, (1.5,)))),
+            SubjectPanel("c", (1.0,), (1,), covariates=(2.0,)),
+            SubjectPanel("d", (1.0,), (0,), covariate_path=((0.0, (2.0,)),)),
+        ], covariate_names=("x",))
         made = []
         original = panel.SubjectPanel.__post_init__
 
@@ -409,12 +416,6 @@ class TestInputGuards:
             original(self)
 
         monkeypatch.setattr(panel.SubjectPanel, "__post_init__", counting)
-        # subjects b and d hold covariate paths, a and c time-fixed vectors
-        paths = ([1, 1, 3], [0.0, 1.0, 0.0], [[0.5], [1.5], [2.0]])
-        ds = Dataset.from_arrays(
-            ["a", "b", "c", "d"], [[0, 1], [0, 0], [1, -1], [0, -1]], StudyGrid((1.0, 2.0)),
-            [[1.0], [0.0], [2.0], [0.0]], ("x",), paths=paths,
-        )
         with pytest.raises(ModelSpecError, match="subject b has no time-fixed covariates"):
             fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_FIXED)
         assert made == []
@@ -514,9 +515,10 @@ class TestTimeVarying:
 
     def test_unordered_path_rejected(self):
         s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((2.0, (1.0,)), (1.0, (3.0,))))
-        ds = build_dataset([s], covariate_names=("x",))
-        with pytest.raises(ValueError, match="subject a"):
-            interval_covariates(ds)
+        with pytest.raises(panel.PanelValidationError) as raised:
+            build_dataset([s], covariate_names=("x",))
+        assert [(v.subject_id, v.rule) for v in raised.value.violations] == [
+            ("a", "covariate path times not strictly increasing")]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_path_time_rejected(self, bad):
@@ -526,14 +528,10 @@ class TestTimeVarying:
         s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((0.0, (1.0,)), (bad, (5.0,))))
         with pytest.raises(panel.PanelValidationError) as raised:
             build_dataset([fine, s], covariate_names=("x",))
-        assert [(v.subject_id, v.rule) for v in raised.value.violations] == [("a", "non-finite covariate path time")]
-        arrays = ["b", "a"], [[0, 0], [0, 0]], StudyGrid((1.0, 2.0)), [[2.0], [1.0]], ("x",)
-        paths = [0, 1, 1], [0.0, 0.0, bad], [[2.0], [1.0], [5.0]]
-        with pytest.raises(panel.PanelValidationError, match="a: non-finite covariate path time"):
-            Dataset.from_arrays(*arrays, paths=paths)
-        # interval_covariates' own check, on a dataset whose maker vouched for it
-        with pytest.raises(ModelSpecError, match="subject a has a non-finite covariate path time"):
-            interval_covariates(Dataset.from_arrays(*arrays, paths=paths, violations=()))
+        # a nan neighbour breaks no order; -inf after 0 does
+        unordered = [("a", "covariate path times not strictly increasing")] if bad < 0 else []
+        assert [(v.subject_id, v.rule) for v in raised.value.violations] == [
+            ("a", "non-finite covariate path time"), *unordered]
 
     def test_negative_path_time_is_legal(self):
         s = SubjectPanel("a", (1.0, 2.0), (0, 0), covariate_path=((-1.0, (1.0,)), (1.0, (5.0,))))

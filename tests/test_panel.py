@@ -242,6 +242,15 @@ class TestValidate:
         assert no_covariates.subjects[0] == subj("a", [1.0, 2.0], [0, 0])
         assert no_covariates.covariates.shape == (1, 0)
 
+    def test_zero_length_vector_counts_as_none(self):
+        grid = StudyGrid((1.0,))
+        ds = Dataset([SubjectPanel("a", (1.0,), (0,), covariates=())], grid)
+        arrays = Dataset.from_arrays(["a"], [[0]], grid)
+        assert ds == arrays and hash(ds) == hash(arrays)
+        assert ds.subjects == (subj("a", [1.0], [0]),)
+        with pytest.raises(PanelValidationError, match=r"a: covariate length mismatch \(expected 1, got 0\)"):
+            Dataset([SubjectPanel("a", (1.0,), (0,), covariates=())], grid, covariate_names=("x",))
+
     @pytest.mark.parametrize(
         "reports, covariates, names",
         [
@@ -385,6 +394,18 @@ class TestReadPanelCsv(object):
         panel = self.write(tmp_path, "subject_id,time,result\nA,1,0\nB,1,0\n")
         base = self.write(tmp_path, "subject_id,z1\nB,0\nA,0\nB,1\nA,5\n", name="base.csv")
         with pytest.raises(PanelFormatError, match="baseline lines 2 and 4: subject B appears twice"):
+            read_panel_csv(panel, baseline_csv=base)
+
+    def test_shuffled_baseline_file_with_a_repeated_id(self, tmp_path):
+        ids = [f"s{i}" for i in range(40)]
+        panel = self.write(tmp_path, "subject_id,time,result\n" + "".join(f"{sid},1,0\n" for sid in ids))
+        order = np.random.default_rng(3).permutation(len(ids)).tolist()
+        rows = [f"{ids[k]},{k}\n" for k in order]  # the row of ids[order[j]] on line j + 2
+        base = self.write(tmp_path, "subject_id,z\n" + "".join(rows), name="base.csv")
+        assert read_panel_csv(panel, baseline_csv=base).dataset.covariates[:, 0].tolist() == list(range(len(ids)))
+        again = rows[:25] + [f"{ids[order[3]]},-1\n"] + rows[25:]  # on line 27, first on line 5
+        base = self.write(tmp_path, "subject_id,z\n" + "".join(again), name="base.csv")
+        with pytest.raises(PanelFormatError, match=f"baseline lines 5 and 27: subject {ids[order[3]]} appears twice"):
             read_panel_csv(panel, baseline_csv=base)
 
     def test_baseline_file_missing_subject(self, tmp_path):
