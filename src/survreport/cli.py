@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import estimate, simulate
-from .panel import ErrorModel, PanelFormatError, PanelValidationError, read_panel_csv
+from .panel import ADAPTIVE, PREDETERMINED, ErrorModel, PanelFormatError, PanelValidationError, read_panel_csv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     panel.add_argument("--baseline-covariates", help="separate subject_id,cov,... CSV")
     panel.add_argument("--time-varying", action="store_true", help="use per-interval covariate paths")
     panel.add_argument("--round", type=float, default=None, metavar="G", help="round visit times to multiples of G")
-    panel.add_argument("--schedule", choices=["adaptive", "predetermined"], default="adaptive")
+    panel.add_argument("--schedule", choices=[ADAPTIVE, PREDETERMINED], default=ADAPTIVE)
 
     p_fit = sub.add_parser("fit", parents=[panel], description="Fit a model to a panel CSV")
     p_fit.add_argument("--phi1", type=_probability, required=True, help="report sensitivity")
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", description="Run a simulation scenario from a JSON config")
     p_sim.add_argument("scenario_config")
-    p_sim.add_argument("--analysis", choices=["adjusted", "unadjusted", "both"], default="both")
+    p_sim.add_argument("--analysis", choices=[simulate.ADJUSTED, simulate.UNADJUSTED, "both"], default="both")
     p_sim.add_argument("--out", required=True, help="summary CSV path")
 
     p_rep = sub.add_parser("reproduce", description="Reproduce a published benchmark table")
@@ -117,9 +117,9 @@ def _model(args, dataset) -> str:
     return estimate.MODEL_COV_FIXED if dataset.n_covariates else estimate.MODEL_ONESAMPLE
 
 
-def _write_csv(path, rows, fieldnames):
+def _write_csv(path, rows):  # the first row's keys are the header
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -132,13 +132,10 @@ def cmd_fit(args) -> int:
         fh.write(estimate.fit_to_json(result) + "\n")
     coef = estimate.coefficient_rows(result)
     if coef:
-        _write_csv(f"{args.out}_coefficients.csv", coef, list(coef[0].keys()))
+        _write_csv(f"{args.out}_coefficients.csv", coef)
     curve = estimate.survival_curve(result, [0.0] * result.beta.size)
-    _write_csv(
-        f"{args.out}_survival.csv",
-        [{"tau": t, "survival": s, "ci_low": lo, "ci_high": hi} for t, s, lo, hi in curve],
-        ["tau", "survival", "ci_low", "ci_high"],
-    )
+    rows = [{"tau": t, "survival": s, "ci_low": lo, "ci_high": hi} for t, s, lo, hi in curve]
+    _write_csv(f"{args.out}_survival.csv", rows)
     if not result.converged:
         print("fit did not converge; artifacts written anyway", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -147,24 +144,15 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = simulate.scenario_from_json(args.scenario_config)
-    arms = ["adjusted", "unadjusted"] if args.analysis == "both" else [args.analysis]
-    rows = []
-    for arm in arms:
-        s = simulate.run_scenario(config, arm)
-        rows.append({
-            "analysis": s.analysis, "beta_true": s.beta_true, "mean_estimate": s.mean_estimate,
-            "bias_pct": s.mean_bias_pct, "empirical_sd": s.empirical_sd, "mean_estimated_se": s.mean_estimated_se,
-            "rmse": s.rmse, "coverage_pct": s.coverage_pct, "n_converged": s.n_converged,
-            "n_replicates": s.n_replicates,
-        })
-    _write_csv(args.out, rows, list(rows[0].keys()))
+    arms = [simulate.ADJUSTED, simulate.UNADJUSTED] if args.analysis == "both" else [args.analysis]
+    rows = [simulate.summary_record(simulate.run_scenario(config, arm)) for arm in arms]
+    _write_csv(args.out, rows)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     rows = simulate.reproduce_tables(args.table, scale=args.replicates, seed=args.seed)
-    records = simulate.table_report_records(rows)
-    _write_csv(f"{args.out}.csv", records, list(records[0].keys()))
+    _write_csv(f"{args.out}.csv", simulate.table_report_records(rows))
     text = simulate.format_table_report(rows)
     with open(f"{args.out}.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -184,7 +172,7 @@ def cmd_sensitivity(args) -> int:
             row.update(hazard_ratio=float(f.hazard_ratio[0]), ci_low=float(f.hr_ci_low[0]),
                        ci_high=float(f.hr_ci_high[0]))
         rows.append(row)
-    _write_csv(args.out, rows, list(rows[0].keys()))
+    _write_csv(args.out, rows)
     return EXIT_OK
 
 

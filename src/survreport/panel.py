@@ -276,7 +276,7 @@ class Dataset:
     @property
     def visits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every visit in long form ``(rows, times, results)``, in subject then visit order."""
-        rows, cols = np.nonzero(self.reports >= 0)
+        rows, cols = np.divmod(np.flatnonzero(self.reports >= 0), self.reports.shape[1])
         return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
 
 
@@ -416,7 +416,7 @@ def _read_csv(path, first_columns, what=""):
     """Header, line numbers and cells end to end of the non-blank rows of a CSV
     file whose header starts with ``first_columns``; each row must have one
     cell per column and a subject id first.  ``what`` starts the messages."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -483,7 +483,7 @@ def _read_array(path, first_columns):
     (``result`` 0 or 1, the covariates one matrix) of a file parsed in one
     ``np.loadtxt`` pass; None for a file the cell reader might read otherwise or reject."""
     with open(path, "rb") as fh:
-        data = b"\n" + fh.read() + b"\n"  # each line, the first and last too, lies between two newlines
+        data = b"\n" + fh.read().removeprefix(b"\xef\xbb\xbf") + b"\n"  # no BOM; each line lies between two newlines
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == 10)
     lengths, cr = np.diff(ends), raw[ends[1:] - 1] == 13  # each line's length with its newline; a "\r" ends it

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
@@ -354,55 +354,55 @@ def reproduce_tables(which: str, scale: int, seed: int = DEFAULT_SEED) -> list[T
     return rows
 
 
-def format_table_report(rows: list[TableRow]) -> str:
-    """Human-readable published-vs-reproduced comparison."""
-    header = (
-        f"{'phi1':>5} {'phi0':>6} {'eta':>5} {'S_end':>5} {'analysis':>10} "
-        f"{'bias%':>8} {'pub':>7} {'+/-':>5}  {'SD':>6} {'SE':>6} {'pubSE':>6} "
-        f"{'RMSE':>6} {'pub':>5}  {'cover%':>7} {'pub':>6} {'+/-':>5} {'nconv':>5}"
-    )
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        s = r.summary
-        lines.append(
-            f"{r.phi1:>5.2f} {r.phi0:>6.3f} {r.eta:>5.2f} {r.s_end:>5.2f} {r.analysis:>10} "
-            f"{s.mean_bias_pct:>8.1f} {r.published_bias_pct:>7.1f} {r.bias_mc_se_pct:>5.1f}  "
-            f"{s.empirical_sd:>6.3f} {s.mean_estimated_se:>6.3f} {r.published_std_err:>6.2f} "
-            f"{s.rmse:>6.3f} {r.published_rmse:>5.2f}  "
-            f"{s.coverage_pct:>7.1f} {r.published_coverage_pct:>6.1f} {r.coverage_mc_se_pct:>5.1f} "
-            f"{s.n_converged:>5d}"
-        )
-    return "\n".join(lines)
+# The reproduction report's columns in order: CSV key, text header (None: CSV
+# only), text width and precision (None: no fixed point), and whether a
+# two-space group gap comes before the column
+_REPORT_COLUMNS = (
+    ("phi1", "phi1", 5, 2, False),
+    ("phi0", "phi0", 6, 3, False),
+    ("eta", "eta", 5, 2, False),
+    ("s_end", "S_end", 5, 2, False),
+    ("analysis", "analysis", 10, None, False),
+    ("bias_pct", "bias%", 8, 1, False),
+    ("published_bias_pct", "pub", 7, 1, False),
+    ("bias_mc_se_pct", "+/-", 5, 1, False),
+    ("empirical_sd", "SD", 6, 3, True),
+    ("mean_estimated_se", "SE", 6, 3, False),
+    ("published_std_err", "pubSE", 6, 2, False),
+    ("rmse", "RMSE", 6, 3, False),
+    ("published_rmse", "pub", 5, 2, False),
+    ("coverage_pct", "cover%", 7, 1, True),
+    ("published_coverage_pct", "pub", 6, 1, False),
+    ("coverage_mc_se_pct", "+/-", 5, 1, False),
+    ("n_converged", "nconv", 5, None, False),
+    ("n_replicates", None, None, None, False),
+)
+
+
+def summary_record(summary: ScenarioSummary) -> dict:
+    """The ``simulate`` CSV's record of a summary: its fields, ``mean_bias_pct`` named ``bias_pct``."""
+    return {("bias_pct" if k == "mean_bias_pct" else k): v for k, v in asdict(summary).items()}
 
 
 def table_report_records(rows: list[TableRow]) -> list[dict]:
-    """Flat dict rows (one per table cell) for CSV output."""
+    """Flat dict rows (one per table cell) for CSV output, keyed in :data:`_REPORT_COLUMNS` order."""
     out = []
-    for r in rows:
-        s = r.summary
-        out.append(
-            {
-                "phi1": r.phi1,
-                "phi0": r.phi0,
-                "eta": r.eta,
-                "s_end": r.s_end,
-                "analysis": r.analysis,
-                "bias_pct": s.mean_bias_pct,
-                "published_bias_pct": r.published_bias_pct,
-                "bias_mc_se_pct": r.bias_mc_se_pct,
-                "empirical_sd": s.empirical_sd,
-                "mean_estimated_se": s.mean_estimated_se,
-                "published_std_err": r.published_std_err,
-                "rmse": s.rmse,
-                "published_rmse": r.published_rmse,
-                "coverage_pct": s.coverage_pct,
-                "published_coverage_pct": r.published_coverage_pct,
-                "coverage_mc_se_pct": r.coverage_mc_se_pct,
-                "n_converged": s.n_converged,
-                "n_replicates": s.n_replicates,
-            }
-        )
+    for r in rows:  # the reproduced values are the summary record's
+        values = {**vars(r), **summary_record(r.summary)}
+        out.append({key: values[key] for key, *_ in _REPORT_COLUMNS})
     return out
+
+
+def format_table_report(rows: list[TableRow]) -> str:
+    """Human-readable published-vs-reproduced comparison in the text columns of :data:`_REPORT_COLUMNS`."""
+    columns = [c for c in _REPORT_COLUMNS if c[1] is not None]
+    table = [[f"{h:>{w}}" for _, h, w, _, _ in columns]]  # the header, then one line per table cell
+    for record in table_report_records(rows):
+        table.append([format(record[k], f">{w}" if p is None else f">{w}.{p}f") for k, _, w, p, _ in columns])
+    # one space between columns, two before a group
+    lines = ["".join(("  " if c[4] else " ") + cell for c, cell in zip(columns, line))[1:] for line in table]
+    lines.insert(1, "-" * len(lines[0]))  # the dashed rule under the header
+    return "\n".join(lines)
 
 
 def _number(value, kinds=(int, float), least=-math.inf):
@@ -470,7 +470,7 @@ def scenario_from_dict(spec: dict) -> ScenarioConfig:
 
 
 def scenario_from_json(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:

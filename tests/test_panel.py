@@ -313,6 +313,24 @@ class TestMadeDataset:
         assert ds.grid == grid
         assert ds == Dataset.from_arrays(["a", "b"], [[0, -1, 1], [-1, 0, -1]], grid, [[1.5], [-2.0]], ("x",))
 
+    @pytest.mark.parametrize("schedule", [ADAPTIVE, PREDETERMINED])
+    def test_visits_are_a_walk_of_each_subject(self, schedule):
+        rng = np.random.default_rng(5)
+        reports = rng.integers(-1, 2, size=(300, 7)).astype(np.int8)
+        if schedule == ADAPTIVE:  # nothing after a subject's first positive
+            after = np.cumsum(np.cumsum(reports == 1, axis=1), axis=1) > 1
+            reports[after] = -1
+        reports[(reports < 0).all(axis=1), 3] = 0
+        grid = StudyGrid(tuple(np.linspace(0.5, 6.5, 7).tolist()))
+        ds = Dataset.from_arrays([f"s{i}" for i in range(300)], reports, grid, schedule=schedule)
+        rows, times, results = ds.visits
+        walk = [(i, grid.taus[j], int(reports[i, j])) for i in range(300) for j in range(7) if reports[i, j] >= 0]
+        assert list(zip(rows.tolist(), times.tolist(), results.tolist())) == walk
+        # the same arrays, dtypes too, as the 2-d nonzero gives
+        r, c = np.nonzero(reports >= 0)
+        expected = r, np.asarray(grid.taus)[c], reports[r, c]
+        assert [(a.dtype, a.tobytes()) for a in ds.visits] == [(a.dtype, a.tobytes()) for a in expected]
+
     def test_repr_names_the_shape_and_makes_no_panel(self):
         ds = Dataset.from_arrays(["a", "b"], [[0, -1, 1], [-1, 0, -1]], StudyGrid((1.0, 2.0, 3.0)),
                                  [[1.5, 0.0], [-2.0, 1.0]], ("x", "y"), PREDETERMINED)
@@ -544,6 +562,42 @@ class TestPlainAndCellReaders:
         assert ds.covariate_names == cells.covariate_names == ("age", "z")
         assert ds.covariates.tolist() == [[63.0, 0.0], [55.5, 1.0], [40.0, 1.0]]
         assert ds.covariates.tobytes() == cells.covariates.tobytes() and ds == cells
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            PLAIN,
+            PLAIN.replace("\n", "\r\n"),  # as Excel's "CSV UTF-8" writes it
+            '"subject_id","time","result","x"\r\n"A",1,0,1.5\r\n"A",2,1,1.5\r\n"B",1,0,2\r\n',
+        ],
+    )
+    def test_byte_order_mark_keeps_the_array_pass(self, tmp_path, monkeypatch, text):
+        marked, plain = self.write(tmp_path, "\ufeff" + text, "marked.csv"), self.write(tmp_path, text)
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        monkeypatch.setattr(panel, "_read_csv", lambda *args: pytest.fail("read cell by cell"))
+        ds = read_panel_csv(marked).dataset
+        monkeypatch.undo()
+        monkeypatch.setattr(panel, "_read_array", lambda *args: None)
+        for other in (read_panel_csv(plain).dataset, read_panel_csv(marked).dataset):
+            assert ds == other and ds.covariate_names == other.covariate_names == ("x",)
+            assert ds.reports.tobytes() == other.reports.tobytes()
+            assert ds.covariates.tobytes() == other.covariates.tobytes()
+
+    @pytest.mark.parametrize("array_pass", [True, False])
+    def test_byte_order_mark_in_a_baseline_file(self, tmp_path, monkeypatch, array_pass):
+        path = self.write(tmp_path, "subject_id,time,result\nA,1,0\nB,1,1\n")
+        base = "subject_id,age\nB,55.5\nA,63\n"
+        plain = read_panel_csv(path, baseline_csv=self.write(tmp_path, base, "b.csv")).dataset
+        if not array_pass:
+            monkeypatch.setattr(panel, "_read_array", lambda *args: None)
+        marked = read_panel_csv(path, baseline_csv=self.write(tmp_path, "\ufeff" + base, "bom.csv")).dataset
+        assert marked == plain and marked.covariate_names == ("age",)
+        assert marked.covariates.tolist() == [[63.0], [55.5]]
+
+    def test_byte_order_mark_before_a_wrong_header_is_not_named(self, tmp_path):
+        path = self.write(tmp_path, "\ufeffsubject,time,result\nA,1,0\n")
+        with pytest.raises(PanelFormatError, match=r"^header must start with subject_id,time,result; got subject,"):
+            read_panel_csv(path)
 
     def test_comparing_read_datasets_makes_no_panels(self, tmp_path):
         path = self.write(tmp_path, PLAIN)

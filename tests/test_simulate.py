@@ -16,6 +16,8 @@ from survreport.simulate import (
     CovariateGen,
     EventDist,
     ScenarioConfig,
+    ScenarioSummary,
+    TableRow,
     _adaptive_reports,
     analysis_error_model,
     benchmark_config,
@@ -26,6 +28,7 @@ from survreport.simulate import (
     run_scenario,
     scenario_from_dict,
     scenario_from_json,
+    summary_record,
     table_report_records,
 )
 
@@ -427,6 +430,44 @@ class TestReproduceTables:
             reproduce_tables("table9", scale=1)
 
 
+class TestReportColumns:
+    """The text report and both CSVs are rendered from one column list and one
+    summary record, so a column cannot land in only one of the forms."""
+
+    SUMMARY = ScenarioSummary(ADJUSTED, 1.0, 1.0125, 1.25, 0.2345, 0.2211, 0.2367, 95.5, 199, 200)
+    ROW = TableRow(0.61, 0.995, 0.96, 0.9, ADJUSTED, 1.2, 0.24, 0.24, 95.8, SUMMARY, 1.66, 1.47)
+
+    def test_summary_record_is_the_simulate_csv_row(self):
+        assert summary_record(self.SUMMARY) == {
+            "analysis": ADJUSTED, "beta_true": 1.0, "mean_estimate": 1.0125, "bias_pct": 1.25, "empirical_sd": 0.2345,
+            "mean_estimated_se": 0.2211, "rmse": 0.2367, "coverage_pct": 95.5, "n_converged": 199, "n_replicates": 200,
+        }
+        assert list(summary_record(self.SUMMARY)) == [
+            "analysis", "beta_true", "mean_estimate", "bias_pct", "empirical_sd", "mean_estimated_se", "rmse",
+            "coverage_pct", "n_converged", "n_replicates",
+        ]
+
+    def test_header_rule_and_csv_keys_are_pinned(self):
+        header, rule, line = format_table_report([self.ROW]).split("\n")
+        assert header == (" phi1   phi0   eta S_end   analysis    bias%     pub   +/-      SD     SE  pubSE   RMSE"
+                          "   pub   cover%    pub   +/- nconv")
+        assert rule == "-" * 121 == "-" * len(header) == "-" * len(line)
+        assert line == (" 0.61  0.995  0.96  0.90   adjusted      1.2     1.2   1.7   0.234  0.221   0.24  0.237"
+                        "  0.24     95.5   95.8   1.5   199")
+        [record] = table_report_records([self.ROW])
+        assert list(record) == [
+            "phi1", "phi0", "eta", "s_end", "analysis", "bias_pct", "published_bias_pct", "bias_mc_se_pct",
+            "empirical_sd", "mean_estimated_se", "published_std_err", "rmse", "published_rmse", "coverage_pct",
+            "published_coverage_pct", "coverage_mc_se_pct", "n_converged", "n_replicates",
+        ]
+
+    def test_reproduced_values_are_the_summary_records(self):
+        [record] = table_report_records([self.ROW])
+        summary = summary_record(self.SUMMARY)
+        assert summary.keys() - record.keys() == {"beta_true", "mean_estimate"}
+        assert all(record[k] == summary[k] for k in summary.keys() & record.keys())
+
+
 class TestScenarioSerialization:
     def spec(self):
         return {
@@ -441,6 +482,14 @@ class TestScenarioSerialization:
             "n_replicates": 2,
             "seed": 42,
         }
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" and Windows Notepad start a file with one
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(self.spec()), encoding="utf-8")
+        marked.write_text(json.dumps(self.spec()), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert scenario_from_json(marked) == scenario_from_json(plain) == scenario_from_dict(self.spec())
 
     def test_from_dict(self):
         config = scenario_from_dict(self.spec())
