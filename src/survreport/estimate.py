@@ -30,6 +30,9 @@ GAMMA_UPPER = 8.0
 MAX_NEWTON_STEPS = 100
 GRAD_TOL = 1e-5  # convergence: the largest free working-scale gradient component at most this
 MAX_STEP_LENGTH = 2.0  # largest change of one working parameter per step
+# scoring goes on while it predicts more than this many log-likelihood units: over the 480 published-design fits
+# (seed 1) a fit takes 6.02 steps, against 7.49 with no scoring, 6.29 at 3 units, 5.81 at 0.1 and 8.70 at 0
+_SCORING_GAIN = 1.0
 _Z975 = 1.959963984540054  # standard normal 97.5 % quantile
 
 
@@ -160,9 +163,9 @@ def fit(
     """Maximize the chosen log-likelihood and assemble inference results.
 
     Baseline misclassification is applied whenever ``error_model.eta < 1``.
-    Projected damped-Newton steps start from the life-table estimate;
-    convergence requires the largest free working-scale gradient component
-    to fall to ``GRAD_TOL``, within ``MAX_NEWTON_STEPS`` steps.
+    Projected damped scoring steps, then Newton steps, start from the
+    life-table estimate; convergence requires the largest free working-scale
+    gradient component to fall to ``GRAD_TOL``, within ``MAX_NEWTON_STEPS`` steps.
     """
     model, p = _model_and_p(dataset, model)
     J, n = dataset.grid.J, dataset.n
@@ -201,8 +204,9 @@ def fit(
             # admissible intervals; report +inf so the search backtracks
             return np.inf, np.zeros(x.size), None
         g, lift = np.concatenate([g_lambda * lambdas, g_beta]), np.concatenate([lambdas, np.ones(p)])
-        # the chain rule: H_gamma = Lambda H_lambda Lambda + diag(g_gamma), negated
-        return -ll, -g, lambda: -(hessian() * np.outer(lift, lift) + np.diag(np.append(g[:J], np.zeros(p))))
+        # the chain rule: H_gamma = Lambda H_lambda Lambda + diag(g_gamma), negated; scoring's Lambda B Lambda lacks it
+        return -ll, -g, lambda exact=True: -(hessian(exact) * np.outer(lift, lift)
+                                             + np.diag(np.append(g[:J], np.zeros(p)) * exact))
 
     x_hat, f_hat, (free, w, v), steps, stopped = _newton(evaluate, x0, J, GRAD_TOL)
     gamma_hat, beta_hat = x_hat[:J], x_hat[J:]
@@ -264,23 +268,28 @@ def _projected_gradient(grad, x, J):
 
 
 def _newton(evaluate, x, J, grad_tol):
-    """Projected damped Newton (Nocedal and Wright 2006, ch. 3-4) from
-    ``x``, gamma kept inside its bounds, with Armijo backtracking.
-    ``evaluate(x)`` gives the objective, its gradient and a function of no
-    arguments that forms its Hessian.  Each accepted point factors the
-    Hessian block of its free parameters ``free`` (a slice when all are)
-    once: eigenvalues ``w``, which enter the step in absolute value (so an
-    indefinite one still descends), and eigenvectors ``v``, both None if it
-    cannot be factored.  Returns ``(x, objective value, (free, w, v), steps
-    taken, None)`` once the projected gradient is at most ``grad_tol``,
-    else with the reason for stopping in place of None.
+    """Projected damped scoring, then Newton (Jennrich and Sampson 1976;
+    Nocedal and Wright 2006, ch. 3-4) from ``x``, gamma kept inside its
+    bounds, with Armijo backtracking.  ``evaluate(x)`` gives the objective,
+    its gradient and ``hessian(exact)``, which forms its Hessian, or the
+    scores' outer product B.  Scoring goes on while 1/2 g'|B|^-1 g exceeds
+    ``_SCORING_GAIN`` and has at least halved since the last scoring point;
+    the first point where it does not, or where the loop would stop, is
+    factored again with the exact Hessian, as is every later one.  Each
+    factorization is of the block of the free parameters ``free`` (a slice
+    when all are): eigenvalues ``w``, which enter the step in absolute value
+    (so an indefinite one still descends), and eigenvectors ``v``, both None
+    if it cannot be factored.  Returns ``(x, objective value, (free, w, v) of
+    the exact Hessian, steps taken, None)`` once the projected gradient is at
+    most ``grad_tol``, else with the reason for stopping in place of None.
     """
     f, g, hessian = evaluate(x)
-    for steps in range(MAX_NEWTON_STEPS + 1):
+    steps, exact, gain = 0, False, math.inf  # gain: the last point's predicted gain 1/2 g'|H|^-1 g
+    while True:
         bounded = J and (x[:J].min() <= GAMMA_LOWER + 1e-9 or x[:J].max() >= GAMMA_UPPER - 1e-9)
         proj = _projected_gradient(g, x, J) if bounded else g
         largest = np.abs(proj).max()
-        h = hessian()
+        h = hessian(exact)
         # near-zero-mass intervals contribute no curvature (and a matching near-zero
         # gradient); drop them, and the pinned and nan components, from the Newton system
         curved = np.abs(h.diagonal()[:J]) > 1e-6
@@ -293,16 +302,19 @@ def _newton(evaluate, x, J, grad_tol):
             w, v = np.linalg.eigh(h)
         except np.linalg.LinAlgError:
             w = v = None
-        if largest <= grad_tol:
-            return x, f, (free, w, v), steps, None
-        if steps == MAX_NEWTON_STEPS:
-            return x, f, (free, w, v), steps, "it reached the step limit"
-        if w is None:
-            return x, f, (free, w, v), steps, "its Hessian could not be factored"
-        curvature = np.abs(w)
-        if curvature.max(initial=0.0) == 0.0:
-            return x, f, (free, w, v), steps, "no free parameter has curvature"
-        direction = v @ ((v.T @ -g[free]) / np.maximum(curvature, 1e-8 * curvature.max()))
+        # why the loop stops at this point ("" when converged), or None
+        stopped = ("" if largest <= grad_tol else "it reached the step limit" if steps == MAX_NEWTON_STEPS
+                   else "its Hessian could not be factored" if w is None
+                   else "no free parameter has curvature" if np.abs(w).max(initial=0.0) == 0.0 else None)
+        if stopped is None:  # the step in the eigenbasis, over the floored |eigenvalues|
+            curvature, toward = np.abs(w), v.T @ -g[free]
+            step = toward / np.maximum(curvature, 1e-8 * curvature.max())
+        if not exact and (stopped is not None or not _SCORING_GAIN < 0.5 * toward @ step <= gain / 2):
+            exact = True  # the switch: this point again, with the exact Hessian
+            continue
+        if stopped is not None:
+            return x, f, (free, w, v), steps, stopped or None
+        gain, direction = 0.5 * toward @ step, v @ step
         slope = float(g[free] @ direction)
         # a near-flat direction would otherwise throw the point onto the
         # plateau where some S_j underflows and every gradient vanishes
@@ -317,8 +329,11 @@ def _newton(evaluate, x, J, grad_tol):
                 break
             t *= 0.5
         else:
-            return x, f, (free, w, v), steps, "no step lowered the objective"
-        x, f, g, hessian = x_new, f_new, g_new, hessian_new
+            if exact:
+                return x, f, (free, w, v), steps, "no step lowered the objective"
+            exact = True  # the switch
+            continue
+        x, f, g, hessian, steps = x_new, f_new, g_new, hessian_new, steps + 1
 
 
 def _covariances(free, w, v, J, p, lambdas, survival):

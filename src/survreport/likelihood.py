@@ -21,8 +21,9 @@ from its distinct rows: C', its differences C'[1:] - C'[:-1], the
 covariates and the row counts as weights, laid out as the kernel reads
 them.  Each point forms its front half and a (J+P, N) matrix G of
 per-subject scores once; with ``hessian=True`` the kernel also returns a
-function that forms the exact second derivatives from those arrays: call
-it before changing them in place.
+function that forms the exact second derivatives from those arrays, or
+their outer-product term -sum_i w_i s_i s_i' of the scores s_i (BHHH):
+call it before changing them in place.
 
 The kernel works interval-major: per-subject arrays are (J, N) with
 subjects contiguous, so that a per-interval scalar broadcasts along a
@@ -177,11 +178,11 @@ def _kernel_terms(kr, lambdas, beta):
 
 def loglik_and_gradient(kr: KernelRows, lambdas, beta, hessian: bool = False):
     """``(loglik, grad_lambda, grad_beta)`` of the prepared rows ``kr``; with
-    ``hessian=True`` also ``hessian_of_point``, a function of no arguments that
-    forms the Hessian in (lambda, beta), lambda first, from this call's arrays
-    and ``lambdas``: call it before changing them in place.  With
-    S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} lambda_k lp_ik: d log L_i = -scale_i G_i,
-    G_i = sum_j q_ij dA_ij, so G_ki = lp_ki T_ki and G_(J+p)i = sum_k lambda_k lz_pki."""
+    ``hessian=True`` also ``hessian_of_point(exact=True)``, which forms the
+    Hessian in (lambda, beta), lambda first, or its outer-product term alone,
+    from this call's arrays and ``lambdas``: call it before changing them in
+    place.  With S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} lambda_k lp_ik: d log L_i
+    = -scale_i G_i, G_i = sum_j q_ij dA_ij, so G_ki = lp_ki T_ki and G_(J+p)i = sum_k lambda_k lz_pki."""
     lambdas, beta = _increments(lambdas), np.asarray(() if beta is None else beta, dtype=float)
     if not np.isfinite(beta).all():
         raise ValueError("coefficients beta must be finite")
@@ -198,15 +199,18 @@ def loglik_and_gradient(kr: KernelRows, lambdas, beta, hessian: bool = False):
     ll = float((np.log(rows) * kr.weights).sum())  # pairwise: error O(eps log N) relative to sum |log L_i|
     if not hessian:
         return ll, -sum_lambda, -sum_beta
-    return ll, -sum_lambda, -sum_beta, lambda: _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz)
+    return ll, -sum_lambda, -sum_beta, lambda exact=True: _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, exact)
 
 
-def _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz):
+def _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, exact=True):
     """The Hessian of ``loglik_and_gradient`` from one point's front half and
     scores G.  d2 L_i = sum_j q_ij (dA_ij dA_ij' - d2A_ij) and
     d2 log L_i = d2 L_i / L_i - G_i G_i' / L_i^2; A is linear in lambda, so
     d2A has only lambda-beta and beta-beta terms.  A clamped predictor has
-    no beta-curvature."""
+    no beta-curvature.  ``exact=False`` gives only the outer-product term."""
+    outer = (G * (scale / rows)) @ G.T  # outer products of dL_i, weighted by 1 / L_i^2 (times the row weight)
+    if not exact:
+        return -outer
     J, p, before = lambdas.size, zf.shape[0], _before(lambdas.size)
     hess = np.zeros((J + p, J + p))
     ls = lp * scale
@@ -220,6 +224,5 @@ def _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz):
         hess[:J, J + a] = -((before * (ls @ qv.T)).sum(axis=1) + lz[a] @ scale)
         for b in range(a, p):
             hess[J + a, J + b] = np.einsum("ji,ji->i", qv, v[b]) @ scale - lambdas @ ((lz[a] * zf[b]) @ scale)
-    # outer products of dL_i, weighted by 1 / L_i^2 (times the row weight)
-    hess -= (G * (scale / rows)) @ G.T
+    hess -= outer
     return np.where(_before(J + p), hess, hess.T)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survreport import estimate, likelihood as lik, panel
+from survreport import estimate, likelihood as lik, panel, simulate
 from survreport.estimate import (
     GAMMA_LOWER,
     GAMMA_UPPER,
@@ -117,7 +117,7 @@ class TestFitBasics:
         hessian, eigh = lik._hessian, np.linalg.eigh
 
         def counting_hessian(*args):
-            calls.append(None)
+            calls.append(args[-1])  # exact
             return hessian(*args)
 
         def counting_eigh(h):
@@ -129,10 +129,14 @@ class TestFitBasics:
         res = fit(self.ds, self.em)
         assert res.converged and res.has_covariance
         assert res.iterations >= 1
-        # one Hessian per accepted point, factored once there by the Newton
-        # loop, whose last factors give the covariance
-        assert len(calls) == res.iterations + 1
-        assert factored == ["_newton"] * (res.iterations + 1)
+        # one matrix per accepted point, factored once there by the Newton
+        # loop: the scoring matrix for the first ``scored`` steps, then the
+        # exact Hessian from the switch on, which factors its point again;
+        # the last factors give the covariance
+        scored = calls.count(False) - 1
+        assert 1 <= scored < res.iterations
+        assert calls == [False] * (scored + 1) + [True] * (res.iterations + 1 - scored)
+        assert factored == ["_newton"] * (res.iterations + 2)
         assert res.message == f"converged after {res.iterations} Newton step(s)"
         monkeypatch.setattr("survreport.estimate.GRAD_TOL", 0.0)
         stuck = fit(self.ds, self.em)
@@ -142,20 +146,21 @@ class TestFitBasics:
         assert stuck.loglik >= res.loglik - 1e-9
 
     def test_hessian_that_cannot_be_factored_gives_no_covariance(self, monkeypatch):
-        steps = fit(self.ds, self.em).iterations
-        eigh, factored = np.linalg.eigh, []
+        eigh, factored, limit = np.linalg.eigh, [], math.inf
 
-        def failing_after(h):  # factors the first ``steps`` points only
+        def failing_after(h):  # factors the first ``limit`` matrices only
             factored.append(None)
-            if len(factored) > steps:
+            if len(factored) > limit:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigh(h)
 
         monkeypatch.setattr(np.linalg, "eigh", failing_after)
+        steps = fit(self.ds, self.em).iterations
+        limit, factored[:] = len(factored) - 1, []  # all but the final point's Hessian
         res = fit(self.ds, self.em)
         assert res.converged and res.iterations == steps
         assert not res.has_covariance and np.isnan(res.beta_se).all()
-        steps, factored[:] = 0, []  # the start cannot be factored: no step
+        limit, factored[:] = 0, []  # the start cannot be factored either way: no step
         res = fit(self.ds, self.em)
         assert not res.converged and not res.has_covariance and res.iterations == 0
         assert res.message == "not converged: stopped after 0 Newton step(s) because its Hessian could not be factored"
@@ -188,12 +193,12 @@ class TestFitBasics:
         assert np.linalg.norm(res.cov_working @ information(x) - np.eye(x.size)) < 1e-7
 
     def test_frozen_intervals_are_the_zero_rows_of_the_covariance(self):
-        # interval 4 ends at gamma -17.5, far above GAMMA_LOWER, with no
+        # interval 4 ends at gamma -17.8, far above GAMMA_LOWER, with no
         # curvature: it is left out of the Newton system and the covariance
         config = benchmark_config(0.61, 0.995, 0.9, n_replicates=20, seed=1)
         res = fit(generate_dataset(config, 12), config.error_model)
         assert res.converged and res.has_covariance
-        assert res.gamma[3] == pytest.approx(-17.47, abs=0.01)
+        assert res.gamma[3] == pytest.approx(-17.78, abs=0.01)
         assert res.frozen_intervals == (4,)
         assert tuple(np.flatnonzero(~res.cov_working.any(axis=1)) + 1) == (4,)
 
@@ -214,7 +219,8 @@ class TestFitBasics:
         monkeypatch.setattr(lik, "loglik_and_gradient", counting_gradient)
         res = fit(self.ds, self.em, model)
         assert res.converged and res.iterations >= 1 and res.has_covariance
-        # iterations + 1 Hessians, none of which computes a front half
+        # iterations + 2 matrices (the switch point forms two), none of which
+        # computes a front half
         assert counts["front"] == counts["gradient"]
 
     def test_newton_rejects_infeasible_step(self):
@@ -223,7 +229,7 @@ class TestFitBasics:
         def evaluate(x):
             if x[0] > 0.75:
                 return np.inf, np.zeros(1), None
-            return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0), lambda: np.array([[2.0]])
+            return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0), lambda exact: np.array([[2.0]])
 
         x, _, _, steps, _ = _newton(evaluate, np.zeros(1), 0, 1e-5)
         assert steps >= 1
@@ -234,7 +240,7 @@ class TestFitBasics:
         # solve steps toward the saddle at the origin (slope +0.020)
         def evaluate(x):
             hessian = np.array([[12 * x[0] ** 2 - 2.0, 0.0], [0.0, 2.0]])
-            return x[0] ** 4 - x[0] ** 2 + x[1] ** 2, np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]]), lambda: hessian
+            return x[0] ** 4 - x[0] ** 2 + x[1] ** 2, np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]]), lambda exact: hessian
 
         x, f, _, steps, stopped = _newton(evaluate, np.array([0.1, 0.0]), 0, 1e-10)
         assert stopped is None
@@ -249,7 +255,7 @@ class TestFitBasics:
 
         def evaluate(x):
             seen.append(x.copy())
-            return float(curvature @ (x - minimum) ** 2 / 2), curvature * (x - minimum), lambda: np.diag(curvature)
+            return float(curvature @ (x - minimum) ** 2 / 2), curvature * (x - minimum), lambda exact: np.diag(curvature)
 
         return evaluate
 
@@ -284,20 +290,23 @@ class TestFitBasics:
         assert all(point[1] == 0.0 for point in seen)
         assert x[[0, 2]] == pytest.approx([1.0, -0.5], abs=1e-12)
 
-    def test_step_length_cap_keeps_off_the_underflow_plateau(self):
+    def test_step_length_cap_keeps_off_the_underflow_plateau(self, monkeypatch):
         # from the life-table start the first Newton step on this panel is
         # long enough to push S_2 to an underflowing zero, where every
         # gradient vanishes and the fit would stop at once, far below the
-        # maximum (log-likelihood -16.61, no covariance)
+        # maximum (log-likelihood -16.61, no covariance); the first scoring
+        # step is not, so the panel is fitted both ways
         rows = [
             ((0.25,), (1,), 1.0), ((0.25, 0.5, 1.0), (1, 0, 0), -0.5), ((0.5, 1.0), (0, 1), -0.5),
             ((0.5, 1.0), (0, 0), 0.0), ((0.5, 1.0), (1, 0), -0.5), ((0.25, 0.5, 1.0), (0, 1, 1), -0.5),
             ((1.0,), (1,), 1.0), ((0.25, 0.5, 1.0), (0, 0, 0), -0.5), ((0.25, 0.5), (0, 1), 1.0),
             ((0.25, 1.0), (1, 1), 0.0), ((0.25, 1.0), (1, 0), 1.0),
         ]
-        res = fit(fixed_panel(rows), ErrorModel(0.6, 0.95))
-        assert res.converged and res.has_covariance
-        assert res.loglik == pytest.approx(-15.77801, abs=1e-5)
+        for scoring_gain in (estimate._SCORING_GAIN, math.inf):  # the second: Newton from the start
+            monkeypatch.setattr(estimate, "_SCORING_GAIN", scoring_gain)
+            res = fit(fixed_panel(rows), ErrorModel(0.6, 0.95))
+            assert res.converged and res.has_covariance
+            assert res.loglik == pytest.approx(-15.77801, abs=1e-5)
         assert res.beta[0] == pytest.approx(0.8287, abs=1e-4)
 
     def test_negative_curvature_interval_stays_in_the_newton_step(self):
@@ -363,6 +372,70 @@ class TestFitBasics:
         # ignoring contamination attenuates the estimate
         assert res_naive.beta[0] < res_adj.beta[0]
 
+
+
+class TestScoringThenNewton:
+    """Scoring steps on the outer product of the scores while they predict a
+    gain of more than ``_SCORING_GAIN`` that keeps halving, then Newton steps
+    on the exact Hessian: the same fits as Newton from the start."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert got.converged and want.converged
+        assert abs(got.loglik - want.loglik) <= 1e-8 * max(1.0, abs(want.loglik))
+        assert np.all(np.abs(got.beta - want.beta) <= 1e-4 * want.beta_se)
+
+    def test_tiny_time_varying_panel_converges(self):
+        # the four subjects of the array-paths guard above; scoring alone,
+        # without the halving rule, crawls here (10 steps against 5)
+        ds = build_dataset([
+            SubjectPanel("a", (1.0, 2.0), (0, 1), covariates=(1.0,)),
+            SubjectPanel("b", (1.0, 2.0), (0, 0), covariate_path=((0.0, (0.5,)), (1.0, (1.5,)))),
+            SubjectPanel("c", (1.0,), (1,), covariates=(2.0,)),
+            SubjectPanel("d", (1.0,), (0,), covariate_path=((0.0, (2.0,)),)),
+        ], covariate_names=("x",))
+        res = fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING)
+        assert res.converged and res.has_covariance and res.iterations <= 6
+
+    @pytest.mark.parametrize("scoring", [[[2.0, 1.0], [1.0, 2.0]], [[2.0, 2.0], [2.0, 2.0]]])
+    def test_scoring_step_that_lowers_nothing_switches_at_the_same_point(self, scoring):
+        # (x0 - 1)^2 + x1^2, infeasible off x1 = 0: the scoring matrix (the
+        # second one singular) couples x1 into every step, the exact Hessian
+        # does not, so only Newton steps can move
+        seen = []
+
+        def evaluate(x):
+            seen.append(x.copy())
+            if x[1] != 0.0:
+                return np.inf, np.zeros(2), None
+            return (x[0] - 1.0) ** 2, 2.0 * (x - [1.0, 0.0]), lambda exact: np.diag([2.0, 2.0]) if exact else np.array(scoring)
+
+        x, f, (_, w, _), steps, stopped = _newton(evaluate, np.zeros(2), 0, 1e-10)
+        assert stopped is None and steps >= 1
+        assert len(seen) > 25 and x.tolist() == [1.0, 0.0] and f == 0.0
+        assert w.tolist() == [2.0, 2.0]  # the final factors are the exact Hessian's
+
+    def test_newton_from_the_start_reaches_the_same_fits(self, monkeypatch):
+        from test_benchmark_names import load
+
+        problems = []
+        for p1, p0, s_end, arm, *_ in simulate.PUBLISHED_TABLE1:
+            config = benchmark_config(p1, p0, s_end, n_replicates=1, seed=1)
+            problems.append((generate_dataset(config, 0), simulate.analysis_error_model(config, arm), MODEL_COV_FIXED))
+        for s_end, eta, arm, *_ in simulate.PUBLISHED_TABLE2:
+            config = benchmark_config(0.61, 0.995, s_end, eta=eta, n_replicates=1, seed=1)
+            problems.append((generate_dataset(config, 0), simulate.analysis_error_model(config, arm), MODEL_COV_FIXED))
+        inputs = load("inputs")
+        drifting = inputs.to_dataset(inputs.drifting_cohort(1, 5000))
+        problems.append((drifting, ErrorModel(inputs.PHI1, inputs.PHI0, inputs.ETA), MODEL_COV_TIMEVARYING))
+        hybrid = [fit(*problem) for problem in problems]
+        monkeypatch.setattr(estimate, "_SCORING_GAIN", math.inf)  # exact Newton at every point
+        newton = [fit(*problem) for problem in problems]
+        assert len(problems) == 25
+        for got, want in zip(hybrid, newton):
+            self.assert_same_fit(got, want)
+        # scoring saved steps overall
+        assert sum(f.iterations for f in hybrid) < sum(f.iterations for f in newton)
 
 class TestInputGuards:
     """Inputs that cannot give a fit fail with an error naming the subject."""

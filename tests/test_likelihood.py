@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from survreport import likelihood as lik
 from survreport.likelihood import (
     KernelRows,
     LINEAR_PREDICTOR_CLAMP,
@@ -473,3 +474,69 @@ class TestGradient:
         assert ll_w == pytest.approx(ll_r, abs=1e-12)
         assert np.allclose(gl_w, gl_r, atol=1e-12)
         assert np.allclose(gb_w, gb_r, atol=1e-12)
+
+
+def hessian_in_one_piece(lambdas, zf, lp, sums, rows, q, scale, G, lz):
+    """The closed-form Hessian from the kernel's arrays, its outer-product
+    term subtracted in place: forming that term first, as the scoring
+    matrix, must not move a bit of the exact Hessian."""
+    J, p, before = lambdas.size, zf.shape[0], lik._before(lambdas.size)
+    hess = np.zeros((J + p, J + p))
+    ls = lp * scale
+    hess[:J, :J] = ls @ G[:J].T
+    v = [sums(lp * za) for za in zf]
+    for a in range(p):
+        qv = q * v[a]
+        hess[:J, J + a] = -((before * (ls @ qv.T)).sum(axis=1) + lz[a] @ scale)
+        for b in range(a, p):
+            hess[J + a, J + b] = np.einsum("ji,ji->i", qv, v[b]) @ scale - lambdas @ ((lz[a] * zf[b]) @ scale)
+    hess -= (G * (scale / rows)) @ G.T
+    return np.where(lik._before(J + p), hess, hess.T)
+
+
+class TestScoringMatrix:
+    """``hessian_of_point(exact=False)`` is the scoring (BHHH) matrix
+    -sum_i w_i s_i s_i', s_i the gradient of log L_i; the default is the
+    exact Hessian."""
+
+    c = build_c_matrix(
+        make_dataset([((1.0, 2.0, 3.0), (0, 0, 1)), ((1.0, 3.0), (0, 0)), ((2.0, 3.0), (0, 1)), ((1.0,), (1,))]),
+        ErrorModel(0.8, 0.85),
+    )
+    weights = np.array([1.0, 3.0, 2.0, 5.0])
+
+    def cases(self):
+        rng = np.random.default_rng(21)
+        lambdas = rng.uniform(0.1, 0.8, 3)
+        yield {}, lambdas, None
+        yield {"z": rng.normal(size=(4, 2)), "eta": 0.93}, lambdas, rng.normal(size=2)
+        yield {"z_intervals": rng.normal(size=(4, 3, 2))}, lambdas, rng.normal(size=2)
+
+    def test_scoring_matrix_is_the_weighted_outer_product_of_the_row_scores(self):
+        for kw, lambdas, beta in self.cases():
+            hessian = loglik_and_gradient(KernelRows(self.c, weights=self.weights, **kw), lambdas, beta, True)[3]
+            want = np.zeros((lambdas.size + (0 if beta is None else beta.size),) * 2)
+            for i, w in enumerate(self.weights):
+                row = {key: value[i:i + 1] if key != "eta" else value for key, value in kw.items()}
+                _, g_lambda, g_beta = loglik_and_gradient(KernelRows(self.c[i:i + 1], **row), lambdas, beta)
+                score = np.concatenate([g_lambda, g_beta])
+                want -= w * np.outer(score, score)
+            got = hessian(exact=False)
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+            # the exact Hessian adds the curvature of each L_i to it
+            assert not np.allclose(hessian(), got)
+
+    def test_exact_hessian_keeps_its_bits(self, monkeypatch):
+        forms, seen = lik._hessian, []
+
+        def recording(*args):  # the point's arrays, then the exact flag
+            seen.append(args)
+            return forms(*args)
+
+        monkeypatch.setattr(lik, "_hessian", recording)
+        for kw, lambdas, beta in self.cases():
+            hessian = loglik_and_gradient(KernelRows(self.c, weights=self.weights, **kw), lambdas, beta, True)[3]
+            got = hessian()
+            assert seen[-1][-1] is True
+            assert np.array_equal(got, hessian_in_one_piece(*seen[-1][:-1]))
+            assert np.array_equal(hessian(exact=True), got)
