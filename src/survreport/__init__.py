@@ -22,7 +22,6 @@ from .likelihood import (
 )
 from .estimate import (
     FitResult,
-    SensitivityGrid,
     fit,
     lr_test,
     sensitivity_grid,

@@ -128,11 +128,11 @@ def cmd_fit(args) -> int:
     dataset = _load_panel(args)
     result = estimate.fit(dataset, ErrorModel(args.phi1, args.phi0, args.eta), _model(args, dataset))
 
+    summary = estimate.fit_to_dict(result)
     with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-        fh.write(estimate.fit_to_json(result) + "\n")
-    coef = estimate.coefficient_rows(result)
-    if coef:
-        _write_csv(f"{args.out}_coefficients.csv", coef)
+        fh.write(json.dumps(summary, indent=2) + "\n")
+    if summary["coefficients"]:
+        _write_csv(f"{args.out}_coefficients.csv", summary["coefficients"])
     curve = estimate.survival_curve(result, [0.0] * result.beta.size)
     rows = [{"tau": t, "survival": s, "ci_low": lo, "ci_high": hi} for t, s, lo, hi in curve]
     _write_csv(f"{args.out}_survival.csv", rows)
@@ -162,9 +162,8 @@ def cmd_reproduce(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     dataset = _load_panel(args)
-    grid = estimate.sensitivity_grid(dataset, _model(args, dataset), parse_grid_spec(args.grid))
     rows = []
-    for cell in grid.cells:
+    for cell in estimate.sensitivity_grid(dataset, _model(args, dataset), parse_grid_spec(args.grid)):
         f = cell.fit
         row = {"phi1": cell.phi1, "phi0": cell.phi0, "eta": cell.eta, "hazard_ratio": "", "ci_low": "", "ci_high": "",
                "converged": f is not None and bool(f.converged), "error": cell.error or ""}

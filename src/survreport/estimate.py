@@ -10,7 +10,6 @@ count, in an order set by the rows' values alone (:func:`_patterns`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -196,7 +195,7 @@ def fit(
     def evaluate(x):  # the negative log-likelihood in the working parameters (gamma = log lambda, beta)
         lambdas = np.exp(x[:J])
         try:
-            ll, g_lambda, g_beta, hessian = lik.loglik_and_gradient(kernel_rows, lambdas, x[J:], hessian=True)
+            ll, g_lambda, g_beta, hessian = lik.loglik_and_gradient(kernel_rows, lambdas, x[J:])
         except lik.NonPositiveLikelihoodError:
             if x is x0:  # an infeasible start has no step to back off from
                 raise
@@ -453,13 +452,9 @@ class GridCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SensitivityGrid:
-    cells: tuple[GridCell, ...]
-
-
-def sensitivity_grid(dataset: Dataset, model: str, error_models) -> SensitivityGrid:
-    """Refit the same dataset and model once per error-model cell."""
+def sensitivity_grid(dataset: Dataset, model: str, error_models) -> tuple[GridCell, ...]:
+    """Refit the same dataset and model once per error-model cell; a cell
+    whose fit raises a ``ValueError`` records its message."""
     error_models = list(error_models)
     if not error_models:
         raise ValueError("sensitivity grid needs at least one cell")
@@ -468,9 +463,9 @@ def sensitivity_grid(dataset: Dataset, model: str, error_models) -> SensitivityG
     for em in error_models:
         try:
             cells.append(GridCell(em.phi1, em.phi0, em.eta, fit(dataset, em, model)))
-        except Exception as exc:  # per-cell failures are recorded, not fatal
+        except ValueError as exc:  # an impossible pattern, a singular system: recorded, not fatal
             cells.append(GridCell(em.phi1, em.phi0, em.eta, None, error=str(exc)))
-    return SensitivityGrid(cells=tuple(cells))
+    return tuple(cells)
 
 
 def fit_to_dict(fit_result: FitResult) -> dict:
@@ -511,12 +506,3 @@ def fit_to_dict(fit_result: FitResult) -> dict:
         "covariance_working": arr(f.cov_working),
         "covariance_beta_survival": arr(f.cov_transformed),
     }
-
-
-def fit_to_json(fit_result: FitResult) -> str:
-    return json.dumps(fit_to_dict(fit_result), indent=2)
-
-
-def coefficient_rows(fit_result: FitResult) -> list[dict]:
-    """Flat coefficient table for CSV output."""
-    return fit_to_dict(fit_result)["coefficients"]

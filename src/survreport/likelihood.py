@@ -20,16 +20,16 @@ in (lambda, beta).  It reads the :class:`KernelRows` a fit prepares once
 from its distinct rows: C', its differences C'[1:] - C'[:-1], the
 covariates and the row counts as weights, laid out as the kernel reads
 them.  Each point forms its front half and a (J+P, N) matrix G of
-per-subject scores once; with ``hessian=True`` the kernel also returns a
-function that forms the exact second derivatives from those arrays, or
-their outer-product term -sum_i w_i s_i s_i' of the scores s_i (BHHH):
-call it before changing them in place.
+per-subject scores once; the kernel also returns a function that forms
+the exact second derivatives from those arrays, or their outer-product
+term -sum_i w_i s_i s_i' of the scores s_i (BHHH): call it before
+changing them in place.
 
 The kernel works interval-major: per-subject arrays are (J, N) with
 subjects contiguous, so that a per-interval scalar broadcasts along a
 whole row.  Every model reaches it through one covariate-major (P, K, N)
-array: ``z_intervals.T`` (K = J), a time-fixed ``z`` as one interval
-(K = 1) that applies to every interval, or P = 0 without covariates.
+array, ``z_intervals.T``: K = J, or K = 1 for time-fixed covariates, one
+interval that applies to every interval, and P = 0 without covariates.
 Sums over intervals are 0/1 triangular matrices on the left and sums over
 subjects products with a vector: numpy loops over short rows, or
 reductions along a short axis, cost several times as much.  The
@@ -109,16 +109,14 @@ class KernelRows:
     largest |z| per covariate ``zmax``, the float ``weights`` (1.0 for
     none) and ``shape``, that of C: (N, J+1)."""
 
-    def __init__(self, c, z=None, z_intervals=None, eta: float = 1.0, weights=None):
-        if z is not None and z_intervals is not None:
-            raise ValueError("pass either z or z_intervals, not both")
+    def __init__(self, c, z_intervals=None, eta: float = 1.0, weights=None):
         if not (0.0 < eta <= 1.0):
             raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
         ct = np.ascontiguousarray(np.asarray(c, dtype=float).T)
         self.ct = ct if eta == 1.0 else eta * ct + (1.0 - eta) * ct[0]
         self.d = self.ct[1:] - self.ct[:-1]
-        if z_intervals is None:  # a time-fixed z is one interval that applies to all; none is P = 0
-            z_intervals = np.empty((ct.shape[1], 1, 0)) if z is None else np.asarray(z, dtype=float)[:, None, :]
+        if z_intervals is None:  # no covariates: P = 0
+            z_intervals = np.empty((ct.shape[1], 1, 0))
         self.zk = np.ascontiguousarray(np.asarray(z_intervals, dtype=float).T)
         self.zmax = np.abs(self.zk).max(axis=(1, 2), initial=0.0)  # nan if a z is
         self.weights = 1.0 if weights is None else np.asarray(weights, dtype=float)
@@ -176,13 +174,13 @@ def _kernel_terms(kr, lambdas, beta):
     return zf, lp, sums, rows, ss * kr.d, 1.0 / rows * kr.weights
 
 
-def loglik_and_gradient(kr: KernelRows, lambdas, beta, hessian: bool = False):
-    """``(loglik, grad_lambda, grad_beta)`` of the prepared rows ``kr``; with
-    ``hessian=True`` also ``hessian_of_point(exact=True)``, which forms the
-    Hessian in (lambda, beta), lambda first, or its outer-product term alone,
-    from this call's arrays and ``lambdas``: call it before changing them in
-    place.  With S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} lambda_k lp_ik: d log L_i
-    = -scale_i G_i, G_i = sum_j q_ij dA_ij, so G_ki = lp_ki T_ki and G_(J+p)i = sum_k lambda_k lz_pki."""
+def loglik_and_gradient(kr: KernelRows, lambdas, beta):
+    """``(loglik, grad_lambda, grad_beta, hessian_of_point)`` of the prepared
+    rows ``kr``; ``hessian_of_point(exact=True)`` forms the Hessian in (lambda,
+    beta), lambda first, or its outer-product term alone, from this call's
+    arrays and ``lambdas``: call it before changing them in place.  With
+    S_j^(i) = exp(-A_ij), A_ij = sum_{k<j} lambda_k lp_ik: d log L_i = -scale_i G_i,
+    G_i = sum_j q_ij dA_ij, so G_ki = lp_ki T_ki and G_(J+p)i = sum_k lambda_k lz_pki."""
     lambdas, beta = _increments(lambdas), np.asarray(() if beta is None else beta, dtype=float)
     if not np.isfinite(beta).all():
         raise ValueError("coefficients beta must be finite")
@@ -197,8 +195,6 @@ def loglik_and_gradient(kr: KernelRows, lambdas, beta, hessian: bool = False):
     # lambda from its own J rows, so that a one-sample fit keeps its bits
     sum_lambda, sum_beta = G[:J] @ scale, G[J:] @ scale
     ll = float((np.log(rows) * kr.weights).sum())  # pairwise: error O(eps log N) relative to sum |log L_i|
-    if not hessian:
-        return ll, -sum_lambda, -sum_beta
     return ll, -sum_lambda, -sum_beta, lambda exact=True: _hessian(lambdas, zf, lp, sums, rows, q, scale, G, lz, exact)
 
 

@@ -97,10 +97,6 @@ class SubjectPanel:
                 "path are mutually exclusive"
             )
 
-    @property
-    def n_visits(self) -> int:
-        return len(self.times)
-
 
 @dataclass(frozen=True)
 class StudyGrid:
@@ -137,21 +133,20 @@ class Dataset:
       the path of subject ``rows[k]``, holds the (P,) vector ``values[k]``
       measured at ``times[k]``; a time-fixed vector is one point at time 0.
 
-    ``Dataset(subjects, grid, ...)``, :func:`build_dataset` and :func:`read_panel_csv`
-    make them from long form in one step (:meth:`_fill`), :meth:`from_arrays` from the
-    report matrix; each raises :class:`PanelValidationError` listing every broken rule
-    of :data:`_RULES`, so a dataset that exists is valid.  No panel is kept: ``subjects``
-    is made from the arrays when first read.  Equality and the hash read the arrays.
+    ``Dataset(subjects, ...)`` and :func:`read_panel_csv` make them from long form in one
+    step (:meth:`_fill`) on the sorted distinct visit times, :meth:`from_arrays` from the
+    report matrix on its grid; each raises :class:`PanelValidationError` listing every
+    broken rule of :data:`_RULES`, so a dataset that exists is valid.  No panel is kept:
+    ``subjects`` is made from the arrays when first read.  Equality and the hash read the arrays.
     """
 
     grid: StudyGrid
     covariate_names: tuple[str, ...] = ()
     schedule: str = ADAPTIVE
 
-    def __init__(self, subjects: Sequence[SubjectPanel], grid: StudyGrid, covariate_names=(),
-                 schedule: str = ADAPTIVE):
+    def __init__(self, subjects: Sequence[SubjectPanel], covariate_names=(), schedule: str = ADAPTIVE):
         names = tuple(covariate_names)
-        self._fill(grid, names, schedule, *_flatten(tuple(subjects), len(names)))
+        self._fill(names, schedule, *_flatten(tuple(subjects), len(names)))
 
     @classmethod
     def from_arrays(cls, subject_ids, reports, grid: StudyGrid, covariates=None, covariate_names=(),
@@ -160,7 +155,7 @@ class Dataset:
         (N, P) time-fixed covariate matrix, or ``None`` without covariates.
         ``violations``, when given, is what the caller's own checks found,
         distinct ids included (the generator passes ``()``).  The result
-        equals the same subjects passed through :func:`build_dataset`.
+        equals the dataset made from the same subjects.
         """
         ids, names, reports = tuple(subject_ids), tuple(covariate_names), np.asarray(reports)
         # checked before the cast, which would wrap 257 to 1 and truncate 0.7 to 0
@@ -175,40 +170,35 @@ class Dataset:
             )
         first = np.arange(len(ids) if names else 0)  # a time-fixed vector is one point at time 0
         dataset = cls.__new__(cls)
-        dataset._hold(ids, grid, names, schedule, distinct=violations is None)
-        dataset._keep(reports, (first, np.zeros(first.size), z[first]), np.full(len(ids), bool(names)))
+        dataset._hold(ids, names, schedule, distinct=violations is None)
+        dataset._keep(grid, reports, (first, np.zeros(first.size), z[first]), np.full(len(ids), bool(names)))
         if violations is None:  # every subject has one P-long vector at time 0: no covariate rule can break
-            violations = _violations(ids, dataset.visits, None, schedule)
+            violations = _violations(ids, dataset.visits, schedule)
         if violations:
             raise PanelValidationError(violations)
         return dataset
 
-    def _fill(self, grid, names, schedule, ids, visits, points, fixed, lengths, distinct=True) -> Dataset:
+    def _fill(self, names, schedule, ids, visits, points, fixed, lengths, distinct=True) -> Dataset:
         """Set this dataset from ``visits`` ``(rows, times, results)`` and covariate
         ``points`` ``(rows, times, values)``, each in subject then time order, on
-        ``grid`` or, if None, on the sorted distinct visit times; ``fixed`` and the
-        vectors' ``lengths`` are as :func:`_flatten` gives them.  Returns the dataset."""
+        the sorted distinct visit times; ``fixed`` and the vectors' ``lengths`` are
+        as :func:`_flatten` gives them.  Returns the dataset."""
         rows, times, results = visits
-        if grid is None:  # each visit's column is its index in the grid
-            taus, cols = np.unique(times, return_inverse=True)
-            if not taus.size:
-                raise ValueError("cannot build a grid from subjects with no visits")
-            grid, off = StudyGrid(tuple(taus.tolist())), None
-        else:
-            cols = np.searchsorted(grid.taus, times)
-            off = np.take(grid.taus, cols, mode="clip") != times
-        self._hold(ids, grid, names, schedule, distinct)
-        violations = _violations(ids, visits, off, schedule, (points[0], lengths, points[1]), len(names))
-        if violations:  # then a visit may be off the grid, or a vector not P long
+        if not times.size:
+            raise ValueError("cannot build a grid from subjects with no visits")
+        self._hold(ids, names, schedule, distinct)
+        violations = _violations(ids, visits, schedule, (points[0], lengths, points[1]), len(names))
+        if violations:  # before a bad visit time breaks the grid, or a vector not P long is kept
             raise PanelValidationError(violations)
-        reports = np.full((len(ids), grid.J), -1, dtype=np.int8)
+        taus, cols = np.unique(times, return_inverse=True)  # each visit's column is its index in the grid
+        reports = np.full((len(ids), taus.size), -1, dtype=np.int8)
         reports[rows, cols] = results
-        self._keep(reports, points, fixed)
+        self._keep(StudyGrid(tuple(taus.tolist())), reports, points, fixed)
         return self
 
-    def _hold(self, ids, grid, names, schedule, distinct=True):
+    def _hold(self, ids, names, schedule, distinct=True):
         """Check the schedule, that there are ``ids`` and, if ``distinct``,
-        that none repeats; set them, the grid, names and schedule."""
+        that none repeats; set them, names and schedule."""
         if schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
         if not ids:
@@ -216,15 +206,15 @@ class Dataset:
         if distinct and len(set(ids)) < len(ids):
             seen = set()
             raise ValueError(f"subject {next(s for s in ids if s in seen or seen.add(s))} appears twice")
-        vars(self).update(ids=tuple(ids), grid=grid, covariate_names=tuple(names), schedule=schedule)
+        vars(self).update(ids=tuple(ids), covariate_names=tuple(names), schedule=schedule)
 
-    def _keep(self, reports, long_form, fixed):
-        """Set the arrays, read-only; the covariate matrix is the long form's
-        values when every subject has one time-fixed vector."""
+    def _keep(self, grid, reports, long_form, fixed):
+        """Set the grid and the arrays, read-only; the covariate matrix is the
+        long form's values when every subject has one time-fixed vector."""
         for a in (reports, *long_form):
             a.flags.writeable = False
         covariates = long_form[2] if fixed.all() else None
-        vars(self).update(reports=reports, covariate_paths=long_form, _fixed=fixed,
+        vars(self).update(grid=grid, reports=reports, covariate_paths=long_form, _fixed=fixed,
                           covariates=covariates if self.covariate_names else np.empty((self.n, 0)))
 
     @cached_property
@@ -327,18 +317,14 @@ def round_to_granularity(time: float, granularity: float) -> float:
     return round(round(time / granularity) * granularity, decimals)
 
 
-def build_dataset(subjects, covariate_names=(), schedule: str = ADAPTIVE) -> Dataset:
-    """The :class:`Dataset` of ``subjects`` on the sorted distinct times of
-    their visits; it raises :class:`PanelValidationError` as ``Dataset`` does."""
-    names = tuple(covariate_names)
-    return Dataset.__new__(Dataset)._fill(None, names, schedule, *_flatten(tuple(subjects), len(names)))
+build_dataset = Dataset  # a name perfbench/spans.py wraps and perfbench/inputs.py calls
 
 
 _RULES = (
     "zero visits",
     "non-positive visit time",
     "visit times not strictly increasing",
-    "off-grid visit time",
+    "non-finite visit time",
     "multiple positive results",
     "positive not terminal",
     "covariate length mismatch",
@@ -353,12 +339,11 @@ def validate(dataset: Dataset) -> list[Violation]:  # a name perfbench/spans.py 
     return []
 
 
-def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]:
+def _violations(ids, visits, schedule, widths=None, p=0) -> list[Violation]:
     """One :class:`Violation` per subject and broken rule of ``_RULES``, in
     subject then rule order; a subject with no visits gets only that one.
 
-    ``visits`` is long form as in :attr:`Dataset.visits` and ``off`` flags those
-    off the grid (None: none is); ``widths``, ``(rows, lengths, times)``, gives the subject,
+    ``visits`` is long form as in :attr:`Dataset.visits`; ``widths``, ``(rows, lengths, times)``, gives the subject,
     length and time of every covariate vector, or is None where the covariate rules cannot break.
     """
     rows, times, results = visits
@@ -374,8 +359,7 @@ def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]
     broken = np.zeros((n, len(_RULES)), dtype=bool)
     broken[:, 1] = per_subject(times <= 0.0)
     broken[:, 2] = unordered(rows, times)
-    if off is not None:
-        broken[:, 3] = per_subject(off)
+    broken[:, 3] = per_subject(~np.isfinite(times))
     if schedule == ADAPTIVE:
         positives = np.bincount(rows[results == 1], minlength=n)
         last_positive = np.zeros(n, dtype=bool)
@@ -394,12 +378,7 @@ def _violations(ids, visits, off, schedule, widths=None, p=0) -> list[Violation]
     broken[counts == 0] = np.arange(len(_RULES)) == 0
     out = []
     for i, k in zip(*np.divmod(np.flatnonzero(broken), len(_RULES))):  # subject then rule order; 2-d nonzero is slow
-        detail = ""
-        if k == 3:
-            detail = f"times {times[(rows == i) & off].tolist()}"
-        elif k == 6:
-            detail = f"expected {p}, got {width[i]}"
-        out.append(Violation(ids[i], _RULES[k], detail))
+        out.append(Violation(ids[i], _RULES[k], f"expected {p}, got {width[i]}" if k == 6 else ""))
     return out
 
 
@@ -613,5 +592,5 @@ def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, roundin
         point_values[path] = values[keep[path]]
     points = point_rows, np.where(path, times[keep], 0.0), point_values
     visits, fixed, lengths = (rows, times, results), ~varying & bool(names), np.broadcast_to(len(names), keep.shape)
-    dataset = Dataset.__new__(Dataset)._fill(None, names, schedule, subject_ids, visits, points, fixed, lengths, False)
+    dataset = Dataset.__new__(Dataset)._fill(names, schedule, subject_ids, visits, points, fixed, lengths, False)
     return LoadedPanel(dataset=dataset, n_imputed=n_imputed, n_collisions_merged=n_collisions)

@@ -40,6 +40,14 @@ def report(criterion, passed, detail):
     assert passed, line
 
 
+def kernel_rows(c, z=None, **kw):
+    """Kernel rows of raw arrays: ``kw`` (z_intervals, eta), or a time-fixed
+    (N, P) ``z`` as one interval that applies to every interval."""
+    if z is not None:
+        kw["z_intervals"] = np.asarray(z, dtype=float)[:, None, :]
+    return KernelRows(c, **kw)
+
+
 def random_error_model(rng, lo_phi0=0.6):
     phi0 = rng.uniform(lo_phi0, 1.0)
     phi1 = rng.uniform(1.0 - phi0 + 0.05, 1.0)
@@ -177,8 +185,8 @@ class TestCriterion6GradientCorrectness:
     """Analytic gradients agree with central differences at interior points."""
 
     def _relerr(self, c, lambdas, beta, **kw):
-        rows = KernelRows(c, **kw)
-        _, g_lam, g_beta = loglik_and_gradient(rows, lambdas, beta)
+        rows = kernel_rows(c, **kw)
+        _, g_lam, g_beta, _ = loglik_and_gradient(rows, lambdas, beta)
         nl = lambdas.size
         x0 = np.concatenate([lambdas, beta if beta is not None else []])
 
@@ -297,7 +305,7 @@ class TestCriterion8ReductionIdentities:
         z = np.array([[1.0], [0.5], [0.0], [1.5]])
 
         def loglik(beta, **kw):
-            return loglik_and_gradient(KernelRows(c, **kw), lambdas, beta)[0]
+            return loglik_and_gradient(kernel_rows(c, **kw), lambdas, beta)[0]
 
         eta_gap = loglik(beta, z=z, eta=1.0) - loglik(beta, z=z)
         beta_gap = loglik(np.zeros(1), z=z) - loglik(None)

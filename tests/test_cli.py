@@ -167,6 +167,15 @@ class TestFitCommand:
         )
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("rows, extra", [("a,-1,0\n", []), ("a,0.3,0\na,2,0\n", ["--round", "1"])])
+    def test_non_positive_visit_time_names_the_subject(self, tmp_path, capsys, rows, extra):
+        panel = tmp_path / "p.csv"
+        panel.write_text("subject_id,time,result\nb,1,0\n" + rows, encoding="utf-8")
+        argv = ["fit", str(panel), "--phi1", "0.75", "--phi0", "0.9", "--out", str(tmp_path / "x"), *extra]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "survreport: error: dataset failed validation: a: non-positive visit time\n"
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize(
         "panel_text, base_text, message",
         [
@@ -218,7 +227,7 @@ class TestFitCommand:
         blob = json.loads((tmp_path / "tv.json").read_text())
         want = estimate.fit(read_panel_csv(panel).dataset, ErrorModel(0.75, 0.9), estimate.MODEL_COV_TIMEVARYING)
         assert want.converged and blob["model"] == estimate.MODEL_COV_TIMEVARYING
-        assert blob == json.loads(estimate.fit_to_json(want))
+        assert blob == json.loads(json.dumps(estimate.fit_to_dict(want)))
 
     def test_notes_for_carried_forward_and_merged_visits(self, tmp_path, capsys):
         panel = tmp_path / "notes.csv"

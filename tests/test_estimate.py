@@ -23,7 +23,6 @@ from survreport.estimate import (
     _two_sided_p,
     fit,
     fit_to_dict,
-    fit_to_json,
     interval_covariates,
     lr_test,
     sensitivity_grid,
@@ -737,7 +736,7 @@ class TestSerialization:
     def test_round_trip(self):
         _, ds = simulated(seed=8, n=150)
         res = fit(ds, ErrorModel(0.75, 0.9))
-        blob = fit_to_json(res)
+        blob = json.dumps(fit_to_dict(res), indent=2)
         back = json.loads(blob)
         assert back["model"] == MODEL_COV_FIXED
         assert back["coefficients"][0]["name"] == "z1"
@@ -753,9 +752,8 @@ class TestSensitivityGrid:
     def test_single_cell_equals_direct_fit(self):
         _, ds = simulated(seed=10, n=150)
         em = ErrorModel(0.75, 0.9)
-        grid = sensitivity_grid(ds, MODEL_COV_FIXED, [em])
+        (cell,) = sensitivity_grid(ds, MODEL_COV_FIXED, [em])
         direct = fit(ds, em)
-        cell = grid.cells[0]
         assert cell.error is None
         assert cell.fit.beta[0] == pytest.approx(direct.beta[0], abs=1e-9)
 
@@ -768,8 +766,8 @@ class TestSensitivityGrid:
             for eta in (0.96, 0.98)
         ]
         grid = sensitivity_grid(ds, MODEL_COV_FIXED, models)
-        assert len(grid.cells) == 18
-        assert all(c.fit is not None for c in grid.cells)
+        assert len(grid) == 18
+        assert all(c.fit is not None for c in grid)
 
     def test_hr_decreasing_in_assumed_specificity(self):
         # assuming lower specificity attributes more positives to noise,
@@ -778,8 +776,27 @@ class TestSensitivityGrid:
         _, ds = simulated(seed=12, phi1=0.61, phi0=0.995, s_end=0.5, n=600)
         models = [ErrorModel(0.61, p0) for p0 in (0.999, 0.997, 0.995, 0.99)]
         grid = sensitivity_grid(ds, MODEL_COV_FIXED, models)
-        hrs = [float(c.fit.hazard_ratio[0]) for c in grid.cells]
+        hrs = [float(c.fit.hazard_ratio[0]) for c in grid]
         assert all(a < b for a, b in zip(hrs, hrs[1:]))
+
+    def test_impossible_pattern_cell_is_recorded(self):
+        # a positive then a negative report cannot happen when reports are perfect
+        ds = build_dataset([SubjectPanel("a", (1.0, 2.0), (1, 0)), SubjectPanel("b", (1.0, 2.0), (0, 1)),
+                            SubjectPanel("c", (1.0, 2.0), (0, 0))], schedule=PREDETERMINED)
+        impossible, possible = sensitivity_grid(ds, MODEL_ONESAMPLE, [ErrorModel(1.0, 1.0), ErrorModel(0.8, 0.9)])
+        assert impossible.fit is None
+        assert impossible.error == "subject a: report pattern is impossible under phi1=1, phi0=1"
+        assert possible.error is None and possible.fit.converged
+
+    def test_a_programming_error_in_a_cell_propagates(self, monkeypatch):
+        _, ds = simulated(seed=10, n=50)
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr(estimate, "fit", broken)
+        with pytest.raises(TypeError, match="broken fit"):
+            sensitivity_grid(ds, MODEL_COV_FIXED, [ErrorModel(0.75, 0.9)])
 
     def test_empty_grid_rejected(self):
         _, ds = simulated(seed=10, n=50)

@@ -42,10 +42,17 @@ def make_dataset(patterns, taus=None, covs=None, schedule=PREDETERMINED):
     return ds
 
 
-def kernel(c, lambdas, beta=None, hessian=False, **kw):
-    """The single kernel on raw arrays: ``kw`` (z, z_intervals, eta,
-    weights) prepared as kernel rows."""
-    return loglik_and_gradient(KernelRows(c, **kw), lambdas, beta, hessian=hessian)
+def kernel_rows(c, z=None, **kw):
+    """Kernel rows of raw arrays: ``kw`` (z_intervals, eta, weights), or a
+    time-fixed (N, P) ``z`` as one interval that applies to every interval."""
+    if z is not None:
+        kw["z_intervals"] = np.asarray(z, dtype=float)[:, None, :]
+    return KernelRows(c, **kw)
+
+
+def kernel(c, lambdas, beta=None, **kw):
+    """The single kernel on raw arrays, prepared by :func:`kernel_rows`."""
+    return loglik_and_gradient(kernel_rows(c, **kw), lambdas, beta)
 
 
 def loglik(c, lambdas, beta=None, **kw):
@@ -307,9 +314,6 @@ class TestLoglikVariants:
         with pytest.raises(NonPositiveLikelihoodError) as err:
             loglik(c, lambdas)
         assert err.value.row == 1
-        with pytest.raises(NonPositiveLikelihoodError) as err:
-            kernel(c, lambdas, None, hessian=True)
-        assert err.value.row == 1
 
     def test_weights_equal_replication(self):
         c2 = np.vstack([self.c, self.c[:2]])
@@ -356,7 +360,7 @@ class TestReductions:
         with pytest.raises(ValueError, match="lambdas must be finite"):
             loglik(self.c, np.full(self.lambdas.size, bad), [0.0], z=self.z)
         with pytest.raises(ValueError, match="lambdas must be finite"):
-            kernel(self.c, np.append(self.lambdas[1:], bad), [0.0], hessian=True, z=self.z)
+            kernel(self.c, np.append(self.lambdas[1:], bad), [0.0], z=self.z)
         with pytest.raises(ValueError, match="beta must be finite"):
             loglik(self.c, self.lambdas, [bad], z=self.z)
 
@@ -380,7 +384,7 @@ class TestClampBoundary:
         # 0.3 and 0.6 at the clamp, so that its derivatives do not vanish
         lambdas = np.array([0.3, 0.6]) * np.exp(-np.sign(z) * LINEAR_PREDICTOR_CLAMP)
         kw = {"z_intervals": np.full((1, 2, 1), z)} if time_varying else {"z": np.full((1, 1), z)}
-        *point, hessian = kernel(self.c, lambdas, self.beta, hessian=True, **kw)
+        *point, hessian = kernel(self.c, lambdas, self.beta, **kw)
         return (*point, hessian())
 
     @pytest.mark.parametrize("time_varying", [False, True])
@@ -398,8 +402,8 @@ class TestClampBoundary:
 
 class TestGradient:
     def _check(self, c, lambdas, beta, **kw):
-        rows = KernelRows(c, **kw)
-        ll, g_lam, g_beta = loglik_and_gradient(rows, lambdas, beta)
+        rows = kernel_rows(c, **kw)
+        ll, g_lam, g_beta, _ = loglik_and_gradient(rows, lambdas, beta)
         x0 = np.concatenate([lambdas, beta if beta is not None else []])
         nl = lambdas.size
 
@@ -467,10 +471,10 @@ class TestGradient:
         lam = rng.uniform(0.1, 1.0, 2)
         beta = rng.normal(size=1)
         w = np.array([3.0, 2.0])
-        ll_w, gl_w, gb_w = kernel(c, lam, beta, z=z, weights=w)
+        ll_w, gl_w, gb_w, _ = kernel(c, lam, beta, z=z, weights=w)
         c_rep = np.vstack([c[0], c[0], c[0], c[1], c[1]])
         z_rep = np.vstack([z[0], z[0], z[0], z[1], z[1]])
-        ll_r, gl_r, gb_r = kernel(c_rep, lam, beta, z=z_rep)
+        ll_r, gl_r, gb_r, _ = kernel(c_rep, lam, beta, z=z_rep)
         assert ll_w == pytest.approx(ll_r, abs=1e-12)
         assert np.allclose(gl_w, gl_r, atol=1e-12)
         assert np.allclose(gb_w, gb_r, atol=1e-12)
@@ -514,11 +518,11 @@ class TestScoringMatrix:
 
     def test_scoring_matrix_is_the_weighted_outer_product_of_the_row_scores(self):
         for kw, lambdas, beta in self.cases():
-            hessian = loglik_and_gradient(KernelRows(self.c, weights=self.weights, **kw), lambdas, beta, True)[3]
+            hessian = kernel(self.c, lambdas, beta, weights=self.weights, **kw)[3]
             want = np.zeros((lambdas.size + (0 if beta is None else beta.size),) * 2)
             for i, w in enumerate(self.weights):
                 row = {key: value[i:i + 1] if key != "eta" else value for key, value in kw.items()}
-                _, g_lambda, g_beta = loglik_and_gradient(KernelRows(self.c[i:i + 1], **row), lambdas, beta)
+                _, g_lambda, g_beta, _ = kernel(self.c[i:i + 1], lambdas, beta, **row)
                 score = np.concatenate([g_lambda, g_beta])
                 want -= w * np.outer(score, score)
             got = hessian(exact=False)
@@ -535,7 +539,7 @@ class TestScoringMatrix:
 
         monkeypatch.setattr(lik, "_hessian", recording)
         for kw, lambdas, beta in self.cases():
-            hessian = loglik_and_gradient(KernelRows(self.c, weights=self.weights, **kw), lambdas, beta, True)[3]
+            hessian = kernel(self.c, lambdas, beta, weights=self.weights, **kw)[3]
             got = hessian()
             assert seen[-1][-1] is True
             assert np.array_equal(got, hessian_in_one_piece(*seen[-1][:-1]))

@@ -136,11 +136,11 @@ class TestValidate:
     def violations(self, subjects, **kwargs):
         """The violations that making the dataset of ``subjects`` raises."""
         with pytest.raises(PanelValidationError) as raised:
-            Dataset(tuple(subjects), self.grid(), **kwargs)
+            Dataset(tuple(subjects), **kwargs)
         return raised.value.violations
 
     def test_clean_dataset_empty_report(self):
-        ds = Dataset((subj("a", [1.0, 2.0], [0, 1]),), self.grid())
+        ds = Dataset((subj("a", [1.0, 2.0], [0, 1]),))
         assert validate(ds) == []
 
     def test_positive_not_terminal(self):
@@ -148,11 +148,19 @@ class TestValidate:
         assert "positive not terminal" in rules
 
     def test_predetermined_allows_inconsistent_patterns(self):
-        ds = Dataset((subj("a", [1.0, 2.0], [1, 0]),), self.grid(), schedule=PREDETERMINED)
+        ds = Dataset((subj("a", [1.0, 2.0], [1, 0]),), schedule=PREDETERMINED)
         assert validate(ds) == []
 
-    def test_off_grid_visit(self):
-        assert any(v.rule == "off-grid visit time" for v in self.violations([subj("a", [2.5], [0])]))
+    @pytest.mark.parametrize("times, rule", [
+        ((-1.0, 1.0), "non-positive visit time"),
+        ((0.0, 1.0), "non-positive visit time"),
+        ((math.nan, 1.0), "non-finite visit time"),
+        ((1.0, math.inf), "non-finite visit time"),
+    ])
+    def test_bad_visit_times_name_the_subject_and_the_rule(self, times, rule):
+        # checked before the grid is made from the visit times, which they would break
+        with pytest.raises(PanelValidationError, match=f"a: {rule}"):
+            build_dataset([SubjectPanel("a", times, (0, 0))])
 
     def test_zero_visits(self):
         violations = self.violations([subj("a", [1.0], [0]), subj("b", [], [])])
@@ -167,21 +175,17 @@ class TestValidate:
         assert any(v.rule == "covariate length mismatch" for v in violations)
 
     def test_report_matrix(self):
-        ds = Dataset((subj("a", [1.0, 3.0], [0, 1]), subj("b", [2.0], [0])), self.grid())
+        ds = Dataset((subj("a", [1.0, 3.0], [0, 1]), subj("b", [2.0], [0])))
         assert ds.reports.dtype == np.int8
         assert ds.reports.tolist() == [[0, -1, 1], [-1, 0, -1]]
         assert ds.reports is ds.reports
         with pytest.raises(ValueError):
             ds.reports[0, 0] = 1
 
-    def test_report_matrix_off_grid_time(self):
-        with pytest.raises(PanelValidationError, match=r"a: off-grid visit time \(times \[2.5\]\)"):
-            Dataset((subj("a", [2.5], [0]),), self.grid())
-
     @pytest.mark.parametrize("times", [[2.0, 2.0], [3.0, 1.0]])
     def test_report_matrix_rejects_repeated_or_unordered_visits(self, times):
         with pytest.raises(PanelValidationError, match="b: visit times not strictly increasing"):
-            Dataset((subj("a", [1.0], [0]), subj("b", times, [0, 0])), self.grid())
+            Dataset((subj("a", [1.0], [0]), subj("b", times, [0, 0])))
 
     def test_every_violation_raises_each_time_the_dataset_is_made(self):
         subjects = [subj("a", [2.0, 1.0], [0, 0], cov=(1.0, 2.0))]
@@ -196,8 +200,8 @@ class TestValidate:
             return self.violations([subj("a", times, [0] * len(times))])
 
         assert made(2.0, 1.0) == made(2.0, 1.0)
-        assert made(2.0, 1.0) != made(2.0, 0.5)
-        assert Dataset((subj("a", (1.0, 2.0), [0, 0]),), self.grid()).n == 1  # in time order it is made
+        assert made(2.0, 1.0) != made(2.0, -1.0)
+        assert Dataset((subj("a", (1.0, 2.0), [0, 0]),)).n == 1  # in time order it is made
 
     def test_datasets_differing_in_one_member_are_unequal(self):
         a, b = subj("a", [1.0, 2.0], [0, 1], cov=(1.0,)), subj("b", [1.0], [0], cov=(2.0,))
@@ -215,16 +219,16 @@ class TestValidate:
 
     def test_covariate_matrix(self):
         ds = Dataset((subj("a", [1.0], [0], cov=(1.0, -2.0)), subj("b", [2.0], [0], cov=(0.5, 3.0))),
-                     self.grid(), covariate_names=("x", "y"))
+                     covariate_names=("x", "y"))
         assert ds.covariates.tolist() == [[1.0, -2.0], [0.5, 3.0]]
         assert ds.covariates is ds.covariates
         with pytest.raises(ValueError):
             ds.covariates[0, 0] = 9.0
-        assert Dataset((subj("a", [1.0], [0]),), self.grid()).covariates.shape == (1, 0)
+        assert Dataset((subj("a", [1.0], [0]),)).covariates.shape == (1, 0)
 
     def test_covariate_matrix_is_none_with_a_path(self):
         path = SubjectPanel("b", (2.0,), (0,), covariate_path=((0.0, (1.0,)), (1.0, (2.0,))))
-        ds = Dataset((subj("a", [1.0], [0], cov=(1.0,)), path), self.grid(), covariate_names=("x",))
+        ds = Dataset((subj("a", [1.0], [0], cov=(1.0,)), path), covariate_names=("x",))
         assert ds.covariates is None
 
     def test_from_arrays_equals_built_dataset(self):
@@ -243,13 +247,12 @@ class TestValidate:
         assert no_covariates.covariates.shape == (1, 0)
 
     def test_zero_length_vector_counts_as_none(self):
-        grid = StudyGrid((1.0,))
-        ds = Dataset([SubjectPanel("a", (1.0,), (0,), covariates=())], grid)
-        arrays = Dataset.from_arrays(["a"], [[0]], grid)
+        ds = Dataset([SubjectPanel("a", (1.0,), (0,), covariates=())])
+        arrays = Dataset.from_arrays(["a"], [[0]], StudyGrid((1.0,)))
         assert ds == arrays and hash(ds) == hash(arrays)
         assert ds.subjects == (subj("a", [1.0], [0]),)
         with pytest.raises(PanelValidationError, match=r"a: covariate length mismatch \(expected 1, got 0\)"):
-            Dataset([SubjectPanel("a", (1.0,), (0,), covariates=())], grid, covariate_names=("x",))
+            Dataset([SubjectPanel("a", (1.0,), (0,), covariates=())], covariate_names=("x",))
 
     @pytest.mark.parametrize(
         "reports, covariates, names",
@@ -349,7 +352,7 @@ class TestReadPanelCsv(object):
         loaded = read_panel_csv(path)
         ds = loaded.dataset
         assert ds.n == 1
-        assert ds.subjects[0].n_visits == 3
+        assert ds.subjects[0].times == (1.0, 2.0, 3.0)
         assert ds.grid.taus == (1.0, 2.0, 3.0)
 
     def test_non_binary_result_names_line(self, tmp_path):

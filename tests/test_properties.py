@@ -183,7 +183,7 @@ def test_kernel_matches_direct_probability(case):
         with pytest.raises(NonPositiveLikelihoodError):
             kernel(c, lambdas, beta, z=z, eta=em.eta)
         return
-    ll, _, _ = kernel(c, lambdas, beta, z=z, eta=em.eta)
+    ll = kernel(c, lambdas, beta, z=z, eta=em.eta)[0]
     assert math.isclose(ll, math.fsum(map(math.log, probabilities)), rel_tol=1e-11, abs_tol=1e-12)
 
 
@@ -261,15 +261,22 @@ def kernel_cases(draw):
     return c, lambdas, beta, kwargs
 
 
-def kernel(c, lambdas, beta, hessian=False, **kwargs):
-    """The kernel on raw arrays: ``kwargs`` (z, z_intervals, eta, weights)
-    prepared as kernel rows."""
-    return loglik_and_gradient(KernelRows(c, **kwargs), lambdas, beta, hessian=hessian)
+def prepare(c, z=None, **kwargs):
+    """Kernel rows of raw arrays: ``kwargs`` (z_intervals, eta, weights), or a
+    time-fixed (N, P) ``z`` as one interval that applies to every interval."""
+    if z is not None:
+        kwargs["z_intervals"] = np.asarray(z, dtype=float)[:, None, :]
+    return KernelRows(c, **kwargs)
+
+
+def kernel(c, lambdas, beta, **kwargs):
+    """The kernel on raw arrays, prepared by :func:`prepare`."""
+    return loglik_and_gradient(prepare(c, **kwargs), lambdas, beta)
 
 
 def kernel_hessian(c, lambdas, beta, **kwargs):
     """The kernel's Hessian in (lambda, beta) on raw arrays."""
-    return kernel(c, lambdas, beta, hessian=True, **kwargs)[3]()
+    return kernel(c, lambdas, beta, **kwargs)[3]()
 
 
 def working_point(lambdas, beta):
@@ -279,7 +286,7 @@ def working_point(lambdas, beta):
 def working_gradient(c, x, beta, kwargs):
     """Gradient of the log-likelihood in (log lambda, beta)."""
     J = c.shape[1] - 1
-    _, g_lambda, g_beta = kernel(c, np.exp(x[:J]), None if beta is None else x[J:], **kwargs)
+    _, g_lambda, g_beta, _ = kernel(c, np.exp(x[:J]), None if beta is None else x[J:], **kwargs)
     return np.concatenate([g_lambda * np.exp(x[:J]), g_beta])
 
 
@@ -331,7 +338,7 @@ def test_hessian_matches_central_differences_of_gradient(case):
     assert np.array_equal(hessian, hessian.T)
 
     def gradient(y):  # in (lambda, beta)
-        return np.concatenate(kernel(c, y[:J], None if beta is None else y[J:], **kwargs)[1:])
+        return np.concatenate(kernel(c, y[:J], None if beta is None else y[J:], **kwargs)[1:3])
 
     want = np.array([central_difference_gradient(lambda y: gradient(y)[k], x) for k in range(x.size)])
     assert hessian_error(hessian, want, gradient(x)) < 1e-6
@@ -349,8 +356,8 @@ def test_duplicate_row_equals_double_weight(case):
         if key in kwargs:
             duplicated[key] = np.concatenate((kwargs[key], kwargs[key][:1]))
     c_dup = np.vstack((c, c[:1]))
-    ll_w, *grad_w = kernel(c, lambdas, beta, **doubled)
-    ll_d, *grad_d = kernel(c_dup, lambdas, beta, **duplicated)
+    ll_w, *grad_w, _ = kernel(c, lambdas, beta, **doubled)
+    ll_d, *grad_d, _ = kernel(c_dup, lambdas, beta, **duplicated)
     assert math.isclose(ll_w, ll_d, rel_tol=1e-12, abs_tol=1e-12)
     for got, want in zip(grad_w, grad_d):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -382,7 +389,7 @@ def test_kernel_matches_cumsum_oracle(case, beta2, seed):
     for order in (np.ascontiguousarray, np.asfortranarray):
         c_o = order(c)
         kw = {k: order(v) if k in ("z", "z_intervals") else v for k, v in kwargs.items()}
-        ll, *grad = kernel(c_o, lambdas, beta, **kw)
+        ll, *grad, _ = kernel(c_o, lambdas, beta, **kw)
         assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
         assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-10
         hessian = kernel_hessian(c_o, lambdas, beta, **kw)
@@ -409,9 +416,7 @@ def test_hessian_of_point_outlives_later_kernel_calls(case):
     for order in (np.ascontiguousarray, np.asfortranarray):
         c_o = order(c)
         kw = {k: order(v) if k in ("z", "z_intervals") else v for k, v in kwargs.items()}
-        *point, hessian_of_point = kernel(c_o, lambdas, beta, hessian=True, **kw)
-        # hessian=True leaves the value and the gradient as they are
-        assert all(np.array_equal(a, b) for a, b in zip(point, kernel(c_o, lambdas, beta, **kw)))
+        hessian_of_point = kernel(c_o, lambdas, beta, **kw)[3]
         for c_v, lambdas_v, kw_v in variants:
             kernel_hessian(order(c_v), lambdas_v, beta, **kw_v)
         assert np.array_equal(hessian_of_point(), kernel_hessian(c_o, lambdas, beta, **kw))
@@ -425,12 +430,11 @@ def test_prepared_rows_match_cumsum_oracle(case, eta):
     c, lambdas, beta, kwargs = case
     kwargs = {**kwargs, "eta": eta}
     assume(feasible(c, lambdas, beta, kwargs))
-    rows = KernelRows(c, **kwargs)
-    ll, *grad = loglik_and_gradient(rows, lambdas, beta)
+    ll, *grad, hessian_of_point = kernel(c, lambdas, beta, **kwargs)
     want_ll, *want_grad = cumsum_loglik_and_gradient(c, lambdas, beta, **kwargs)
     assert math.isclose(ll, want_ll, rel_tol=1e-12, abs_tol=0.0)
     assert norm_relative_error(np.concatenate(grad), np.concatenate(want_grad)) < 1e-12
-    hessian = loglik_and_gradient(rows, lambdas, beta, hessian=True)[3]()
+    hessian = hessian_of_point()
     assert hessian_error(hessian, cumsum_loglik_hessian(c, lambdas, beta, **kwargs), np.concatenate(want_grad)) < 1e-12
 
 
@@ -444,8 +448,8 @@ def test_one_sample_kernel_is_the_zero_covariate_kernel(case):
     kwargs = {k: v for k, v in kwargs.items() if k not in ("z", "z_intervals")}
     assume(feasible(c, lambdas, None, kwargs))
     zero = {**kwargs, "z": np.zeros((c.shape[0], 1))}
-    ll, g, _ = kernel(c, lambdas, None, **kwargs)
-    ll0, g0, _ = kernel(c, lambdas, [0.0], **zero)
+    ll, g, _, _ = kernel(c, lambdas, None, **kwargs)
+    ll0, g0, _, _ = kernel(c, lambdas, [0.0], **zero)
     assert ll == ll0 and g.tobytes() == g0.tobytes()
     hess = kernel_hessian(c, lambdas, None, **kwargs)
     assert hess.tobytes() == kernel_hessian(c, lambdas, [0.0], **zero)[: lambdas.size, : lambdas.size].tobytes()
@@ -916,30 +920,31 @@ def test_plain_file_reads_numbers_as_float_does(time, value):
 
 @st.composite
 def broken_datasets(draw):
-    """(subjects, grid, names, schedule, make): subjects breaking several
+    """(subjects, names, schedule, make): subjects breaking several
     structural rules at once, and a call that makes their dataset.  Either
-    subjects on a fixed grid with visits in any order, repeated, off the
-    grid or not positive, covariate vectors of any length at any time, made
-    by ``Dataset``; or array-held subjects whose reports break the adaptive
-    rules or hold no visit, made by ``Dataset.from_arrays``."""
-    grid = StudyGrid((1.0, 2.0, 3.0))
+    subjects with visits in any order, repeated, not positive or not finite,
+    covariate vectors of any length at any time, made by ``Dataset`` on the
+    grid of their visit times (the first subject has a visit, so there is
+    one); or array-held subjects whose reports break the adaptive rules or
+    hold no visit, made by ``Dataset.from_arrays``."""
     schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
     names = tuple(f"x{j}" for j in range(draw(st.integers(0, 2))))
     n = draw(st.integers(1, 8))
     if draw(st.booleans()):
         reports = draw(st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3), min_size=n, max_size=n))
-        ids = [f"a{i}" for i in range(n)]
+        ids, grid = [f"a{i}" for i in range(n)], StudyGrid((1.0, 2.0, 3.0))
         subjects = [
             SubjectPanel(sid, tuple(t for t, r in zip(grid.taus, row) if r >= 0), tuple(r for r in row if r >= 0),
                          (0.0,) * len(names) if names else None)
             for sid, row in zip(ids, reports)
         ]
-        return subjects, grid, names, schedule, lambda: Dataset.from_arrays(
+        return subjects, names, schedule, lambda: Dataset.from_arrays(
             ids, reports, grid, np.zeros((n, len(names))), names, schedule)
     vector = st.integers(0, 3).map(lambda width: (0.5,) * width)
     subjects = []
     for i in range(n):
-        times = tuple(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0, 2.0, 2.5, 3.0)), max_size=4)))
+        time = st.sampled_from((-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, math.nan, math.inf, -math.inf))
+        times = tuple(draw(st.lists(time, min_size=1 if i == 0 else 0, max_size=4)))
         results = tuple(draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times))))
         kind = draw(st.sampled_from(("none", "fixed", "path")))
         covariates = draw(vector) if kind == "fixed" else None
@@ -947,7 +952,7 @@ def broken_datasets(draw):
         time = st.sampled_from((0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf))
         path = tuple((draw(time), draw(vector)) for _ in range(draw(st.integers(0, 3)))) if kind == "path" else None
         subjects.append(SubjectPanel(f"s{i}", times, results, covariates, path))
-    return subjects, grid, names, schedule, lambda: Dataset(tuple(subjects), grid, names, schedule)
+    return subjects, names, schedule, lambda: Dataset(tuple(subjects), names, schedule)
 
 
 @PROPERTY_SETTINGS
@@ -955,8 +960,8 @@ def broken_datasets(draw):
 def test_construction_raises_the_violations_of_the_subject_walk(case):
     """A dataset is made exactly when the walk over the test's own subjects
     finds no violation; otherwise making it raises the walk's list."""
-    subjects, grid, names, schedule, make = case
-    expected = validate_by_subject(subjects, grid, len(names), schedule)
+    subjects, names, schedule, make = case
+    expected = validate_by_subject(subjects, len(names), schedule)
     if not expected:
         assert make().n == len(subjects)
         return
@@ -981,7 +986,7 @@ def invalid_csv_panels(draw):
 def test_fit_command_reports_every_violation(rows):
     by_subject = {sid: sorted((r for r in rows if r[0] == sid), key=lambda r: r[1]) for sid in in_file_order(rows)}
     subjects = [SubjectPanel(sid, tuple(r[1] for r in rs), tuple(r[2] for r in rs)) for sid, rs in by_subject.items()]
-    expected = validate_by_subject(subjects, StudyGrid((1.0, 2.0, 3.0)), 0, ADAPTIVE)
+    expected = validate_by_subject(subjects, 0, ADAPTIVE)
     assume(expected)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):

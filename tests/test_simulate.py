@@ -161,7 +161,7 @@ class TestGenerateDataset:
 
     def test_adaptive_invariants_hold(self):
         ds = generate_dataset(small_config(n_subjects=500), 0)
-        assert validate_by_subject(ds.subjects, ds.grid, ds.n_covariates, ds.schedule) == []
+        assert validate_by_subject(ds.subjects, ds.n_covariates, ds.schedule) == []
         for s in ds.subjects:
             positives = [r for r in s.results if r == 1]
             assert len(positives) <= 1
@@ -186,7 +186,7 @@ class TestGenerateDataset:
         for rep in range(3):
             ds = generate_dataset(small_config(**overrides), rep)
             assert len(set(ds.ids)) == ds.n and all(type(i) is str for i in ds.ids)
-            assert panel._violations(ds.ids, ds.visits, None, ds.schedule) == []
+            assert panel._violations(ds.ids, ds.visits, ds.schedule) == []
 
     def test_incidence_calibration(self):
         # perfect reports, no missing visits: the share of subjects ever
