@@ -100,8 +100,6 @@ def _life_table_gamma(dataset: Dataset) -> np.ndarray:
     J = rt.shape[0]
     up = np.arange(1, J + 1, dtype=np.min_scalar_type(-J - 1))[:, None]  # 1..J, smallest signed type
     last_visit = ((rt >= 0) * up).max(axis=0) - 1
-    if (last_visit < 0).any():
-        raise ValueError(f"subject {dataset.subject_id(int(np.argmax(last_visit < 0)))} has no visits")
     event = J - ((rt == 1) * up[::-1]).max(axis=0)  # the first positive report; J if none
     # a subject is at risk on intervals 1..(first positive, else last visit)
     last = np.minimum(event, last_visit)
@@ -176,10 +174,6 @@ def fit(
         if z is None:
             raise ModelSpecError(f"subject {dataset.vectorless_subject_id()} has no time-fixed covariates; "
                                  "use the time-varying model for covariate paths")
-    points, _, values = dataset.covariate_paths  # every value, in effect or not; a time-fixed vector is one point
-    bad = ~np.isfinite(values).all(axis=1)
-    if p and bad.any():
-        raise ModelSpecError(f"subject {dataset.subject_id(points[np.argmax(bad)])} has a non-finite covariate value")
     # one kernel row per distinct (report row, covariate row), weighted by its count
     rows, counts = _patterns(dataset.reports, z)
     zk = np.take(z.T, rows, axis=1).reshape(p, J if tv else 1, rows.size)  # as KernelRows reads it
@@ -187,7 +181,7 @@ def fit(
     c = lik.build_c_matrix(dataset, error_model, rows)
     impossible = ~c.any(axis=1)
     if impossible.any():  # named by its first subject in file order
-        raise ModelSpecError(f"subject {dataset.subject_id(rows[impossible].min())}: report pattern is impossible "
+        raise ModelSpecError(f"subject {dataset.ids[rows[impossible].min()]}: report pattern is impossible "
                              f"under phi1={error_model.phi1:g}, phi0={error_model.phi0:g}")
     x0 = np.concatenate([_life_table_gamma(dataset), np.zeros(p)])
     kernel_rows = lik.KernelRows(c, z_intervals=zk.T, eta=error_model.eta, weights=counts.astype(float))

@@ -74,7 +74,7 @@ class SubjectPanel:
 
     ``covariates`` holds a time-fixed covariate vector; ``covariate_path``
     holds time-varying measurements as ``((time, vector), ...)`` sorted by
-    time.  At most one of the two may be set.
+    time.  At most one of the two may be set; a :class:`Dataset` checks that.
     """
 
     subject_id: str
@@ -82,20 +82,6 @@ class SubjectPanel:
     results: tuple[int, ...]
     covariates: tuple[float, ...] | None = None
     covariate_path: tuple[tuple[float, tuple[float, ...]], ...] | None = None
-
-    def __post_init__(self):
-        if len(self.times) != len(self.results):
-            raise ValueError(
-                f"subject {self.subject_id}: {len(self.times)} times but "
-                f"{len(self.results)} results"
-            )
-        if any(r not in (0, 1) for r in self.results):
-            raise ValueError(f"subject {self.subject_id}: results must be 0 or 1")
-        if self.covariates is not None and self.covariate_path is not None:
-            raise ValueError(
-                f"subject {self.subject_id}: fixed covariates and a covariate "
-                "path are mutually exclusive"
-            )
 
 
 @dataclass(frozen=True)
@@ -145,8 +131,7 @@ class Dataset:
     schedule: str = ADAPTIVE
 
     def __init__(self, subjects: Sequence[SubjectPanel], covariate_names=(), schedule: str = ADAPTIVE):
-        names = tuple(covariate_names)
-        self._fill(names, schedule, *_flatten(tuple(subjects), len(names)))
+        self._fill(tuple(covariate_names), schedule, *_flatten(tuple(subjects)))
 
     @classmethod
     def from_arrays(cls, subject_ids, reports, grid: StudyGrid, covariates=None, covariate_names=(),
@@ -172,27 +157,25 @@ class Dataset:
         dataset = cls.__new__(cls)
         dataset._hold(ids, names, schedule, distinct=violations is None)
         dataset._keep(grid, reports, (first, np.zeros(first.size), z[first]), np.full(len(ids), bool(names)))
-        if violations is None:  # every subject has one P-long vector at time 0: no covariate rule can break
-            violations = _violations(ids, dataset.visits, schedule)
+        if violations is None:  # every subject has one P-long vector at time 0
+            violations = _violations(ids, dataset.visits, schedule, dataset.covariate_paths, len(names))
         if violations:
             raise PanelValidationError(violations)
         return dataset
 
-    def _fill(self, names, schedule, ids, visits, points, fixed, lengths, distinct=True) -> Dataset:
-        """Set this dataset from ``visits`` ``(rows, times, results)`` and covariate
-        ``points`` ``(rows, times, values)``, each in subject then time order, on
-        the sorted distinct visit times; ``fixed`` and the vectors' ``lengths`` are
-        as :func:`_flatten` gives them.  Returns the dataset."""
-        rows, times, results = visits
-        if not times.size:
-            raise ValueError("cannot build a grid from subjects with no visits")
+    def _fill(self, names, schedule, ids, visits, points, fixed, lengths=None, marked=(False,) * 3, distinct=True):
+        """Set this dataset from ``visits`` ``(rows, times, results)`` and covariate ``points``
+        ``(rows, times, values)``, each in subject then time order, on the sorted distinct visit
+        times; the rest is as :func:`_flatten` gives it.  Returns the dataset."""
         self._hold(ids, names, schedule, distinct)
-        violations = _violations(ids, visits, schedule, (points[0], lengths, points[1]), len(names))
+        violations = _violations(ids, visits, schedule, points, len(names), lengths, marked)
         if violations:  # before a bad visit time breaks the grid, or a vector not P long is kept
             raise PanelValidationError(violations)
+        (rows, times, results), (point_rows, point_times, values) = visits, points
         taus, cols = np.unique(times, return_inverse=True)  # each visit's column is its index in the grid
         reports = np.full((len(ids), taus.size), -1, dtype=np.int8)
         reports[rows, cols] = results
+        points = point_rows, point_times, values.reshape(point_rows.size, len(names))
         self._keep(StudyGrid(tuple(taus.tolist())), reports, points, fixed)
         return self
 
@@ -256,9 +239,6 @@ class Dataset:
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
-    def subject_id(self, i) -> str:
-        return self.ids[i]
-
     def vectorless_subject_id(self) -> str:
         """Id of the first subject with no time-fixed covariate vector."""
         return self.ids[int(np.argmin(self._fixed))]
@@ -270,39 +250,44 @@ class Dataset:
         return rows, np.asarray(self.grid.taus)[cols], self.reports[rows, cols]
 
 
-def _flatten(subjects, p) -> tuple:
+def _flatten(subjects) -> tuple:
     """What :meth:`Dataset._fill` takes of :class:`SubjectPanel` objects, in one
     walk, each covariate path iterated once; the only code that reads a panel.
-    A time-fixed vector is one point at time 0, a zero-length one none; the
-    values are None when a vector is not ``p`` long."""
+    A ragged panel's visits are not read, a result not 0 or 1 is no positive, a time-fixed
+    vector (read before a path) is one point at time 0, a zero-length one none."""
     fields = ("subject_id", "times", "results", "covariates", "covariate_path")  # a list each: a tuple per subject costs collections
     ids, times, results, vectors, paths = (list(map(attrgetter(f), subjects)) for f in fields)
     n = len(ids)
-    rows = np.repeat(np.arange(n), np.fromiter(map(len, times), np.intp, n))
+    counts = np.fromiter(map(len, times), np.intp, n)
+    ragged = counts != np.fromiter(map(len, results), np.intp, n)
+    if ragged.any():
+        times, results = ([() if r else v for r, v in zip(ragged.tolist(), a)] for a in (times, results))
+        counts[ragged] = 0
+    bad = ~np.fromiter(map({0, 1}.issuperset, results), bool, n)  # True and 1.0 are 1; '1', 0.5 and nan are not
+    if bad.any():
+        results = [[r == 1 for r in rs] for rs in results]
+    rows = np.repeat(np.arange(n), counts)
     times = np.fromiter(chain.from_iterable(times), float, rows.size)
     results = np.fromiter(chain.from_iterable(results), np.int8, rows.size)
+    both = np.array([v is not None and path is not None for v, path in zip(vectors, paths)], dtype=bool)
     fixed = [v is not None and len(v) > 0 for v in vectors]
     paths = [((0.0, v),) if f else path or () for f, v, path in zip(fixed, vectors, paths)]
     point_rows = np.repeat(np.arange(n), np.fromiter(map(len, paths), np.intp, n))
     points = list(chain.from_iterable(paths))
     lengths = np.fromiter((len(v) for _, v in points), np.intp, len(points))
     point_times = np.fromiter((t for t, _ in points), float, len(points))
-    values = None
-    if (lengths == p).all():  # else a covariate rule breaks
-        values = np.fromiter(chain.from_iterable(v for _, v in points), float, len(points) * p).reshape(len(points), p)
-    return ids, (rows, times, results), (point_rows, point_times, values), np.array(fixed, dtype=bool), lengths
+    values = np.fromiter(chain.from_iterable(v for _, v in points), float, int(lengths.sum()))  # end to end
+    return ids, (rows, times, results), (point_rows, point_times, values), np.array(fixed), lengths, (ragged, bad, both)
 
 
 @dataclass(frozen=True)
 class Violation:
-    subject_id: str | None
+    subject_id: str
     rule: str
     detail: str = ""
 
     def __str__(self):
-        who = self.subject_id if self.subject_id is not None else "<dataset>"
-        tail = f" ({self.detail})" if self.detail else ""
-        return f"{who}: {self.rule}{tail}"
+        return f"{self.subject_id}: {self.rule}" + (f" ({self.detail})" if self.detail else "")
 
 
 def round_to_granularity(time: float, granularity: float) -> float:
@@ -321,16 +306,20 @@ build_dataset = Dataset  # a name perfbench/spans.py wraps and perfbench/inputs.
 
 
 _RULES = (
+    "times and results differ in length",
     "zero visits",
     "non-positive visit time",
     "visit times not strictly increasing",
     "non-finite visit time",
+    "result not 0 or 1",
     "multiple positive results",
     "positive not terminal",
+    "fixed covariates and a covariate path",
     "covariate length mismatch",
     "ragged covariate path",
     "non-finite covariate path time",
     "covariate path times not strictly increasing",
+    "non-finite covariate value",
 )
 
 
@@ -339,15 +328,15 @@ def validate(dataset: Dataset) -> list[Violation]:  # a name perfbench/spans.py 
     return []
 
 
-def _violations(ids, visits, schedule, widths=None, p=0) -> list[Violation]:
-    """One :class:`Violation` per subject and broken rule of ``_RULES``, in
-    subject then rule order; a subject with no visits gets only that one.
-
-    ``visits`` is long form as in :attr:`Dataset.visits`; ``widths``, ``(rows, lengths, times)``, gives the subject,
-    length and time of every covariate vector, or is None where the covariate rules cannot break.
-    """
-    rows, times, results = visits
+def _violations(ids, visits, schedule, points, p, lengths=None, marked=(False,) * 3) -> list[Violation]:
+    """One :class:`Violation` per subject and broken rule of ``_RULES``, in subject then rule
+    order; a ragged panel, or a subject with no visits, gets only that one.  ``visits`` and
+    ``points`` are long form as in :attr:`Dataset.visits` and :attr:`Dataset.covariate_paths`, each
+    vector ``lengths`` long (None: ``p``); ``marked`` flags, per subject (False: none), the three
+    rules only a :class:`SubjectPanel` can break."""
+    (rows, times, results), (path_rows, path_times, values) = visits, points
     n = len(ids)
+    lengths = np.broadcast_to(p, path_rows.shape) if lengths is None else lengths
 
     def per_subject(flags, where=rows):  # False where no subject breaks the rule, the common case
         return np.bincount(where[flags], minlength=n) > 0 if flags.any() else False
@@ -357,28 +346,29 @@ def _violations(ids, visits, schedule, widths=None, p=0) -> list[Violation]:
 
     counts = np.bincount(rows, minlength=n)
     broken = np.zeros((n, len(_RULES)), dtype=bool)
-    broken[:, 1] = per_subject(times <= 0.0)
-    broken[:, 2] = unordered(rows, times)
-    broken[:, 3] = per_subject(~np.isfinite(times))
+    broken[:, 0], broken[:, 5], broken[:, 8] = marked
+    broken[:, 2] = per_subject(times <= 0.0)
+    broken[:, 3] = unordered(rows, times)
+    broken[:, 4] = per_subject(~np.isfinite(times))
     if schedule == ADAPTIVE:
         positives = np.bincount(rows[results == 1], minlength=n)
         last_positive = np.zeros(n, dtype=bool)
         last_positive[counts > 0] = results[np.cumsum(counts)[counts > 0] - 1] == 1
-        broken[:, 4] = positives > 1
-        broken[:, 5] = (positives == 1) & ~last_positive
-    if widths is not None:
-        path_rows, lengths, path_times = widths
-        points = np.bincount(path_rows, minlength=n)
-        width = np.zeros(n, dtype=np.intp)  # of each subject's first vector
-        width[points > 0] = lengths[(np.cumsum(points) - points)[points > 0]]
-        broken[:, 6] = width != p
-        broken[:, 7] = per_subject(lengths != width[path_rows], path_rows)
-        broken[:, 8] = per_subject(~np.isfinite(path_times), path_rows)
-        broken[:, 9] = unordered(path_rows, path_times)
-    broken[counts == 0] = np.arange(len(_RULES)) == 0
+        broken[:, 6] = positives > 1
+        broken[:, 7] = (positives == 1) & ~last_positive
+    points = np.bincount(path_rows, minlength=n)
+    width = np.zeros(n, dtype=np.intp)  # of each subject's first vector
+    width[points > 0] = lengths[(np.cumsum(points) - points)[points > 0]]
+    broken[:, 9] = width != p
+    broken[:, 10] = per_subject(lengths != width[path_rows], path_rows)
+    broken[:, 11] = per_subject(~np.isfinite(path_times), path_rows)
+    broken[:, 12] = unordered(path_rows, path_times)
+    broken[:, 13] = per_subject(~np.isfinite(values).ravel(), np.repeat(path_rows, lengths))
+    broken[counts == 0, 2:] = False  # no visits, or none read
+    broken[:, 1] = (counts == 0) & ~broken[:, 0]
     out = []
     for i, k in zip(*np.divmod(np.flatnonzero(broken), len(_RULES))):  # subject then rule order; 2-d nonzero is slow
-        out.append(Violation(ids[i], _RULES[k], f"expected {p}, got {width[i]}" if k == 6 else ""))
+        out.append(Violation(ids[i], _RULES[k], f"expected {p}, got {width[i]}" if k == 9 else ""))
     return out
 
 
@@ -441,9 +431,9 @@ def _float_columns(cells, lines, header, columns, optional=False):
 def _code(ids):
     """The distinct ``ids`` (each whole 4-byte words) in first-appearance order, as a
     list, and each row's index; neighbours compare as words, only interleaved ids sort."""
-    words = np.ascontiguousarray(ids).view(np.uint64 if ids.itemsize % 8 == 0 else np.uint32)
+    words = np.ascontiguousarray(ids[:, None]).view(np.uint64 if ids.itemsize % 8 == 0 else np.uint32)
     new = np.ones(len(ids), dtype=bool)
-    new[1:] = np.any([w[1:] != w[:-1] for w in words.reshape(len(ids), -1).T], axis=0)
+    new[1:] = np.any([w[1:] != w[:-1] for w in words.T], axis=0)
     codes, distinct = np.cumsum(new) - 1, ids[new].tolist()
     if len(set(distinct)) < len(distinct):
         _, first, inverse = np.unique(ids[new], return_index=True, return_inverse=True)
@@ -538,8 +528,6 @@ def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, roundin
     read = _read_array(path, ("subject_id", "time", "result"))
     if read is None:
         header, lines, cells = _read_csv(path, ("subject_id", "time", "result"))
-        if not cells:
-            raise ValueError("cannot build a grid from subjects with no visits")
         times = _float_columns(cells, lines, header, [1])[:, 0]
         tokens = [c.strip() for c in cells[2 :: len(header)]]
         k = next((k for k, c in enumerate(tokens) if c not in ("0", "1")), None)
@@ -579,7 +567,7 @@ def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, roundin
     if rounding is not None:  # of visits that meet, the later record is kept
         taus, cols = np.unique(times, return_inverse=True)
         times = np.array([round_to_granularity(t, rounding) for t in taus.tolist()])[cols]
-        later = np.append((rows[1:] != rows[:-1]) | (times[1:] != times[:-1]), True)
+        later = (np.diff(rows, append=-1) != 0) | (np.diff(times, append=0.0) != 0)  # 0 only for equal finite times
         n_collisions = int(later.size - np.count_nonzero(later))
         rows, times, results, values = rows[later], times[later], results[later], values[later]
         first = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -591,6 +579,6 @@ def read_panel_csv(path, *, baseline_csv=None, schedule: str = ADAPTIVE, roundin
     if varying.any():  # never with a baseline file, whose values are not the panel's
         point_values[path] = values[keep[path]]
     points = point_rows, np.where(path, times[keep], 0.0), point_values
-    visits, fixed, lengths = (rows, times, results), ~varying & bool(names), np.broadcast_to(len(names), keep.shape)
-    dataset = Dataset.__new__(Dataset)._fill(names, schedule, subject_ids, visits, points, fixed, lengths, False)
+    visits, fixed = (rows, times, results), ~varying & bool(names)
+    dataset = Dataset.__new__(Dataset)._fill(names, schedule, subject_ids, visits, points, fixed, distinct=False)
     return LoadedPanel(dataset=dataset, n_imputed=n_imputed, n_collisions_merged=n_collisions)

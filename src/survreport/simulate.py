@@ -27,6 +27,10 @@ ADJUSTED = "adjusted"
 UNADJUSTED = "unadjusted"
 
 
+class EmptyReplicateError(ValueError):
+    """Raised when no subject of a simulated replicate kept a visit."""
+
+
 @dataclass(frozen=True)
 class EventDist:
     """Event-time distribution for the reference group (z = 0)."""
@@ -175,6 +179,8 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int) -> Dataset:
     # subjects who missed every visit give no data; unvisited times are no grid points
     kept = reports >= 0
     rows = np.flatnonzero(kept.any(axis=0))
+    if not rows.size:
+        raise EmptyReplicateError(f"replicate {replicate_index}: no subject kept a visit")
     cols = np.flatnonzero(kept.any(axis=1))
     # the ids are distinct and every structural rule holds by construction
     return Dataset.from_arrays(
@@ -209,7 +215,7 @@ def run_scenario(config: ScenarioConfig, analysis: str = ADJUSTED) -> ScenarioSu
     """Fit every replicate and summarize operating characteristics.
 
     Only the first regression coefficient is summarized (the exposure of
-    interest).  Non-converged replicates are excluded and counted.
+    interest).  Replicates that keep no visit or do not converge are excluded and counted.
     """
     if not config.beta_true:
         raise ValueError("run_scenario needs a regression coefficient to summarize")
@@ -218,8 +224,10 @@ def run_scenario(config: ScenarioConfig, analysis: str = ADJUSTED) -> ScenarioSu
 
     estimates, ses = [], []
     for rep in range(config.n_replicates):
-        dataset = generate_dataset(config, rep)
-        result = estimate.fit(dataset, assumed, estimate.MODEL_COV_FIXED)
+        try:
+            result = estimate.fit(generate_dataset(config, rep), assumed, estimate.MODEL_COV_FIXED)
+        except EmptyReplicateError:  # a replicate that keeps no visit is dropped
+            continue
         if result.converged and result.has_covariance and np.isfinite(result.beta_se[0]):
             estimates.append(float(result.beta[0]))
             ses.append(float(result.beta_se[0]))

@@ -235,11 +235,17 @@ def apply_rounding(subject, granularity: float):
 def validate_by_subject(subjects, p, schedule):
     """Structural violations of a dataset of ``subjects`` with ``p``
     covariates, found by walking the subjects one by one:
-    ``(subject_id, rule, detail)`` in subject then rule order, and only
-    "zero visits" for a subject without visits."""
+    ``(subject_id, rule, detail)`` in subject then rule order.  A subject
+    whose times and results differ in length gets only that rule, and one
+    without visits only "zero visits"; a result other than 0 or 1 is no
+    positive, and a time-fixed vector that is not empty is read as one point
+    at time 0 in place of any covariate path."""
     out = []
     for s in subjects:
         sid = s.subject_id
+        if len(s.times) != len(s.results):
+            out.append((sid, "times and results differ in length", ""))
+            continue
         if not s.times:
             out.append((sid, "zero visits", ""))
             continue
@@ -249,24 +255,28 @@ def validate_by_subject(subjects, p, schedule):
             out.append((sid, "visit times not strictly increasing", ""))
         if not all(math.isfinite(t) for t in s.times):
             out.append((sid, "non-finite visit time", ""))
+        if not all(r in (0, 1) for r in s.results):
+            out.append((sid, "result not 0 or 1", ""))
         if schedule == "adaptive":
             positives = [k for k, r in enumerate(s.results) if r == 1]
             if len(positives) > 1:
                 out.append((sid, "multiple positive results", ""))
             elif positives and positives[0] != len(s.times) - 1:
                 out.append((sid, "positive not terminal", ""))
-        if s.covariates is not None:
-            width = len(s.covariates)
-        else:
-            width = len(s.covariate_path[0][1]) if s.covariate_path else 0
+        if s.covariates is not None and s.covariate_path is not None:
+            out.append((sid, "fixed covariates and a covariate path", ""))
+        path = ((0.0, s.covariates),) if s.covariates else s.covariate_path or ()
+        width = len(path[0][1]) if path else 0
         if width != p:
             out.append((sid, "covariate length mismatch", f"expected {p}, got {width}"))
-        if s.covariate_path is not None and len({len(v) for _, v in s.covariate_path}) > 1:
+        if len({len(v) for _, v in path}) > 1:
             out.append((sid, "ragged covariate path", ""))
-        if s.covariate_path is not None and not all(math.isfinite(t) for t, _ in s.covariate_path):
+        if not all(math.isfinite(t) for t, _ in path):
             out.append((sid, "non-finite covariate path time", ""))
-        if s.covariate_path is not None and any(b <= a for (a, _), (b, _) in zip(s.covariate_path, s.covariate_path[1:])):
+        if any(b <= a for (a, _), (b, _) in zip(path, path[1:])):
             out.append((sid, "covariate path times not strictly increasing", ""))
+        if not all(math.isfinite(x) for _, v in path for x in v):
+            out.append((sid, "non-finite covariate value", ""))
     return out
 
 

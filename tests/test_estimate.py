@@ -346,13 +346,13 @@ class TestFitBasics:
         # a Hessian that could not be factored has none either
         assert _covariances(free, None, None, 1, 1, lambdas, survival) == (None, None)
 
-    def test_zero_visit_subject_fails_life_table_start(self):
+    def test_zero_visit_subject_fails_construction(self):
         with pytest.raises(panel.PanelValidationError, match="b: zero visits"):
             build_dataset([SubjectPanel("a", (1.0, 2.0), (0, 1)), SubjectPanel("b", (), ())])
-        # the start's own check, on a dataset whose maker vouched for it
-        ds = Dataset.from_arrays(["a", "b"], [[0, 1], [-1, -1]], StudyGrid((1.0, 2.0)), violations=())
-        with pytest.raises(ValueError, match="subject b has no visits"):
-            fit(ds, self.em)
+        # held as arrays, the same subject is named when the dataset is made, before any fit
+        with pytest.raises(panel.PanelValidationError) as raised:
+            Dataset.from_arrays(["a", "b"], [[0, 1], [-1, -1]], StudyGrid((1.0, 2.0)))
+        assert [str(v) for v in raised.value.violations] == ["b: zero visits"]
 
     def test_bad_model_name(self):
         with pytest.raises(ValueError):
@@ -466,11 +466,12 @@ class TestInputGuards:
     @pytest.mark.parametrize("model", [MODEL_COV_FIXED, MODEL_COV_TIMEVARYING])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_covariate_names_subject(self, model, value):
-        ds = self.cohort(bad_covariate=value, path=model == MODEL_COV_TIMEVARYING)
+        # the dataset is not made, so no model, the one-sample one included, can fit it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelSpecError, match="subject s7 has a non-finite covariate"):
-                fit(ds, ErrorModel(0.8, 0.9), model)
+            with pytest.raises(panel.PanelValidationError) as raised:
+                self.cohort(bad_covariate=value, path=model == MODEL_COV_TIMEVARYING)
+        assert [str(v) for v in raised.value.violations] == ["s7: non-finite covariate value"]
 
     def test_fixed_model_on_array_paths_names_subject_without_making_panels(self, monkeypatch):
         # subjects b and d hold covariate paths, a and c time-fixed vectors
@@ -481,13 +482,13 @@ class TestInputGuards:
             SubjectPanel("d", (1.0,), (0,), covariate_path=((0.0, (2.0,)),)),
         ], covariate_names=("x",))
         made = []
-        original = panel.SubjectPanel.__post_init__
+        original = panel.SubjectPanel.__init__
 
-        def counting(self):
-            made.append(self.subject_id)
-            original(self)
+        def counting(self, subject_id, *args, **kwargs):
+            made.append(subject_id)
+            original(self, subject_id, *args, **kwargs)
 
-        monkeypatch.setattr(panel.SubjectPanel, "__post_init__", counting)
+        monkeypatch.setattr(panel.SubjectPanel, "__init__", counting)
         with pytest.raises(ModelSpecError, match="subject b has no time-fixed covariates"):
             fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_FIXED)
         assert made == []

@@ -166,6 +166,51 @@ class TestValidate:
         violations = self.violations([subj("a", [1.0], [0]), subj("b", [], [])])
         assert any(v.rule == "zero visits" and v.subject_id == "b" for v in violations)
 
+    def test_panels_are_checked_when_the_dataset_is_made(self):
+        # a panel checks nothing itself; one error names every broken panel, in subject then rule order
+        subjects = [
+            SubjectPanel("a", (1.0, 2.0), (0,)),
+            SubjectPanel("b", (1.0,), (2,), covariates=(0.5,)),
+            SubjectPanel("c", (1.0,), (0,), covariates=(1.0,), covariate_path=((0.0, (1.0,)),)),
+        ]
+        violations = self.violations(subjects, covariate_names=("x",))
+        assert [str(v) for v in violations] == [
+            "a: times and results differ in length", "b: result not 0 or 1", "c: fixed covariates and a covariate path"]
+
+    @pytest.mark.parametrize("result, passes", [
+        (0, True), (1, True), (True, True), (1.0, True), ("1", False), (0.5, False), (2, False), (math.nan, False)])
+    def test_a_result_passes_as_0_or_1(self, result, passes):
+        subjects = [subj("a", [1.0], [result])]
+        if passes:
+            assert Dataset(subjects).reports.tolist() == [[int(result)]]
+        else:
+            assert [str(v) for v in self.violations(subjects)] == ["a: result not 0 or 1"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariate_value(self, value):
+        for form in ({"covariates": (value,)}, {"covariate_path": ((0.0, (1.0,)), (1.0, (value,)))}):
+            subjects = [SubjectPanel("a", (1.0,), (0,)), SubjectPanel("b", (1.0,), (0,), **form)]
+            violations = self.violations(subjects, covariate_names=("x",))
+            assert [str(v) for v in violations] == ["a: covariate length mismatch (expected 1, got 0)",
+                                                    "b: non-finite covariate value"]
+        with pytest.raises(PanelValidationError, match="b: non-finite covariate value"):
+            Dataset.from_arrays(["a", "b"], [[0], [0]], StudyGrid((1.0,)), [[1.0], [value]], ("x",))
+        # a caller that vouches for its arrays is not checked
+        assert Dataset.from_arrays(["a", "b"], [[0], [0]], StudyGrid((1.0,)), [[1.0], [value]], ("x",),
+                                   violations=()).n == 2
+
+    def test_empty_inputs_name_their_reason(self, tmp_path):
+        with pytest.raises(ValueError) as empty:
+            Dataset([])
+        assert str(empty.value) == "dataset needs at least one subject"
+        for text in ("subject_id,time,result\n", "subject_id,time,result,x\n\n \n"):
+            for rounding in (None, 1.0):
+                with pytest.raises(ValueError) as read:
+                    read_panel_csv(panel_file(tmp_path, text), rounding=rounding)
+                assert type(read.value) is type(empty.value) and str(read.value) == str(empty.value)
+        violations = self.violations([subj("a", [], []), subj("b", [], [])])
+        assert [str(v) for v in violations] == ["a: zero visits", "b: zero visits"]
+
     def test_non_increasing_times(self):
         violations = self.violations([subj("a", [2.0, 1.0], [0, 0])])
         assert any(v.rule == "visit times not strictly increasing" for v in violations)
@@ -295,7 +340,7 @@ class TestValidate:
         ds = build_dataset(subjects, covariate_names=("x",))
         for member in ("n", "visits", "reports", "covariate_paths"):
             getattr(ds, member)
-        assert ds.covariates is None and ds.vectorless_subject_id() == "a" and ds.subject_id(1) == "b"
+        assert ds.covariates is None and ds.vectorless_subject_id() == "a" and ds.ids[1] == "b"
         assert fit(ds, ErrorModel(0.8, 0.9), MODEL_COV_TIMEVARYING).beta.size == 1
         assert len(walks) == len(subjects)
 
@@ -655,9 +700,9 @@ class TestPlainAndCellReaders:
             ("subject_id,time,result,x\nA,1,0,1\nA,2,0,nan\n", "line 3: column 'x' has non-finite value 'nan'"),
             ("subject_id,time,result,x\nA,1,0,-Infinity\n", "line 2: column 'x' has non-finite value '-Infinity'"),
             ("subject_id,time,result\nA,1,0\nA,1e400,0\n", "line 3: column 'time' has non-finite value '1e400'"),
-            ("subject_id,time,result\n", "cannot build a grid"),
-            ('subject_id,time,result,"x\nA,1,0,1.5\n', "cannot build a grid"),  # the header's quote never closes
-            ("subject_id,time,result\n\n\n", "cannot build a grid"),
+            ("subject_id,time,result\n", "dataset needs at least one subject"),
+            ('subject_id,time,result,"x\nA,1,0,1.5\n', "dataset needs at least one subject"),  # the header's quote never closes
+            ("subject_id,time,result\n\n\n", "dataset needs at least one subject"),
             ("", "empty file"),
             ("subject_id,when,result\nA,1,0\n", "header must start with"),
         ],

@@ -13,6 +13,7 @@ import io
 import math
 import os
 import tempfile
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -608,39 +609,43 @@ def test_fit_on_tied_projections_ignores_subject_order(monkeypatch):
 @PROPERTY_SETTINGS
 @given(pattern_panels(), st.booleans())
 def test_fit_errors_name_the_first_subject_of_every_row(case, perfect):
-    """An impossible report pattern, else a subject without visits, is
-    named by its first subject, as a walk over every subject's row finds.
-    Perfect reports rule out every predetermined row that is not 0s then 1s."""
-    dataset, em = case
+    """A subject without visits is named by making the dataset, else an
+    impossible report pattern by the fit, each by its first subject, as a
+    walk over every subject's row finds.  Perfect reports rule out every
+    predetermined row that is not 0s then 1s."""
+    vouched, em = case
     em = ErrorModel(1.0, 1.0) if perfect else em
-    impossible = np.flatnonzero(~build_c_matrix(dataset, em).any(axis=1))
-    empty = np.flatnonzero((dataset.reports < 0).all(axis=1))
-    if impossible.size:
-        error, message = ModelSpecError, f"subject {dataset.subject_id(impossible[0])}: report pattern is impossible"
-    elif empty.size:
-        error, message = ValueError, f"subject {dataset.subject_id(empty[0])} has no visits"
-    else:
+    empty = np.flatnonzero((vouched.reports < 0).all(axis=1))
+    make = partial(Dataset.from_arrays, vouched.ids, vouched.reports, vouched.grid, vouched.covariates,
+                   vouched.covariate_names, vouched.schedule)
+    if empty.size:  # the drawn rows break no other rule
+        with pytest.raises(PanelValidationError) as exc:
+            make()
+        assert [str(v) for v in exc.value.violations] == [f"{vouched.ids[i]}: zero visits" for i in empty]
         return
-    with pytest.raises(error) as exc:
+    dataset = make()
+    impossible = np.flatnonzero(~build_c_matrix(dataset, em).any(axis=1))
+    if not impossible.size:
+        return
+    with pytest.raises(ModelSpecError) as exc:
         fit(dataset, em)
-    assert str(exc.value).startswith(message)
+    assert str(exc.value).startswith(f"subject {dataset.ids[impossible[0]]}: report pattern is impossible")
 
 
 @pytest.mark.parametrize("reports, z, message", [
     # a and b share a pattern, so c's pattern is the second one
     ([[0, 0], [0, 0], [1, 0]], None, "subject c: report pattern is impossible"),
-    ([[0, 0], [0, 0], [-1, -1]], None, "subject c has no visits"),
+    ([[0, 0], [0, 0], [-1, -1]], None, "dataset failed validation: c: zero visits"),
     # b's pattern sorts first in key order, yet a comes first in the file
-    ([[-1, -1], [-1, -1]], [[1.0], [0.0]], "subject a has no visits"),
+    ([[-1, -1], [-1, -1]], [[1.0], [0.0]], "dataset failed validation: a: zero visits; b: zero visits"),
     ([[1, 1, 0], [1, 0, 0]], None, "subject a: report pattern is impossible"),
 ], ids=["impossible-pattern", "no-visits", "no-visits-b-sorts-first", "impossible-pattern-b-sorts-first"])
 def test_fit_errors_name_the_subject_not_the_pattern(reports, z, message):
     ids = ["a", "b", "c"][: len(reports)]
     grid = StudyGrid(tuple(map(float, range(1, len(reports[0]) + 1))))
-    # unchecked: a subject without visits reaches the fit's own error
-    dataset = Dataset.from_arrays(ids, reports, grid, z, ("x",) if z else (), PREDETERMINED, violations=())
-    with pytest.raises(ValueError, match=message):
-        fit(dataset, ErrorModel(1.0, 1.0))
+    # a subject without visits is named when the dataset is made, an impossible pattern by the fit
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fit(Dataset.from_arrays(ids, reports, grid, z, ("x",) if z else (), PREDETERMINED), ErrorModel(1.0, 1.0))
 
 
 def test_patterns_with_equal_c_rows_fit_as_their_subjects():
@@ -678,11 +683,13 @@ def test_pattern_key_does_not_wrap():
                          ids=["impossible-pattern", "no-visits"])
 def test_bad_covariate_is_reported_before_report_errors(reports):
     # subject a's reports are impossible under phi1 = phi0 = 1 (or absent);
-    # subject b's covariate is not finite, and that error wins either way
-    dataset = Dataset.from_arrays(["a", "b", "c"], reports, StudyGrid((1.0, 2.0)), [[0.0], [np.inf], [1.0]],
-                                  ("x",), PREDETERMINED, violations=())  # a may have no visits
-    with pytest.raises(ModelSpecError, match="subject b has a non-finite covariate value"):
-        fit(dataset, ErrorModel(1.0, 1.0))
+    # subject b's covariate is not finite: making the dataset names b (and a
+    # without visits), so no fit is reached
+    with pytest.raises(PanelValidationError) as raised:
+        Dataset.from_arrays(["a", "b", "c"], reports, StudyGrid((1.0, 2.0)), [[0.0], [np.inf], [1.0]],
+                            ("x",), PREDETERMINED)
+    empty = ["a: zero visits"] if reports[0] == [-1, -1] else []
+    assert [str(v) for v in raised.value.violations] == [*empty, "b: non-finite covariate value"]
 
 
 def projected_gradient_by_loop(grad, x, J):
@@ -923,34 +930,43 @@ def broken_datasets(draw):
     """(subjects, names, schedule, make): subjects breaking several
     structural rules at once, and a call that makes their dataset.  Either
     subjects with visits in any order, repeated, not positive or not finite,
-    covariate vectors of any length at any time, made by ``Dataset`` on the
-    grid of their visit times (the first subject has a visit, so there is
-    one); or array-held subjects whose reports break the adaptive rules or
-    hold no visit, made by ``Dataset.from_arrays``."""
+    results of any value and count, covariate vectors of any length and
+    values at any time, and panels with both covariate forms, made by
+    ``Dataset`` on the grid of their visit times; or array-held subjects
+    whose reports break the adaptive rules or hold no visit, or whose
+    covariates are not finite, made by ``Dataset.from_arrays``."""
     schedule = draw(st.sampled_from((ADAPTIVE, PREDETERMINED)))
     names = tuple(f"x{j}" for j in range(draw(st.integers(0, 2))))
     n = draw(st.integers(1, 8))
+    value = st.sampled_from((0.5, 0.5, 0.5, math.nan, math.inf, -math.inf))
     if draw(st.booleans()):
         reports = draw(st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3), min_size=n, max_size=n))
+        z = [tuple(draw(value) for _ in names) for _ in range(n)]
         ids, grid = [f"a{i}" for i in range(n)], StudyGrid((1.0, 2.0, 3.0))
         subjects = [
             SubjectPanel(sid, tuple(t for t, r in zip(grid.taus, row) if r >= 0), tuple(r for r in row if r >= 0),
-                         (0.0,) * len(names) if names else None)
-            for sid, row in zip(ids, reports)
+                         zi if names else None)
+            for sid, row, zi in zip(ids, reports, z)
         ]
         return subjects, names, schedule, lambda: Dataset.from_arrays(
-            ids, reports, grid, np.zeros((n, len(names))), names, schedule)
-    vector = st.integers(0, 3).map(lambda width: (0.5,) * width)
+            ids, reports, grid, np.array(z).reshape(n, len(names)), names, schedule)
+    vector = st.integers(0, 3).flatmap(lambda width: st.tuples(*[value] * width))
+    # a result passes as 0, 1, True or 1.0, and fails as anything else
+    result = st.sampled_from((0, 1, 0, 1, True, 1.0, 2, 0.5, "1", math.nan))
     subjects = []
     for i in range(n):
         time = st.sampled_from((-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, math.nan, math.inf, -math.inf))
-        times = tuple(draw(st.lists(time, min_size=1 if i == 0 else 0, max_size=4)))
-        results = tuple(draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times))))
-        kind = draw(st.sampled_from(("none", "fixed", "path")))
-        covariates = draw(vector) if kind == "fixed" else None
+        times = tuple(draw(st.lists(time, max_size=4)))
+        ragged = draw(st.integers(0, 5)) == 0
+        count = draw(st.integers(0, 4)) if ragged else len(times)
+        results = tuple(draw(st.lists(result, min_size=count, max_size=count)))
+        kind = draw(st.sampled_from(("none", "fixed", "path", "both")))
+        covariates = draw(vector) if kind in ("fixed", "both") else None
         # a negative path time is legal, a nan or infinite one is not
         time = st.sampled_from((0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf))
-        path = tuple((draw(time), draw(vector)) for _ in range(draw(st.integers(0, 3)))) if kind == "path" else None
+        path = None
+        if kind in ("path", "both"):
+            path = tuple((draw(time), draw(vector)) for _ in range(draw(st.integers(0, 3))))
         subjects.append(SubjectPanel(f"s{i}", times, results, covariates, path))
     return subjects, names, schedule, lambda: Dataset(tuple(subjects), names, schedule)
 

@@ -14,6 +14,7 @@ from survreport.simulate import (
     DEFAULT_SEED,
     UNADJUSTED,
     CovariateGen,
+    EmptyReplicateError,
     EventDist,
     ScenarioConfig,
     ScenarioSummary,
@@ -186,7 +187,7 @@ class TestGenerateDataset:
         for rep in range(3):
             ds = generate_dataset(small_config(**overrides), rep)
             assert len(set(ds.ids)) == ds.n and all(type(i) is str for i in ds.ids)
-            assert panel._violations(ds.ids, ds.visits, ds.schedule) == []
+            assert panel._violations(ds.ids, ds.visits, ds.schedule, ds.covariate_paths, ds.n_covariates) == []
 
     def test_incidence_calibration(self):
         # perfect reports, no missing visits: the share of subjects ever
@@ -314,13 +315,13 @@ class TestArrayDataset:
 
     def test_no_subject_panel_until_read(self, monkeypatch):
         made = []
-        original = panel.SubjectPanel.__post_init__
+        original = panel.SubjectPanel.__init__
 
-        def counting(self):
-            made.append(self.subject_id)
-            original(self)
+        def counting(self, subject_id, *args, **kwargs):
+            made.append(subject_id)
+            original(self, subject_id, *args, **kwargs)
 
-        monkeypatch.setattr(panel.SubjectPanel, "__post_init__", counting)
+        monkeypatch.setattr(panel.SubjectPanel, "__init__", counting)
         config = small_config()
         ds = generate_dataset(config, 0)
         fit(ds, config.error_model)
@@ -392,6 +393,43 @@ class TestRunScenario:
         s1 = run_scenario(config, ADJUSTED)
         s2 = run_scenario(config, ADJUSTED)
         assert s1 == s2
+
+    def test_replicates_that_keep_no_visit_leave_none_converged(self):
+        config = small_config(n_subjects=3, n_visits=1, missing_prob=0.9, event_dist=EventDist("exponential", rate=0.1),
+                              error_model=ErrorModel(0.9, 0.95), n_replicates=5, seed=1)
+        for rep in (0, 2, 3, 4):
+            with pytest.raises(EmptyReplicateError, match=f"^replicate {rep}: no subject kept a visit$"):
+                generate_dataset(config, rep)
+        # replicate 1 converges, but has no covariance
+        result = fit(generate_dataset(config, 1), config.error_model)
+        assert result.converged and not result.has_covariance
+        with pytest.raises(RuntimeError, match="no replicate converged"):
+            run_scenario(config)
+
+    def test_replicates_that_keep_no_visit_are_dropped(self):
+        # at seed 30, replicates 1 and 5 keep no visit, and 2 of the other 4 converge
+        config = small_config(n_subjects=4, n_visits=2, missing_prob=0.75, event_dist=EventDist("exponential", rate=0.3),
+                              error_model=ErrorModel(0.9, 0.95), n_replicates=6, seed=30)
+        kept = []
+        for rep in range(6):
+            if rep in (1, 5):
+                with pytest.raises(EmptyReplicateError, match=f"replicate {rep}"):
+                    generate_dataset(config, rep)
+                continue
+            result = fit(generate_dataset(config, rep), config.error_model)
+            if result.converged and result.has_covariance and np.isfinite(result.beta_se[0]):
+                kept.append(result.beta[0])
+        summary = run_scenario(config)
+        assert (summary.n_converged, summary.n_replicates) == (len(kept), 6) == (2, 6)
+        assert summary.mean_estimate == np.mean(kept)
+
+    def test_other_errors_of_a_replicate_propagate(self, monkeypatch):
+        def broken(config, replicate_index):
+            raise ValueError("not an empty replicate")
+
+        monkeypatch.setattr("survreport.simulate.generate_dataset", broken)
+        with pytest.raises(ValueError, match="not an empty replicate"):
+            run_scenario(small_config(n_replicates=2))
 
 
 class TestReproduceTables:

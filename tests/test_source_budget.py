@@ -8,7 +8,7 @@ the benchmark's set-up; this test reports it before the benchmark does.
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "survreport"
-CAP = 2038  # lines in src/survreport/*.py
+CAP = 2028  # lines in src/survreport/*.py
 
 
 def test_source_stays_under_the_line_cap():
